@@ -297,7 +297,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QuadratureError, PoleError, OverflowError, RuntimeError) as exc:
+    except (QuadratureError, PoleError, ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, AdmissibilityError, ValueError) as exc:

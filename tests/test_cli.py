@@ -75,6 +75,14 @@ class TestEval:
         rc = main(["eval", "--order", "9,9", "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG
 
+    def test_underflow_is_numerical_failure(self, tmp_path, capsys):
+        # dist**(p + r) underflows to zero at t = 1e-6, N = 32; the resulting
+        # ZeroDivisionError must map to exit code 3, not a traceback.
+        rc = main(["eval", "--kind", "1", "--N", "32", "--t", "1e-6",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
 
 class TestConvergence:
     def test_errors_shrink(self, tmp_path):
@@ -126,6 +134,8 @@ class TestPde:
         max_err = max(float(r["abs_err"]) for r in rows)
         declared = float(meta[0].split("max_err=")[1])
         assert max_err == pytest.approx(declared, rel=1e-12)
+        for key in ("stepper=BDF", "steps=", "nfev=", "njev=", "nlu="):
+            assert key in meta[0]
 
     def test_degenerate_t0_is_numerical_failure(self, tmp_path):
         rc = main(

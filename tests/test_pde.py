@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import quad
 
 from varcaputo.order import affine_order
@@ -114,3 +115,43 @@ class TestBurgers:
             for N in (2, 6)
         ]
         assert errs[1] <= 1.05 * errs[0]
+
+
+class TestStepper:
+    def test_meta_records_stepper_counts(self, diffusion_field, fieldv):
+        for f in (diffusion_field, fieldv):
+            assert f.meta["stepper"] == "BDF"
+            assert f.meta["steps"] == len(f.dense.ts) - 1
+            for key in ("steps", "nfev", "njev", "nlu"):
+                assert f.meta[key] > 0
+
+    def test_steps_do_not_grow_with_mx(self):
+        # An explicit stepper needs ~mx^2 more steps; an implicit one is set
+        # by accuracy, so a quiet fallback would show up here.
+        problem = manufactured_diffusion(ORDER, N=3)
+        steps = {
+            mx: solve_diffusion(problem, Grid1D(mx=mx, mt=20)).meta["steps"]
+            for mx in (20, 80)
+        }
+        assert steps[80] <= 1.5 * steps[20]
+
+    @pytest.mark.parametrize("equation", ["diffusion", "burgers"])
+    @pytest.mark.parametrize("N", [1, 6, 12])
+    def test_analytic_jacobian_of_linear_system(self, equation, N):
+        # The system is linear in y, so J(t) y = rhs(t, y) - rhs(t, 0).
+        grid = Grid1D(mx=12, mt=4, t0=1e-4)
+        if equation == "diffusion":
+            f = solve_diffusion(manufactured_diffusion(ORDER, N=N), grid)
+        else:
+            f = solve_burgers(ORDER, grid, N=N)
+        n = (N + 1) * (grid.mx - 1)
+        rng = np.random.default_rng(N)
+        eps = np.finfo(float).eps
+        for t in (grid.t0, 0.3, 1.0):
+            y = rng.standard_normal(n)
+            J = f.jac(t, y)
+            assert sparse.issparse(J) and J.shape == (n, n)
+            base = f.rhs(t, np.zeros(n))
+            scale = abs(J) @ np.abs(y) + np.abs(base)
+            gap = np.abs(J @ y - (f.rhs(t, y) - base))
+            assert np.all(gap <= 64 * eps * scale)

@@ -8,6 +8,17 @@ error admits an explicit bound in terms of the maxima of |x'| and |x^(n+1)|
 on the integration range; the bound is returned alongside the value so every
 result is a certificate, not just a number.
 
+The moments are taken in the scaled variable s = |tau - endpoint| / dist in
+[0, 1]: W_k = int_0^1 s^k x'(endpoint -+ s dist) ds, so V_p = dist^(k+1) W_k
+with k = p - n.  The expansion combines the O(1) numbers W_k with no
+dist^(-p) factors, so it neither underflows nor overflows as dist -> 0.  One
+vectorised Gauss-Kronrod (G10/K21) pass over a fixed panel set, graded
+geometrically towards the endpoint s = 0, evaluates x' once and yields every
+W_k with QUADPACK's qk21 error estimate; a W_k whose estimate misses the
+tolerance (an endpoint-singular x', say) is recomputed by adaptive QUADPACK
+quadrature alone.  The derivative maxima behind the bound are sampled in one
+array call per derivative order.
+
 Coefficient arrays are recomputed on every call because alpha depends on the
 evaluation point; there is no shared cache.
 """
@@ -15,6 +26,7 @@ evaluation point; there is no shared cache.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +68,51 @@ _BOUND_SAMPLES = 1001
 _BOUND_SAFETY = 1.05
 
 
+def _gauss_kronrod_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 21-point Gauss-Kronrod rule on each panel between ``edges``.
+
+    Returns the nodes (shape P*21, panel by panel), the reference rule on
+    [-1, 1] as a (21, 2) array of Kronrod and Gauss weights (the Gauss
+    weights are zero at the Kronrod-only nodes) and the panel half-lengths.
+    The constants are QUADPACK's qk21 abscissae and weights.
+    """
+    xk = np.array([
+        0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+        0.0,
+    ])
+    wk = np.array([
+        0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208745147347, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821,
+    ])
+    wg = np.zeros(11)
+    wg[1:10:2] = [
+        0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+        0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+        0.295524224714752870173892994651338,
+    ]
+    mirror = lambda v, sign: np.concatenate([sign * v[:-1], v[::-1]])
+    centre = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    nodes = (centre[:, None] + half[:, None] * mirror(xk, -1.0)).ravel()
+    return nodes, np.stack([mirror(wk, 1.0), mirror(wg, 1.0)], axis=1), half
+
+
+#: Panels of the shared moment pass on [0, 1]: ten panels halving towards
+#: s = 0, where x' of a power law is singular, and seven equal panels on
+#: [1/2, 1], where s^k concentrates for the high moments (k up to 2N).
+_PANEL_EDGES = np.concatenate([[0.0], 2.0 ** np.arange(-10, 0), np.linspace(0.5, 1.0, 8)[1:]])
+_GK_NODES, _GK_RULE, _GK_HALF = _gauss_kronrod_panels(_PANEL_EDGES)
+_EPS = np.finfo(float).eps
+
+
 class MissingBoundError(ValueError):
     """A derivative bound required by the error formula is unavailable."""
 
@@ -91,11 +148,11 @@ class ExpansionCoefficients:
 
 @dataclass(frozen=True)
 class MomentVector:
-    """Moment integrals V_p (left) or W_p (right) for p = n..p_max.
+    """Moment integrals V_p for p = n..p_max.
 
-    V_p(t) = integral over (a, t) of (tau-a)^(p-n) x'(tau); the right-sided
-    W_p carries (b-tau)^(p-n) over (t, b).  All vanish when the integration
-    range is empty.
+    V_p(t) = integral over (a, t) of (tau-a)^(p-n) x'(tau) on the left, and
+    of (b-tau)^(p-n) x'(tau) over (t, b) on the right.  All vanish when the
+    integration range is empty.
     """
 
     n: int
@@ -147,7 +204,8 @@ def coefficients_left(alpha_val: float, params: ExpansionParams) -> ExpansionCoe
     B_p = Gamma(alpha-n+p) / (Gamma(1-alpha) Gamma(alpha) (p-n)!).
 
     All Gamma ratios go through log-space with sign tracking since
-    alpha - p < 0 throughout.
+    alpha - p < 0 throughout; the factorials join the log-space difference,
+    so N > 170 stays finite.
     """
     if not 0.0 < alpha_val < 1.0:
         raise DomainError(f"alpha must lie in (0,1), got {alpha_val}")
@@ -155,16 +213,14 @@ def coefficients_left(alpha_val: float, params: ExpansionParams) -> ExpansionCoe
     head = np.empty(n)
     for p in range(1, n + 1):
         terms = [
-            gamma_ratio(alpha_val - n + l, alpha_val - p) / math.factorial(l - n + p)
+            gamma_ratio(alpha_val - n + l, alpha_val - p, l - n + p)
             for l in range(n - p + 1, N + 1)
         ]
         head[p - 1] = (1.0 + math.fsum(terms)) / gamma(p + 1.0 - alpha_val)
     inv_g1ma = 1.0 / gamma(1.0 - alpha_val)
     tail = np.empty(N - n + 1)
     for p in range(n, N + 1):
-        tail[p - n] = (
-            gamma_ratio(alpha_val - n + p, alpha_val) * inv_g1ma / math.factorial(p - n)
-        )
+        tail[p - n] = gamma_ratio(alpha_val - n + p, alpha_val, p - n) * inv_g1ma
     return ExpansionCoefficients(head=head, tail=tail, side=Side.LEFT)
 
 
@@ -175,6 +231,71 @@ def coefficients_right(alpha_val: float, params: ExpansionParams) -> ExpansionCo
     return ExpansionCoefficients(head=left.head * signs, tail=-left.tail, side=Side.RIGHT)
 
 
+def _sample(fn, ts: np.ndarray) -> np.ndarray:
+    """fn on the points ts as a float array of their shape.  A callable that
+    returns one constant is broadcast, and one that takes only floats (it
+    raises TypeError or ValueError on an array) is called point by point."""
+    try:
+        values = fn(ts)
+    except (TypeError, ValueError):
+        values = [fn(float(t)) for t in ts]
+    return np.broadcast_to(np.asarray(values, dtype=float), ts.shape)
+
+
+def _scaled_moments(x: ScalarFunction, side: Side, dist: float, count: int, tol: float) -> np.ndarray:
+    """W_k = int_0^1 s^k x'(root + s*step) ds for k = 0..count-1, where
+    (root, step) is (a, dist) on the left and (b, -dist) on the right.
+
+    One Gauss-Kronrod pass over the fixed panels gives every W_k and its
+    qk21 error estimate (summed over panels); W_k is kept when the estimate
+    is at most max(tol, 1e-12 |W_k|), and recomputed by adaptive quadrature
+    otherwise.
+    """
+    root, step = (x.a, dist) if side is Side.LEFT else (x.b, -dist)
+    dx = x.deriv(1)
+    # Row k of g holds s^k x' on the nodes; the rows are filled by doubling,
+    # rows m..2m-1 being rows 0..m-1 times s^m.
+    g = np.empty((count, _GK_NODES.size))
+    g[0] = _sample(dx, root + _GK_NODES * step)
+    filled, s_m = 1, _GK_NODES
+    while filled < count:
+        m = min(filled, count - filled)
+        np.multiply(g[:m], s_m, out=g[filled : filled + m])
+        filled += m
+        s_m = s_m * s_m
+    panels = g.reshape(count, -1, _GK_RULE.shape[0])
+    sums = panels @ _GK_RULE
+    kronrod = sums[..., 0]
+    abserr = np.abs(kronrod - sums[..., 1])
+    resabs = np.abs(panels) @ _GK_RULE[:, 0]
+    dev = panels - 0.5 * kronrod[..., None]
+    resasc = np.abs(dev, out=dev) @ _GK_RULE[:, 0]
+    # QUADPACK's qk21 estimate: scale |K21 - G10| by the panel's variation,
+    # and never claim less than 50 eps of its absolute integral.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5)
+    err = np.maximum(50.0 * _EPS * resabs, np.where(resasc > 0.0, scaled, abserr)) @ _GK_HALF
+    w = kronrod @ _GK_HALF
+    # Negated so that a nan estimate also falls back.
+    for k in np.flatnonzero(~(err <= np.maximum(tol, 1e-12 * np.abs(w)))):
+        w[k] = _quad_moment(dx, root, step, int(k), tol)
+    return w
+
+
+def _quad_moment(dx, root: float, step: float, k: int, tol: float) -> float:
+    """W_k by adaptive QUADPACK quadrature, its warnings kept for the error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        val, abserr = quad(
+            lambda s: s**k * dx(root + s * step),
+            0.0, 1.0, epsabs=tol, epsrel=1e-12, limit=SUBDIVISION_BUDGET,
+        )
+    if abserr > max(100.0 * tol, 1e-10 * abs(val)):
+        detail = "".join(f"; {' '.join(str(w.message).split()).split('.')[0]}" for w in caught)
+        raise QuadratureError(f"scaled moment k={k} did not converge (err {abserr:.3e}){detail}")
+    return val
+
+
 def moments(
     x: ScalarFunction,
     side: Side,
@@ -183,35 +304,20 @@ def moments(
     p_max: int,
     tol: float = DEFAULT_TOL,
 ) -> MomentVector:
-    """Moment integrals for p = n..p_max by adaptive quadrature.
+    """Moment integrals for p = n..p_max, as dist^(k+1) W_k with k = p - n.
 
-    The integrands are smooth (no kernel singularity), so plain adaptive
-    quadrature at tolerance ``tol`` suffices.
+    The scaled moments W_k come from one shared Gauss-Kronrod pass, with
+    adaptive quadrature at tolerance ``tol`` for any W_k it cannot certify.
     """
     n = params.n
     if p_max < params.N:
         raise ValueError(f"p_max = {p_max} must cover the truncation N = {params.N}")
-    dx = x.deriv(1)
-    values = np.zeros(p_max - n + 1)
-    if side is Side.LEFT:
-        lo, hi = x.a, t
-        weight_root = x.a
-    else:
-        lo, hi = t, x.b
-        weight_root = x.b
-    if hi <= lo:
-        return MomentVector(n=n, values=values, side=side)
-    for p in range(n, p_max + 1):
-        k = p - n
-        if side is Side.LEFT:
-            integrand = lambda tau, k=k: (tau - weight_root) ** k * dx(tau)
-        else:
-            integrand = lambda tau, k=k: (weight_root - tau) ** k * dx(tau)
-        val, abserr = quad(integrand, lo, hi, epsabs=tol, epsrel=1e-12, limit=SUBDIVISION_BUDGET)
-        if abserr > max(100.0 * tol, 1e-10 * abs(val)):
-            raise QuadratureError(f"moment p={p} did not converge (err {abserr:.3e})")
-        values[k] = val
-    return MomentVector(n=n, values=values, side=side)
+    dist = (t - x.a) if side is Side.LEFT else (x.b - t)
+    count = p_max - n + 1
+    if dist <= 0.0:
+        return MomentVector(n=n, values=np.zeros(count), side=side)
+    w = _scaled_moments(x, side, dist, count, tol)
+    return MomentVector(n=n, values=w * dist ** np.arange(1.0, count + 1.0), side=side)
 
 
 def derivative_bound(
@@ -222,16 +328,16 @@ def derivative_bound(
 ) -> DerivativeBound:
     """Sampled maxima of |x^(p)| on [lo, hi] for the requested orders.
 
-    Analytic derivatives are sampled as-is; numeric fallbacks get a 5%
-    safety factor and flag the bound as estimated.
+    Each derivative is evaluated once on the whole sample array.  Analytic
+    derivatives are sampled as-is; numeric fallbacks get a 5% safety factor
+    and flag the bound as estimated.
     """
     ts = np.linspace(lo, hi, _BOUND_SAMPLES)
     values: dict[int, float] = {}
     estimated = False
     for p in orders:
         analytic = p <= len(x.derivatives)
-        fn = x.deriv(p)
-        m = max(abs(fn(float(t))) for t in ts)
+        m = float(np.max(np.abs(_sample(x.deriv(p), ts))))
         if not analytic:
             m *= _BOUND_SAFETY
             estimated = True
@@ -311,20 +417,17 @@ def approximate(
 
     coeffs = coefficients_left(alpha, params) if side is Side.LEFT else coefficients_right(alpha, params)
     p_max = n + 2 * N if needs_correction else N
-    mom = moments(x, side, t, params, p_max=p_max, tol=tol)
+    w = _scaled_moments(x, side, dist, p_max - n + 1, tol)
 
     head_terms = [
         float(coeffs.head[p - 1]) * dist ** (p - alpha) * x.deriv(p)(t)
         for p in range(1, n + 1)
     ]
-    tail_terms = [
-        float(coeffs.tail[p - n]) * dist ** (n - p - alpha) * mom[p]
-        for p in range(n, N + 1)
-    ]
-    value = math.fsum(head_terms + tail_terms)
+    tail_terms = coeffs.tail * dist ** (1.0 - alpha) * w[: N - n + 1]
+    value = math.fsum(head_terms + tail_terms.tolist())
 
     if needs_correction:
-        value += _order_variation_correction(kind, alpha, ap, dist, mom, params)
+        value += _order_variation_correction(kind, alpha, ap, dist, w, N)
 
     orders_needed = (1, n + 1) if kind is not Kind.TYPE_III else (n + 1,)
     lo, hi = (x.a, t) if side is Side.LEFT else (t, x.b)
@@ -343,25 +446,22 @@ def _order_variation_correction(
     alpha: float,
     ap: float,
     dist: float,
-    mom: MomentVector,
-    params: ExpansionParams,
+    w: np.ndarray,
+    N: int,
 ) -> float:
     """alpha'-weighted correction distinguishing types I and II from III.
 
-    Terms alternate in sign through the signed binomial, so they are
-    accumulated with exact summation (math.fsum) to control cancellation.
+    In scaled moments the single sum is dist * sum_p sb_p W_p and the double
+    sum dist * sum_{p,r} sb_p W_(p+r) / r (p = 0..N, r = 1..N).  Terms
+    alternate in sign through the signed binomial, so they are accumulated
+    with exact summation (math.fsum) to control cancellation.
     """
-    n, N = params.n, params.N
-    sb = [signed_binomial(1.0 - alpha, p) for p in range(N + 1)]
-    log_d = math.log(dist)
-    bracket = (1.0 / (1.0 - alpha) if kind is Kind.TYPE_I else digamma(2.0 - alpha)) - log_d
-    single = math.fsum(sb[p] * dist ** (-p) * mom[n + p] for p in range(N + 1))
-    double = math.fsum(
-        sb[p] * mom[n + p + r] / (r * dist ** (p + r))
-        for p in range(N + 1)
-        for r in range(1, N + 1)
-    )
-    return ap * dist ** (1.0 - alpha) / gamma(2.0 - alpha) * (bracket * single + double)
+    sb = np.array([signed_binomial(1.0 - alpha, p) for p in range(N + 1)])
+    bracket = (1.0 / (1.0 - alpha) if kind is Kind.TYPE_I else digamma(2.0 - alpha)) - math.log(dist)
+    r = np.arange(1, N + 1)
+    single = math.fsum((sb * w[: N + 1]).tolist())
+    double = math.fsum((sb[:, None] * w[np.add.outer(np.arange(N + 1), r)] / r).ravel().tolist())
+    return ap * dist ** (2.0 - alpha) / gamma(2.0 - alpha) * (bracket * single + double)
 
 
 def approx_type1(

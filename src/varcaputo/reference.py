@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
 from scipy.integrate import quad
 
 from .order import OrderFunction
@@ -50,6 +51,9 @@ SUBDIVISION_BUDGET = 10_000
 _FD_STEP = 1e-7
 _LOG_CLAMP = 1e-300
 
+#: A real function of one variable, applied to a float or elementwise to an array.
+RealFn = Callable[[float | np.ndarray], float | np.ndarray]
+
 
 class Kind(enum.Enum):
     """The three inequivalent variable-order Caputo definitions."""
@@ -76,18 +80,24 @@ class SingularityError(ValueError):
 class ScalarFunction:
     """A real C^1 function on [a, b] with optional analytic derivatives.
 
-    ``derivatives[k]`` is the (k+1)-th derivative.  When no analytic first
-    derivative is supplied, a central finite difference with step 1e-7
-    (one-sided at the endpoints) stands in, at a documented accuracy loss
-    of roughly 1e-7.  Numeric higher derivatives are limited to order 3.
+    ``derivatives[k]`` is the (k+1)-th derivative.  Every callable should
+    accept a float or an ndarray of points: a float gives a float, and an
+    array gives the values elementwise (or one constant, which callers
+    broadcast).  The quadrature routines call them one point at a time; the
+    expansion samples them on whole arrays, and calls a float-only callable
+    (one that raises TypeError or ValueError on an array) point by point
+    instead, at a Python call per sample.  When no analytic first derivative is supplied, a
+    central finite difference with step 1e-7 (one-sided at the endpoints)
+    stands in, at a documented accuracy loss of roughly 1e-7.  Numeric
+    higher derivatives are limited to order 3.
     """
 
-    value: Callable[[float], float]
+    value: RealFn
     a: float
     b: float
-    derivatives: tuple[Callable[[float], float], ...] = field(default=())
+    derivatives: tuple[RealFn, ...] = field(default=())
 
-    def deriv(self, p: int = 1) -> Callable[[float], float]:
+    def deriv(self, p: int = 1) -> RealFn:
         if p < 1:
             raise ValueError("derivative order must be >= 1")
         if p <= len(self.derivatives):
@@ -102,11 +112,18 @@ class ScalarFunction:
             fn = self._numeric_derivative(fn)
         return fn
 
-    def _numeric_derivative(self, fn: Callable[[float], float]) -> Callable[[float], float]:
+    def _numeric_derivative(self, fn: RealFn) -> RealFn:
         h = _FD_STEP
         a, b = self.a, self.b
 
-        def dfn(t: float) -> float:
+        def dfn(t):
+            if isinstance(t, np.ndarray):
+                # The same three stencils as the scalar branch, chosen per point.
+                forward = t - h < a
+                backward = ~forward & (t + h > b)
+                upper = np.where(backward, t, t + h)
+                lower = np.where(forward, t, t - h)
+                return (fn(upper) - fn(lower)) / np.where(forward | backward, h, 2.0 * h)
             if t - h < a:
                 return (fn(t + h) - fn(t)) / h
             if t + h > b:
@@ -119,25 +136,33 @@ class ScalarFunction:
 def power_function(gamma_exp: float, a: float, b: float, side: Side = Side.LEFT) -> ScalarFunction:
     """(t-a)^gamma for the left side, (b-t)^gamma for the right, with analytic
     derivatives up to order 4 (enough for expansions with n <= 3).
+
+    The callables take floats or arrays; the float path stays free of NumPy
+    because the quadrature routines call it point by point.
     """
     if gamma_exp <= 0:
         raise DomainError(f"power exponent must be positive, got {gamma_exp}")
 
-    def make_deriv(p: int) -> Callable[[float], float]:
-        coef = gamma_ratio(gamma_exp + 1.0, gamma_exp + 1.0 - p)
-        sign = 1.0 if side is Side.LEFT else (-1.0) ** p
+    left = side is Side.LEFT
+    ndarray = np.ndarray  # bound once: quad calls the float path at every node
 
-        def dfn(t: float) -> float:
-            dist = (t - a) if side is Side.LEFT else (b - t)
+    def make_deriv(p: int) -> RealFn:
+        scale = (1.0 if left else (-1.0) ** p) * gamma_ratio(gamma_exp + 1.0, gamma_exp + 1.0 - p)
+        exponent = gamma_exp - p
+        at_end = 0.0 if exponent > 0.0 else (scale if exponent == 0.0 else math.inf)
+
+        def dfn(t):
+            dist = (t - a) if left else (b - t)
+            if isinstance(dist, ndarray):
+                with np.errstate(divide="ignore"):  # 0 ** negative, replaced by at_end
+                    return np.where(dist == 0.0, at_end, scale * dist**exponent)
             if dist == 0.0:
-                if gamma_exp > p:
-                    return 0.0
-                return sign * coef if gamma_exp == p else math.inf
-            return sign * coef * dist ** (gamma_exp - p)
+                return at_end
+            return scale * dist**exponent
 
         return dfn
 
-    if side is Side.LEFT:
+    if left:
         value = lambda t: (t - a) ** gamma_exp
     else:
         value = lambda t: (b - t) ** gamma_exp

@@ -17,8 +17,6 @@ __all__ = [
     "PoleError",
     "DomainError",
     "gamma",
-    "log_abs_gamma",
-    "gamma_sign",
     "gamma_ratio",
     "digamma",
     "beta",
@@ -60,27 +58,13 @@ def gamma(x: float) -> float:
     return value
 
 
-def log_abs_gamma(x: float) -> float:
-    """log|Gamma(x)| for real non-pole x."""
-    x = _check_finite(x)
-    if _is_nonpositive_integer(x):
-        raise PoleError(f"gamma pole at x = {x}")
-    return float(_sp.gammaln(x))
-
-
-def gamma_sign(x: float) -> float:
-    """Sign of Gamma(x): +1 for x > 0, alternating between negative poles."""
-    x = _check_finite(x)
-    if _is_nonpositive_integer(x):
-        raise PoleError(f"gamma pole at x = {x}")
-    return float(_sp.gammasgn(x))
-
-
-def gamma_ratio(num: float, den: float) -> float:
-    """Gamma(num) / Gamma(den), computed as exp(logGamma difference).
+def gamma_ratio(num: float, den: float, k: int = 0) -> float:
+    """Gamma(num) / (Gamma(den) k!), computed as exp(logGamma difference).
 
     Safe for negative non-integer arguments on either side; the sign of each
-    factor is tracked separately.  If only the denominator is at a pole the
+    factor is tracked separately.  The factorial joins the log-space
+    difference as logGamma(k+1), so the result stays finite where k! alone
+    would overflow (k >= 171).  If only the denominator is at a pole the
     ratio is zero.
     """
     num = _check_finite(num, "num")
@@ -97,7 +81,8 @@ def gamma_ratio(num: float, den: float) -> float:
     if den_pole:
         return 0.0
     sign = float(_sp.gammasgn(num) * _sp.gammasgn(den))
-    return sign * math.exp(float(_sp.gammaln(num) - _sp.gammaln(den)))
+    log_ratio = float(_sp.gammaln(num) - _sp.gammaln(den))
+    return sign * math.exp(log_ratio - math.lgamma(k + 1.0))
 
 
 def digamma(x: float) -> float:
@@ -124,7 +109,8 @@ def signed_binomial(nu: float, p: int) -> float:
     """(-1)^p * C(nu, p) for real nu and non-negative integer p.
 
     Uses the identity (-1)^p C(nu, p) = Gamma(p - nu) / (Gamma(-nu) p!),
-    evaluated through log-Gamma with sign tracking.  Exact at p = 0.
+    evaluated through ``gamma_ratio``, so it stays finite beyond p = 170.
+    Exact at p = 0.
     """
     nu = _check_finite(nu, "nu")
     if p < 0 or p != int(p):
@@ -144,4 +130,4 @@ def signed_binomial(nu: float, p: int) -> float:
         if p > nu_int:
             return 0.0
         return float((-1) ** p * math.comb(nu_int, p))
-    return gamma_ratio(p - nu, -nu) / math.factorial(p)
+    return gamma_ratio(p - nu, -nu, p)

@@ -75,13 +75,16 @@ class TestEval:
         rc = main(["eval", "--order", "9,9", "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG
 
-    def test_underflow_is_numerical_failure(self, tmp_path, capsys):
-        # dist**(p + r) underflows to zero at t = 1e-6, N = 32; the resulting
-        # ZeroDivisionError must map to exit code 3, not a traceback.
-        rc = main(["eval", "--kind", "1", "--N", "32", "--t", "1e-6",
-                   "--out", str(tmp_path / "x.csv")])
-        assert rc == EXIT_NUMERICAL
-        assert capsys.readouterr().err.startswith("numerical failure: ")
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "1", "--N", "32", "--t", "1e-6"],  # raw moments dist^(p+1) underflow
+        ["--N", "200"],  # 200! exceeds double range
+    ], ids=["tiny-distance", "N200"])
+    def test_extreme_inputs_are_certified(self, tmp_path, argv):
+        out = tmp_path / "x.csv"
+        rc = main(["eval", *argv, "--out", str(out)])
+        assert rc == EXIT_OK
+        _, rows = _read_csv(out)
+        assert float(rows[0]["observed_error"]) <= float(rows[0]["certified_bound"])
 
 
 class TestConvergence:
@@ -168,3 +171,16 @@ class TestExitCodeOrdering:
         monkeypatch.setattr(cli, "approximate", boom)
         rc = main(["eval", "--t", "0.5", "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_NUMERICAL
+
+    def test_arithmetic_error_maps_to_numerical(self, monkeypatch, tmp_path, capsys):
+        # Any ArithmeticError out of the library is a numerical failure (3),
+        # reported on one line rather than as a traceback.
+        import varcaputo.cli as cli
+
+        def boom(*a, **k):
+            raise ZeroDivisionError("forced")
+
+        monkeypatch.setattr(cli, "approximate", boom)
+        rc = main(["eval", "--t", "0.5", "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure: ")

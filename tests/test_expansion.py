@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import varcaputo.expansion as expansion
 from varcaputo.expansion import (
     ApproxResult,
     DerivativeBound,
@@ -19,7 +20,15 @@ from varcaputo.expansion import (
     moments,
 )
 from varcaputo.order import OrderFunction, affine_order, constant_order
-from varcaputo.reference import Kind, Side, caputo_quadrature, power_function
+from varcaputo.reference import (
+    Kind,
+    QuadratureError,
+    ScalarFunction,
+    Side,
+    caputo_quadrature,
+    power_closed_form,
+    power_function,
+)
 from varcaputo.special import gamma
 
 ORDER_A = affine_order(0.5, 0.49, (0.0, 1.0))  # (50t + 49)/100
@@ -48,6 +57,17 @@ class TestCoefficients:
             assert right.head[p - 1] == (-1.0) ** p * left.head[p - 1]
         assert np.array_equal(right.tail, -left.tail)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_finite_beyond_float_factorials(self, n):
+        # (p-n)! and l! overflow a double from 171 on; the coefficients do not.
+        # B_(p+1)/B_p = (alpha-n+p)/(p-n+1) must hold on both sides of 171.
+        alpha = 0.37
+        c = coefficients_left(alpha, ExpansionParams(n, 200))
+        assert np.all(np.isfinite(c.head)) and np.all(np.isfinite(c.tail))
+        for k in range(160, 200 - n):
+            p = k + n
+            assert c.tail[k + 1] == pytest.approx(c.tail[k] * (alpha - n + p) / (k + 1), rel=1e-12)
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             ExpansionParams(0, 4)
@@ -66,6 +86,54 @@ class TestMoments:
             assert mom[1] == pytest.approx(t**2, rel=1e-10)
             assert mom[2] == pytest.approx(2.0 * t**3 / 3.0, rel=1e-10)
             assert mom[4] == pytest.approx(2.0 * t**5 / 5.0, rel=1e-10)
+        # Every moment a type I/II call at N = 32 needs (p_max = n + 2N),
+        # on both sides; on the right x' = -2 (1 - tau), so V_p changes sign.
+        for side, sign in ((Side.LEFT, 1.0), (Side.RIGHT, -1.0)):
+            x = power_function(2.0, 0.0, 1.0, side)
+            for t in (0.05, 0.5, 0.95):
+                dist = t if side is Side.LEFT else 1.0 - t
+                mom = moments(x, side, t, ExpansionParams(1, 32), p_max=65)
+                for p in range(1, 66):
+                    exact = sign * 2.0 * dist ** (p + 1) / (p + 1)
+                    assert mom[p] == pytest.approx(exact, rel=1e-10)
+
+    @pytest.mark.parametrize("gamma_exp", [0.5, 0.8])
+    @pytest.mark.parametrize("side", list(Side))
+    def test_singular_derivative_uses_quadpack(self, gamma_exp, side, monkeypatch):
+        # x' ~ dist^(gamma-1) is singular at the endpoint, which the shared
+        # Gauss-Kronrod pass cannot certify; those moments fall back to
+        # adaptive quadrature and must still match
+        # V_p = +-gamma dist^(p-1+gamma) / (p-1+gamma).
+        fallbacks = []
+        quad_moment = expansion._quad_moment
+        monkeypatch.setattr(
+            expansion, "_quad_moment", lambda *a: fallbacks.append(a[3]) or quad_moment(*a)
+        )
+        x = power_function(gamma_exp, 0.0, 1.0, side)
+        sign = 1.0 if side is Side.LEFT else -1.0
+        for t in (0.3, 0.7):
+            dist = t if side is Side.LEFT else 1.0 - t
+            mom = moments(x, side, t, ExpansionParams(1, 8), p_max=17)
+            for p in range(1, 18):
+                exact = sign * gamma_exp * dist ** (p - 1 + gamma_exp) / (p - 1 + gamma_exp)
+                assert mom[p] == pytest.approx(exact, rel=1e-10)
+            for kind in Kind:
+                res = approximate(kind, x, ORDER_A, t, side, ExpansionParams(1, 8))
+                ref = power_closed_form(kind, side, gamma_exp, ORDER_A, t)
+                assert math.isfinite(res.value)
+                assert abs(res.value - ref) <= res.error_bound
+        assert 0 in fallbacks
+
+    def test_non_integrable_derivative_raises(self):
+        # x = log(t): x' = 1/t is not integrable at 0.  QUADPACK's warnings
+        # go into the error, not to the warnings machinery (which the test
+        # configuration turns into errors).
+        x = ScalarFunction(value=lambda t: np.log(t), a=0.0, b=1.0,
+                           derivatives=(lambda t: 1.0 / t,))
+        with pytest.raises(QuadratureError):
+            moments(x, Side.LEFT, 0.5, ExpansionParams(1, 4), p_max=4)
+        with pytest.raises(QuadratureError):
+            approximate(Kind.TYPE_III, x, ORDER_A, 0.5, Side.LEFT)
 
     def test_vanish_at_start(self):
         x = power_function(2.0, 0.0, 1.0, Side.LEFT)
@@ -112,6 +180,21 @@ class TestErrorBound:
         assert not L.estimated
         assert L[1] == pytest.approx(2.0, rel=1e-6)
         assert L[2] == pytest.approx(2.0, rel=1e-6)
+        # One array call per order gives exactly the maxima of the point-by-
+        # point loop over the same samples, for analytic derivatives (with
+        # x'' = inf at the endpoint when gamma < 1) and for the one-sided and
+        # central finite differences of a function given by its values only.
+        ts = np.linspace(0.0, 1.0, 1001)
+        loop_max = lambda fn: max(abs(fn(float(t))) for t in ts)
+        singular = power_function(0.5, 0.0, 1.0, Side.RIGHT)
+        L = derivative_bound(singular, (1, 2), 0.0, 1.0)
+        assert not L.estimated
+        assert L[1] == loop_max(singular.deriv(1)) and L[2] == math.inf
+        numeric = ScalarFunction(value=lambda t: t * t * (1.0 - t) + 0.5 * t, a=0.0, b=1.0)
+        L = derivative_bound(numeric, (1, 2), 0.0, 1.0)
+        assert L.estimated
+        for p in (1, 2):
+            assert L[p] == 1.05 * loop_max(numeric.deriv(p))
 
 
 class TestApproximation:
@@ -175,6 +258,35 @@ class TestApproximation:
                 r = approximate(kind, x_right, ORDER_B, t, Side.RIGHT)
                 l = approximate(kind, x_left, mirror, 1.0 - t, Side.LEFT)
                 assert r.value == pytest.approx(l.value, abs=1e-10, rel=1e-10)
+
+    @pytest.mark.parametrize("side", list(Side))
+    @pytest.mark.parametrize("kind", [Kind.TYPE_I, Kind.TYPE_II])
+    def test_tiny_distance(self, kind, side):
+        # At dist = 1e-6 the raw moments V_p ~ dist^(p+1) underflow for the
+        # order-variation correction at N = 32; the scaled moments do not.
+        x = power_function(2.0, 0.0, 1.0, side)
+        t = 1e-6 if side is Side.LEFT else 1.0 - 1e-6
+        res = approximate(kind, x, ORDER_A, t, side, ExpansionParams(1, 32))
+        ref = power_closed_form(kind, side, 2.0, ORDER_A, t)
+        assert math.isfinite(res.value) and math.isfinite(res.error_bound)
+        assert abs(res.value - ref) <= res.error_bound
+
+    def test_float_only_callables(self):
+        # Callables that reject arrays (float(), math.*, if/else on t) are
+        # sampled point by point and give the array path's values.
+        x = power_function(2.0, 0.0, 1.0, Side.LEFT)
+        scalar = ScalarFunction(
+            value=lambda t: math.pow(t, 2.0),
+            a=0.0,
+            b=1.0,
+            derivatives=(lambda t: 2.0 * float(t), lambda t: 2.0 if t >= 0.0 else math.nan),
+        )
+        for kind in Kind:
+            want = approximate(kind, x, ORDER_B, 0.6, Side.LEFT)
+            got = approximate(kind, scalar, ORDER_B, 0.6, Side.LEFT)
+            assert got.value == pytest.approx(want.value, rel=1e-13)
+            assert got.error_bound == pytest.approx(want.error_bound, rel=1e-13)
+            assert got.bound_kind == want.bound_kind
 
     def test_endpoint_returns_zero(self):
         x = power_function(2.0, 0.0, 1.0, Side.LEFT)

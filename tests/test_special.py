@@ -117,6 +117,17 @@ class TestSignedBinomial:
             got = signed_binomial(nu, p) * (-1.0) ** p
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
+    @pytest.mark.parametrize("nu", [0.3, 0.5, 1.7])
+    def test_beyond_float_factorials(self, nu):
+        # p! overflows a double from p = 171 on; the coefficient itself stays
+        # finite and follows sb_p = sb_(p-1) (p - 1 - nu) / p past that point.
+        expected = signed_binomial(nu, 160)
+        for p in range(161, 221):
+            expected *= (p - 1 - nu) / p
+            got = signed_binomial(nu, p)
+            assert math.isfinite(got)
+            assert got == pytest.approx(expected, rel=1e-12)
+
     def test_integer_nu(self):
         assert signed_binomial(3.0, 2) == 3.0
         assert signed_binomial(3.0, 5) == 0.0
@@ -135,3 +146,13 @@ class TestGammaRatio:
     def test_large_arguments(self):
         # Gamma(171.5)/Gamma(170.5) = 170.5; both factors overflow alone.
         assert gamma_ratio(171.5, 170.5) == pytest.approx(170.5, rel=1e-12)
+
+    @pytest.mark.parametrize("num,den", [(2.5, 1.5), (-0.3, -1.3), (0.7, -2.3)])
+    def test_factorial_divisor(self, num, den):
+        # k! divides the ratio exactly where it is a double, and the result
+        # stays finite where k! alone would overflow.
+        base = gamma_ratio(num, den)
+        for k in range(0, 21):
+            assert gamma_ratio(num, den, k) == pytest.approx(base / math.factorial(k), rel=1e-13)
+        assert gamma_ratio(num, den, 0) == base
+        assert 0.0 < abs(gamma_ratio(num + 200, den, 200)) < math.inf

@@ -9,12 +9,7 @@ PDEs rewritten through the expansion.
 from .expansion import (
     ApproxResult,
     DerivativeBound,
-    ExpansionCoefficients,
     ExpansionParams,
-    MomentVector,
-    approx_type1,
-    approx_type2,
-    approx_type3,
     approximate,
     coefficients_left,
     coefficients_right,
@@ -49,9 +44,6 @@ from .reference import (
     Side,
     SingularityError,
     caputo_quadrature,
-    caputo_type1_quadrature,
-    caputo_type2_quadrature,
-    caputo_type3_quadrature,
     power_closed_form,
     power_function,
     rl_from_caputo,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from typing import Sequence
 
@@ -84,14 +85,6 @@ def parse_order(spec: str, domain: tuple[float, float] = (0.0, 1.0)) -> OrderFun
         raise ConfigError(str(exc)) from exc
 
 
-def _parse_kind(kind: int) -> Kind:
-    return {1: Kind.TYPE_I, 2: Kind.TYPE_II, 3: Kind.TYPE_III}[kind]
-
-
-def _parse_side(side: str) -> Side:
-    return Side.LEFT if side == "left" else Side.RIGHT
-
-
 def _open_out(path: str | None):
     if path is None or path == "-":
         return sys.stdout, False
@@ -100,8 +93,8 @@ def _open_out(path: str | None):
 
 def cmd_eval(args: argparse.Namespace) -> int:
     order = parse_order(args.order)
-    kind = _parse_kind(args.kind)
-    side = _parse_side(args.side)
+    kind = Kind(args.kind)
+    side = Side(args.side)
     params = ExpansionParams(args.n, args.N)
     ts = args.t if args.t else [0.5]
     for t in ts:
@@ -126,8 +119,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_convergence(args: argparse.Namespace) -> int:
     order = parse_order(args.order)
-    kind = _parse_kind(args.kind)
-    side = _parse_side(args.side)
+    kind = Kind(args.kind)
+    side = Side(args.side)
     x = power_function(2.0, order.a, order.b, side)
     ns = (2, 4, 6)
     ts = np.linspace(order.a, order.b, args.points)
@@ -193,8 +186,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
     ts = np.linspace(order.a, order.b, args.points)
     if args.out is None:
         raise ConfigError("figures requires --out <directory>")
-    import os
-
     os.makedirs(args.out, exist_ok=True)
     for label, kind, side in FIGURE_PANELS:
         path = os.path.join(args.out, f"{label}.csv")

@@ -37,16 +37,16 @@ from .reference import (
     DEFAULT_TOL,
     Kind,
     QuadratureError,
+    RealFn,
     ScalarFunction,
     Side,
     SUBDIVISION_BUDGET,
+    _frame,
 )
 from .special import DomainError, digamma, gamma, gamma_ratio, signed_binomial
 
 __all__ = [
     "ExpansionParams",
-    "ExpansionCoefficients",
-    "MomentVector",
     "DerivativeBound",
     "ApproxResult",
     "MissingBoundError",
@@ -56,9 +56,6 @@ __all__ = [
     "derivative_bound",
     "error_bound",
     "approximate",
-    "approx_type1",
-    "approx_type2",
-    "approx_type3",
 ]
 
 #: Sample count for derivative-maximum estimation.
@@ -132,41 +129,6 @@ class ExpansionParams:
 
 
 @dataclass(frozen=True)
-class ExpansionCoefficients:
-    """Coefficient arrays at a fixed alpha value.
-
-    ``head[p-1]`` multiplies the p-th classical derivative (p = 1..n);
-    ``tail[p-n]`` multiplies the p-th moment integral (p = n..N).  For the
-    left operators these are the A_p/B_p arrays; ``coefficients_right``
-    returns the sign-adjusted right-sided C_p/D_p in the same slots.
-    """
-
-    head: np.ndarray
-    tail: np.ndarray
-    side: Side
-
-
-@dataclass(frozen=True)
-class MomentVector:
-    """Moment integrals V_p for p = n..p_max.
-
-    V_p(t) = integral over (a, t) of (tau-a)^(p-n) x'(tau) on the left, and
-    of (b-tau)^(p-n) x'(tau) over (t, b) on the right.  All vanish when the
-    integration range is empty.
-    """
-
-    n: int
-    values: np.ndarray
-    side: Side
-
-    def __getitem__(self, p: int) -> float:
-        idx = p - self.n
-        if idx < 0 or idx >= len(self.values):
-            raise IndexError(f"moment index p={p} outside n..{self.n + len(self.values) - 1}")
-        return float(self.values[idx])
-
-
-@dataclass(frozen=True)
 class DerivativeBound:
     """Upper bounds on |x^(p)| over the integration range, keyed by p."""
 
@@ -196,8 +158,10 @@ class ApproxResult:
     bound_kind: str = "analytic"
 
 
-def coefficients_left(alpha_val: float, params: ExpansionParams) -> ExpansionCoefficients:
-    """A_p (p = 1..n) and B_p (p = n..N) for the left operators.
+def coefficients_left(alpha_val: float, params: ExpansionParams) -> tuple[np.ndarray, np.ndarray]:
+    """(head, tail) = (A_p for p = 1..n, B_p for p = n..N), the coefficient
+    arrays of the left operators at a fixed alpha value: ``head[p-1]``
+    multiplies dist^(p-alpha) x^(p)(t) and ``tail[p-n]`` the moment V_p.
 
     A_p = (1/Gamma(p+1-alpha)) [1 + sum_{l=n-p+1}^{N}
           Gamma(alpha-n+l) / (Gamma(alpha-p) (l-n+p)!)],
@@ -221,14 +185,13 @@ def coefficients_left(alpha_val: float, params: ExpansionParams) -> ExpansionCoe
     tail = np.empty(N - n + 1)
     for p in range(n, N + 1):
         tail[p - n] = gamma_ratio(alpha_val - n + p, alpha_val, p - n) * inv_g1ma
-    return ExpansionCoefficients(head=head, tail=tail, side=Side.LEFT)
+    return head, tail
 
 
-def coefficients_right(alpha_val: float, params: ExpansionParams) -> ExpansionCoefficients:
-    """C_p = (-1)^p A_p and D_p = -B_p for the right operators."""
-    left = coefficients_left(alpha_val, params)
-    signs = np.array([(-1.0) ** p for p in range(1, params.n + 1)])
-    return ExpansionCoefficients(head=left.head * signs, tail=-left.tail, side=Side.RIGHT)
+def coefficients_right(alpha_val: float, params: ExpansionParams) -> tuple[np.ndarray, np.ndarray]:
+    """(head, tail) = (C_p, D_p) = ((-1)^p A_p, -B_p) for the right operators."""
+    head, tail = coefficients_left(alpha_val, params)
+    return head * (-1.0) ** np.arange(1, params.n + 1), -tail
 
 
 def _sample(fn, ts: np.ndarray) -> np.ndarray:
@@ -242,21 +205,20 @@ def _sample(fn, ts: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(values, dtype=float), ts.shape)
 
 
-def _scaled_moments(x: ScalarFunction, side: Side, dist: float, count: int, tol: float) -> np.ndarray:
-    """W_k = int_0^1 s^k x'(root + s*step) ds for k = 0..count-1, where
-    (root, step) is (a, dist) on the left and (b, -dist) on the right.
+def _scaled_moments(dx: RealFn, end: float, step: float, count: int, tol: float) -> np.ndarray:
+    """W_k = int_0^1 s^k x'(end + s*step) ds for k = 0..count-1, where
+    step = sgn dist in the signed frame: (a, dist) on the left, (b, -dist) on
+    the right.
 
     One Gauss-Kronrod pass over the fixed panels gives every W_k and its
     qk21 error estimate (summed over panels); W_k is kept when the estimate
     is at most max(tol, 1e-12 |W_k|), and recomputed by adaptive quadrature
     otherwise.
     """
-    root, step = (x.a, dist) if side is Side.LEFT else (x.b, -dist)
-    dx = x.deriv(1)
     # Row k of g holds s^k x' on the nodes; the rows are filled by doubling,
     # rows m..2m-1 being rows 0..m-1 times s^m.
     g = np.empty((count, _GK_NODES.size))
-    g[0] = _sample(dx, root + _GK_NODES * step)
+    g[0] = _sample(dx, end + _GK_NODES * step)
     filled, s_m = 1, _GK_NODES
     while filled < count:
         m = min(filled, count - filled)
@@ -278,16 +240,16 @@ def _scaled_moments(x: ScalarFunction, side: Side, dist: float, count: int, tol:
     w = kronrod @ _GK_HALF
     # Negated so that a nan estimate also falls back.
     for k in np.flatnonzero(~(err <= np.maximum(tol, 1e-12 * np.abs(w)))):
-        w[k] = _quad_moment(dx, root, step, int(k), tol)
+        w[k] = _quad_moment(dx, end, step, int(k), tol)
     return w
 
 
-def _quad_moment(dx, root: float, step: float, k: int, tol: float) -> float:
+def _quad_moment(dx: RealFn, end: float, step: float, k: int, tol: float) -> float:
     """W_k by adaptive QUADPACK quadrature, its warnings kept for the error."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         val, abserr = quad(
-            lambda s: s**k * dx(root + s * step),
+            lambda s: s**k * dx(end + s * step),
             0.0, 1.0, epsabs=tol, epsrel=1e-12, limit=SUBDIVISION_BUDGET,
         )
     if abserr > max(100.0 * tol, 1e-10 * abs(val)):
@@ -303,21 +265,23 @@ def moments(
     params: ExpansionParams,
     p_max: int,
     tol: float = DEFAULT_TOL,
-) -> MomentVector:
-    """Moment integrals for p = n..p_max, as dist^(k+1) W_k with k = p - n.
+) -> np.ndarray:
+    """Moment integrals V, with V[p-n] = V_p for p = n..p_max.
 
-    The scaled moments W_k come from one shared Gauss-Kronrod pass, with
-    adaptive quadrature at tolerance ``tol`` for any W_k it cannot certify.
+    V_p is the integral of (tau-a)^(p-n) x'(tau) over (a, t) on the left and
+    of (b-tau)^(p-n) x'(tau) over (t, b) on the right, computed as
+    dist^(k+1) W_k with k = p - n; all vanish at the endpoint.  The scaled
+    moments W_k come from one shared Gauss-Kronrod pass, with adaptive
+    quadrature at tolerance ``tol`` for any W_k it cannot certify.
     """
-    n = params.n
     if p_max < params.N:
         raise ValueError(f"p_max = {p_max} must cover the truncation N = {params.N}")
-    dist = (t - x.a) if side is Side.LEFT else (x.b - t)
-    count = p_max - n + 1
-    if dist <= 0.0:
-        return MomentVector(n=n, values=np.zeros(count), side=side)
-    w = _scaled_moments(x, side, dist, count, tol)
-    return MomentVector(n=n, values=w * dist ** np.arange(1.0, count + 1.0), side=side)
+    sgn, end, dist = _frame(x.a, x.b, t, side)
+    count = p_max - params.n + 1
+    if dist == 0.0:
+        return np.zeros(count)
+    w = _scaled_moments(x.deriv(1), end, sgn * dist, count, tol)
+    return w * dist ** np.arange(1.0, count + 1.0)
 
 
 def derivative_bound(
@@ -403,11 +367,10 @@ def approximate(
 
     The value is the truncated expansion; ``error_bound`` certifies the
     truncation error.  With alpha' = 0 the three kinds produce bitwise-equal
-    values because the correction terms are skipped outright.
+    values because the correction terms are skipped outright.  A t outside
+    [x.a, x.b] raises ``SingularityError``.
     """
-    dist = (t - x.a) if side is Side.LEFT else (x.b - t)
-    if dist < 0:
-        raise ValueError(f"t = {t} outside the operator's range")
+    sgn, end, dist = _frame(x.a, x.b, t, side)
     if dist == 0.0:
         return ApproxResult(0.0, 0.0, params, "analytic")
     n, N = params.n, params.N
@@ -415,23 +378,22 @@ def approximate(
     ap = order.alpha_prime(t)
     needs_correction = kind is not Kind.TYPE_III and ap != 0.0
 
-    coeffs = coefficients_left(alpha, params) if side is Side.LEFT else coefficients_right(alpha, params)
+    head, tail = (coefficients_left if side is Side.LEFT else coefficients_right)(alpha, params)
     p_max = n + 2 * N if needs_correction else N
-    w = _scaled_moments(x, side, dist, p_max - n + 1, tol)
+    w = _scaled_moments(x.deriv(1), end, sgn * dist, p_max - n + 1, tol)
 
     head_terms = [
-        float(coeffs.head[p - 1]) * dist ** (p - alpha) * x.deriv(p)(t)
+        float(head[p - 1]) * dist ** (p - alpha) * x.deriv(p)(t)
         for p in range(1, n + 1)
     ]
-    tail_terms = coeffs.tail * dist ** (1.0 - alpha) * w[: N - n + 1]
+    tail_terms = tail * dist ** (1.0 - alpha) * w[: N - n + 1]
     value = math.fsum(head_terms + tail_terms.tolist())
 
     if needs_correction:
         value += _order_variation_correction(kind, alpha, ap, dist, w, N)
 
     orders_needed = (1, n + 1) if kind is not Kind.TYPE_III else (n + 1,)
-    lo, hi = (x.a, t) if side is Side.LEFT else (t, x.b)
-    bounds = derivative_bound(x, orders_needed, lo, hi)
+    bounds = derivative_bound(x, orders_needed, min(end, t), max(end, t))
     eb = error_bound(kind, params, alpha, ap, dist, bounds)
     return ApproxResult(
         value=value,
@@ -463,35 +425,3 @@ def _order_variation_correction(
     double = math.fsum((sb[:, None] * w[np.add.outer(np.arange(N + 1), r)] / r).ravel().tolist())
     return ap * dist ** (2.0 - alpha) / gamma(2.0 - alpha) * (bracket * single + double)
 
-
-def approx_type1(
-    x: ScalarFunction,
-    order: OrderFunction,
-    t: float,
-    side: Side = Side.LEFT,
-    params: ExpansionParams = ExpansionParams(1, 6),
-    tol: float = DEFAULT_TOL,
-) -> ApproxResult:
-    return approximate(Kind.TYPE_I, x, order, t, side, params, tol)
-
-
-def approx_type2(
-    x: ScalarFunction,
-    order: OrderFunction,
-    t: float,
-    side: Side = Side.LEFT,
-    params: ExpansionParams = ExpansionParams(1, 6),
-    tol: float = DEFAULT_TOL,
-) -> ApproxResult:
-    return approximate(Kind.TYPE_II, x, order, t, side, params, tol)
-
-
-def approx_type3(
-    x: ScalarFunction,
-    order: OrderFunction,
-    t: float,
-    side: Side = Side.LEFT,
-    params: ExpansionParams = ExpansionParams(1, 6),
-    tol: float = DEFAULT_TOL,
-) -> ApproxResult:
-    return approximate(Kind.TYPE_III, x, order, t, side, params, tol)

@@ -45,10 +45,6 @@ class OrderFunction:
     a: float
     b: float
 
-    @property
-    def domain(self) -> tuple[float, float]:
-        return (self.a, self.b)
-
     def is_constant(self) -> bool:
         """True when alpha' vanishes identically on a coarse sample."""
         ts = np.linspace(self.a, self.b, 17)

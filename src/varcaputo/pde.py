@@ -193,9 +193,9 @@ def _derivative_matrix(mx: int, hx: float, deriv: int) -> np.ndarray:
 def _expansion_weights(order: OrderFunction, N: int, t: float) -> tuple[float, np.ndarray]:
     """u_t coefficient a = A t^(1-alpha) and the scaled-moment weights B_p/A."""
     alpha = order.alpha(t)
-    coeffs = coefficients_left(alpha, ExpansionParams(1, N))
-    head = float(coeffs.head[0])
-    return head * t ** (1.0 - alpha), coeffs.tail / head
+    head, tail = coefficients_left(alpha, ExpansionParams(1, N))
+    a1 = float(head[0])
+    return a1 * t ** (1.0 - alpha), tail / a1
 
 
 def _linear_core(

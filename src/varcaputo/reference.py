@@ -3,12 +3,19 @@
 Three routes are provided:
 
 * exact closed forms for power functions (``power_closed_form``),
-* adaptive quadrature of the defining integrals for all six operators
-  (types I/II/III, left and right), and
+* one adaptive quadrature of the defining integrals for all six operators,
+  types I/II/III, left and right (``caputo_quadrature(kind, ...)``), and
 * boundary-term conversions from Caputo to Riemann-Liouville values.
 
-The type III kernel (t-tau)^(-alpha) is weakly singular; the substitution
-u = (t-tau)^(1-alpha) turns it into a bounded integrand, after which ordinary
+Every route works in the signed frame (sgn, end, dist) of ``_frame``: the
+left operators integrate from end = a with sgn = +1, the right ones from
+end = b with sgn = -1, and dist = sgn (t - end).  The right-sided operator of
+x under alpha is the left-sided one of x(a+b-s) under alpha(a+b-s), so a side
+changes only that endpoint and sign; a t outside [a, b] raises
+``SingularityError``.
+
+The type III kernel |t-tau|^(-alpha) is weakly singular; the substitution
+u = |t-tau|^(1-alpha) turns it into a bounded integrand, after which ordinary
 adaptive Gauss-Kronrod quadrature (scipy's QUADPACK) converges quickly.
 Types I and II are evaluated through the relation formulas tying them to
 type III -- differentiating a parameter-dependent singular integral in t
@@ -36,9 +43,6 @@ __all__ = [
     "SingularityError",
     "power_function",
     "caputo_quadrature",
-    "caputo_type1_quadrature",
-    "caputo_type2_quadrature",
-    "caputo_type3_quadrature",
     "power_closed_form",
     "rl_from_caputo",
     "DEFAULT_TOL",
@@ -66,6 +70,11 @@ class Kind(enum.Enum):
 class Side(enum.Enum):
     LEFT = "left"
     RIGHT = "right"
+
+
+#: Tolerance divisor of the type III and log-kernel integrals: each kind
+#: halves it once per correction term it adds to type III.
+_TOL_SPLIT = {Kind.TYPE_III: 1.0, Kind.TYPE_I: 2.0, Kind.TYPE_II: 4.0}
 
 
 class QuadratureError(RuntimeError):
@@ -185,105 +194,6 @@ def _adaptive_quad(fn: Callable[[float], float], lo: float, hi: float, tol: floa
     return value
 
 
-def caputo_type3_quadrature(
-    x: ScalarFunction,
-    order: OrderFunction,
-    t: float,
-    side: Side = Side.LEFT,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Type III derivative by quadrature of its defining integral.
-
-    The weak singularity is removed by u = (t-tau)^(1-alpha) (mirrored for
-    the right operator), under which the kernel contributes a constant and
-    only x' is sampled.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    _check_eval_point(x, t, side)
-    if (side is Side.LEFT and t == x.a) or (side is Side.RIGHT and t == x.b):
-        return 0.0
-    alpha = order.alpha(t)
-    oma = 1.0 - alpha
-    dx = x.deriv(1)
-    if side is Side.LEFT:
-        upper = (t - x.a) ** oma
-        integrand = lambda u: dx(t - u ** (1.0 / oma))
-        return _adaptive_quad(integrand, 0.0, upper, tol) / gamma(2.0 - alpha)
-    upper = (x.b - t) ** oma
-    integrand = lambda u: dx(t + u ** (1.0 / oma))
-    return -_adaptive_quad(integrand, 0.0, upper, tol) / gamma(2.0 - alpha)
-
-
-def caputo_type1_quadrature(
-    x: ScalarFunction,
-    order: OrderFunction,
-    t: float,
-    side: Side = Side.LEFT,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Type I derivative: type III plus the alpha'-weighted log-kernel
-    correction integral.  The correction kernel is bounded; only the log
-    factor needs clamping at tau -> t.
-    """
-    base = caputo_type3_quadrature(x, order, t, side, tol / 2.0)
-    if (side is Side.LEFT and t == x.a) or (side is Side.RIGHT and t == x.b):
-        return 0.0
-    ap = order.alpha_prime(t)
-    if ap == 0.0:
-        return base
-    alpha = order.alpha(t)
-    inv = 1.0 / (1.0 - alpha)
-    dx = x.deriv(1)
-    if side is Side.LEFT:
-        def integrand(tau: float) -> float:
-            s = max(t - tau, _LOG_CLAMP)
-            return s ** (1.0 - alpha) * dx(tau) * (inv - math.log(s))
-
-        corr = _adaptive_quad(integrand, x.a, t, tol / 2.0)
-    else:
-        def integrand(tau: float) -> float:
-            s = max(tau - t, _LOG_CLAMP)
-            return s ** (1.0 - alpha) * dx(tau) * (inv - math.log(s))
-
-        corr = _adaptive_quad(integrand, t, x.b, tol / 2.0)
-    return base + ap / gamma(2.0 - alpha) * corr
-
-
-def caputo_type2_quadrature(
-    x: ScalarFunction,
-    order: OrderFunction,
-    t: float,
-    side: Side = Side.LEFT,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Type II derivative via the digamma-weighted relation to type I.
-
-    The correction integrand is weakly singular and handled with the same
-    substitution as the type III kernel.
-    """
-    base = caputo_type1_quadrature(x, order, t, side, tol / 2.0)
-    if (side is Side.LEFT and t == x.a) or (side is Side.RIGHT and t == x.b):
-        return 0.0
-    ap = order.alpha_prime(t)
-    if ap == 0.0:
-        return base
-    alpha = order.alpha(t)
-    oma = 1.0 - alpha
-    factor = ap * digamma(1.0 - alpha) / gamma(1.0 - alpha)
-    if side is Side.LEFT:
-        xa = x.value(x.a)
-        upper = (t - x.a) ** oma
-        integrand = lambda u: x.value(t - u ** (1.0 / oma)) - xa
-        integral = _adaptive_quad(integrand, 0.0, upper, tol / 2.0) / oma
-        return base + factor * integral
-    xb = x.value(x.b)
-    upper = (x.b - t) ** oma
-    integrand = lambda u: x.value(t + u ** (1.0 / oma)) - xb
-    integral = _adaptive_quad(integrand, 0.0, upper, tol / 2.0) / oma
-    return base - factor * integral
-
-
 def caputo_quadrature(
     kind: Kind,
     x: ScalarFunction,
@@ -292,12 +202,50 @@ def caputo_quadrature(
     side: Side = Side.LEFT,
     tol: float = DEFAULT_TOL,
 ) -> float:
-    """Dispatch to the quadrature evaluator for the requested kind."""
+    """The requested Caputo derivative by quadrature of its defining integrals.
+
+    Type III: the weak singularity is removed by u = dist^(1-alpha) in the
+    signed frame, under which the kernel contributes a constant and only x'
+    is sampled.  Type I adds the alpha'-weighted log-kernel correction, whose
+    kernel is bounded (only the log factor needs clamping at tau -> t).
+    Type II adds the digamma-weighted term of its relation to type I, a
+    weakly singular integrand handled by the same substitution.  The
+    tolerance is halved once per added term: the type III and log-kernel
+    integrals get tol, tol/2 or tol/4 for types III, I and II, and the type
+    II term tol/2.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    sgn, end, dist = _frame(x.a, x.b, t, side)
+    if dist == 0.0:
+        return 0.0
+    alpha = order.alpha(t)
+    oma = 1.0 - alpha
+    tol_split = tol / _TOL_SPLIT[kind]
+    dx = x.deriv(1)
+    upper = dist**oma
+    value = sgn * _adaptive_quad(
+        lambda u: dx(t - sgn * u ** (1.0 / oma)), 0.0, upper, tol_split
+    ) / gamma(2.0 - alpha)
+    ap = 0.0 if kind is Kind.TYPE_III else order.alpha_prime(t)
+    if ap == 0.0:
+        return value
+    inv = 1.0 / oma
+
+    def log_kernel(tau: float) -> float:
+        s = max(sgn * (t - tau), _LOG_CLAMP)
+        return s**oma * dx(tau) * (inv - math.log(s))
+
+    corr = _adaptive_quad(log_kernel, min(end, t), max(end, t), tol_split)
+    value += ap / gamma(2.0 - alpha) * corr
     if kind is Kind.TYPE_I:
-        return caputo_type1_quadrature(x, order, t, side, tol)
-    if kind is Kind.TYPE_II:
-        return caputo_type2_quadrature(x, order, t, side, tol)
-    return caputo_type3_quadrature(x, order, t, side, tol)
+        return value
+    x_end = x.value(end)
+    integral = _adaptive_quad(
+        lambda u: x.value(t - sgn * u ** (1.0 / oma)) - x_end, 0.0, upper, tol / 2.0
+    ) / oma
+    factor = ap * digamma(oma) / gamma(oma)
+    return value + sgn * factor * integral
 
 
 def power_closed_form(
@@ -312,16 +260,14 @@ def power_closed_form(
     All three kinds share the leading term Gamma(gamma+1)/Gamma(gamma-alpha+1)
     * dist^(gamma-alpha); types I and II add an alpha'-weighted term carrying
     ln(dist) - Psi(gamma-alpha+2), with Psi(1-alpha) appearing for type I
-    only.  The correction enters with a minus sign on the left and a plus
-    sign on the right.
+    only.  The correction enters with the sign -sgn of the signed frame:
+    minus on the left, plus on the right.
     """
     if gamma_exp <= 0:
         raise DomainError(f"power exponent must be positive, got {gamma_exp}")
-    dist = (t - order.a) if side is Side.LEFT else (order.b - t)
+    sgn, _, dist = _frame(order.a, order.b, t, side)
     if dist == 0.0:
         return 0.0
-    if dist < 0.0:
-        raise SingularityError(f"t = {t} outside the operator's range")
     alpha = order.alpha(t)
     base = gamma_ratio(gamma_exp + 1.0, gamma_exp - alpha + 1.0) * dist ** (gamma_exp - alpha)
     if kind is Kind.TYPE_III:
@@ -335,7 +281,7 @@ def power_closed_form(
         * dist ** (gamma_exp - alpha + 1.0)
         * bracket
     )
-    return base - corr if side is Side.LEFT else base + corr
+    return base - sgn * corr
 
 
 def rl_from_caputo(
@@ -355,10 +301,10 @@ def rl_from_caputo(
     """
     if kind is Kind.TYPE_III:
         raise DomainError("RL conversion is defined for types I and II only")
+    sgn, _, dist = _frame(order.a, order.b, t, side)
     if boundary_value == 0.0:
         return caputo_value
-    dist = (t - order.a) if side is Side.LEFT else (order.b - t)
-    if dist <= 0.0:
+    if dist == 0.0:
         raise SingularityError(
             "RL correction diverges at the endpoint for nonzero boundary value"
         )
@@ -370,11 +316,18 @@ def rl_from_caputo(
         bracket = digamma(2.0 - alpha) - math.log(dist)
     static = boundary_value / gamma(1.0 - alpha) * dist ** (-alpha)
     moving = boundary_value * ap / gamma(2.0 - alpha) * dist ** (1.0 - alpha) * bracket
-    if side is Side.LEFT:
-        return caputo_value + static + moving
-    return caputo_value + static - moving
+    return caputo_value + static + sgn * moving
 
 
-def _check_eval_point(x: ScalarFunction, t: float, side: Side) -> None:
-    if not x.a <= t <= x.b:
-        raise SingularityError(f"t = {t} outside [{x.a}, {x.b}]")
+def _frame(a: float, b: float, t: float, side: Side) -> tuple[float, float, float]:
+    """The signed frame (sgn, end, dist) of a one-sided operator at t.
+
+    sgn = +1 and end = a on the left, sgn = -1 and end = b on the right, and
+    dist = sgn (t - end) >= 0 is the length of the integration range.  The
+    right-sided operators are the left-sided ones reflected through
+    s -> a + b - s, so a side changes only the endpoint and this sign.
+    """
+    if not a <= t <= b:
+        raise SingularityError(f"t = {t} outside [{a}, {b}]")
+    sgn, end = (1.0, a) if side is Side.LEFT else (-1.0, b)
+    return sgn, end, abs(t - end)

@@ -14,7 +14,6 @@ from varcaputo.cli import main as cli_main
 from varcaputo.expansion import (
     DerivativeBound,
     ExpansionParams,
-    approx_type3,
     approximate,
     error_bound,
 )

@@ -78,7 +78,8 @@ class TestEval:
     @pytest.mark.parametrize("argv", [
         ["--kind", "1", "--N", "32", "--t", "1e-6"],  # raw moments dist^(p+1) underflow
         ["--N", "200"],  # 200! exceeds double range
-    ], ids=["tiny-distance", "N200"])
+        ["--kind", "2", "--side", "right", "--t", "0.3"],
+    ], ids=["tiny-distance", "N200", "right-side"])
     def test_extreme_inputs_are_certified(self, tmp_path, argv):
         out = tmp_path / "x.csv"
         rc = main(["eval", *argv, "--out", str(out)])

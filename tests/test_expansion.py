@@ -9,9 +9,6 @@ from varcaputo.expansion import (
     DerivativeBound,
     ExpansionParams,
     MissingBoundError,
-    approx_type1,
-    approx_type2,
-    approx_type3,
     approximate,
     coefficients_left,
     coefficients_right,
@@ -25,48 +22,59 @@ from varcaputo.reference import (
     QuadratureError,
     ScalarFunction,
     Side,
+    SingularityError,
     caputo_quadrature,
     power_closed_form,
     power_function,
+    rl_from_caputo,
 )
 from varcaputo.special import gamma
 
 ORDER_A = affine_order(0.5, 0.49, (0.0, 1.0))  # (50t + 49)/100
 ORDER_B = affine_order(0.1, 0.5, (0.0, 1.0))   # (t + 5)/10
 
+#: Every route that evaluates an operator at a point t, called as (x, side, t).
+OUTSIDE_ROUTES = {
+    "approximate": lambda x, side, t: approximate(Kind.TYPE_III, x, ORDER_B, t, side),
+    "moments": lambda x, side, t: moments(x, side, t, ExpansionParams(1, 6), p_max=13),
+    "power_closed_form": lambda x, side, t: power_closed_form(Kind.TYPE_I, side, 2.0, ORDER_B, t),
+    "rl_from_caputo": lambda x, side, t: rl_from_caputo(Kind.TYPE_I, side, 0.0, 1.0, ORDER_B, t),
+    "caputo_quadrature": lambda x, side, t: caputo_quadrature(Kind.TYPE_II, x, ORDER_B, t, side),
+}
+
 
 class TestCoefficients:
     def test_frozen_values(self):
-        c = coefficients_left(0.5, ExpansionParams(1, 1))
+        head, _ = coefficients_left(0.5, ExpansionParams(1, 1))
         # A_1 collapses to 1/Gamma(1.5) + Gamma(0.5)/(Gamma(-0.5) 1!)/Gamma(1.5)
-        assert c.head[0] == pytest.approx(0.5641895835477563, rel=1e-13)
-        c2 = coefficients_left(0.5, ExpansionParams(1, 2))
-        assert c2.tail[1] == pytest.approx(0.2820947917738782, rel=1e-13)
+        assert head[0] == pytest.approx(0.5641895835477563, rel=1e-13)
+        _, tail2 = coefficients_left(0.5, ExpansionParams(1, 2))
+        assert tail2[1] == pytest.approx(0.2820947917738782, rel=1e-13)
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9])
     @pytest.mark.parametrize("n,N", [(1, 4), (2, 6)])
     def test_leading_tail_is_reciprocal_gamma(self, alpha, n, N):
-        c = coefficients_left(alpha, ExpansionParams(n, N))
-        assert c.tail[0] == pytest.approx(1.0 / gamma(1.0 - alpha), rel=1e-12)
+        _, tail = coefficients_left(alpha, ExpansionParams(n, N))
+        assert tail[0] == pytest.approx(1.0 / gamma(1.0 - alpha), rel=1e-12)
 
     def test_right_side_signs(self):
         params = ExpansionParams(2, 5)
-        left = coefficients_left(0.35, params)
-        right = coefficients_right(0.35, params)
+        left_head, left_tail = coefficients_left(0.35, params)
+        right_head, right_tail = coefficients_right(0.35, params)
         for p in range(1, 3):
-            assert right.head[p - 1] == (-1.0) ** p * left.head[p - 1]
-        assert np.array_equal(right.tail, -left.tail)
+            assert right_head[p - 1] == (-1.0) ** p * left_head[p - 1]
+        assert np.array_equal(right_tail, -left_tail)
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_finite_beyond_float_factorials(self, n):
         # (p-n)! and l! overflow a double from 171 on; the coefficients do not.
         # B_(p+1)/B_p = (alpha-n+p)/(p-n+1) must hold on both sides of 171.
         alpha = 0.37
-        c = coefficients_left(alpha, ExpansionParams(n, 200))
-        assert np.all(np.isfinite(c.head)) and np.all(np.isfinite(c.tail))
+        head, tail = coefficients_left(alpha, ExpansionParams(n, 200))
+        assert np.all(np.isfinite(head)) and np.all(np.isfinite(tail))
         for k in range(160, 200 - n):
             p = k + n
-            assert c.tail[k + 1] == pytest.approx(c.tail[k] * (alpha - n + p) / (k + 1), rel=1e-12)
+            assert tail[k + 1] == pytest.approx(tail[k] * (alpha - n + p) / (k + 1), rel=1e-12)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -81,21 +89,22 @@ class TestMoments:
         #                              = 2 t^(p+1) / (p+1) for n = 1.
         x = power_function(2.0, 0.0, 1.0, Side.LEFT)
         params = ExpansionParams(1, 4)
+        n = params.n
         for t in (0.3, 0.8):
             mom = moments(x, Side.LEFT, t, params, p_max=4)
-            assert mom[1] == pytest.approx(t**2, rel=1e-10)
-            assert mom[2] == pytest.approx(2.0 * t**3 / 3.0, rel=1e-10)
-            assert mom[4] == pytest.approx(2.0 * t**5 / 5.0, rel=1e-10)
+            assert mom[1 - n] == pytest.approx(t**2, rel=1e-10)
+            assert mom[2 - n] == pytest.approx(2.0 * t**3 / 3.0, rel=1e-10)
+            assert mom[4 - n] == pytest.approx(2.0 * t**5 / 5.0, rel=1e-10)
         # Every moment a type I/II call at N = 32 needs (p_max = n + 2N),
         # on both sides; on the right x' = -2 (1 - tau), so V_p changes sign.
         for side, sign in ((Side.LEFT, 1.0), (Side.RIGHT, -1.0)):
             x = power_function(2.0, 0.0, 1.0, side)
             for t in (0.05, 0.5, 0.95):
                 dist = t if side is Side.LEFT else 1.0 - t
-                mom = moments(x, side, t, ExpansionParams(1, 32), p_max=65)
+                mom = moments(x, side, t, ExpansionParams(n, 32), p_max=65)
                 for p in range(1, 66):
                     exact = sign * 2.0 * dist ** (p + 1) / (p + 1)
-                    assert mom[p] == pytest.approx(exact, rel=1e-10)
+                    assert mom[p - n] == pytest.approx(exact, rel=1e-10)
 
     @pytest.mark.parametrize("gamma_exp", [0.5, 0.8])
     @pytest.mark.parametrize("side", list(Side))
@@ -111,14 +120,15 @@ class TestMoments:
         )
         x = power_function(gamma_exp, 0.0, 1.0, side)
         sign = 1.0 if side is Side.LEFT else -1.0
+        params = ExpansionParams(1, 8)
         for t in (0.3, 0.7):
             dist = t if side is Side.LEFT else 1.0 - t
-            mom = moments(x, side, t, ExpansionParams(1, 8), p_max=17)
+            mom = moments(x, side, t, params, p_max=17)
             for p in range(1, 18):
                 exact = sign * gamma_exp * dist ** (p - 1 + gamma_exp) / (p - 1 + gamma_exp)
-                assert mom[p] == pytest.approx(exact, rel=1e-10)
+                assert mom[p - params.n] == pytest.approx(exact, rel=1e-10)
             for kind in Kind:
-                res = approximate(kind, x, ORDER_A, t, side, ExpansionParams(1, 8))
+                res = approximate(kind, x, ORDER_A, t, side, params)
                 ref = power_closed_form(kind, side, gamma_exp, ORDER_A, t)
                 assert math.isfinite(res.value)
                 assert abs(res.value - ref) <= res.error_bound
@@ -138,7 +148,7 @@ class TestMoments:
     def test_vanish_at_start(self):
         x = power_function(2.0, 0.0, 1.0, Side.LEFT)
         mom = moments(x, Side.LEFT, 0.0, ExpansionParams(1, 3), p_max=3)
-        assert all(v == 0.0 for v in mom.values)
+        assert all(v == 0.0 for v in mom)
 
     def test_p_max_must_cover_N(self):
         x = power_function(2.0, 0.0, 1.0, Side.LEFT)
@@ -224,9 +234,9 @@ class TestApproximation:
     def test_constant_order_bitwise_collapse(self):
         order = constant_order(0.5, (0.0, 1.0))
         x = power_function(2.0, 0.0, 1.0, Side.LEFT)
-        r1 = approx_type1(x, order, 0.7)
-        r2 = approx_type2(x, order, 0.7)
-        r3 = approx_type3(x, order, 0.7)
+        r1 = approximate(Kind.TYPE_I, x, order, 0.7)
+        r2 = approximate(Kind.TYPE_II, x, order, 0.7)
+        r3 = approximate(Kind.TYPE_III, x, order, 0.7)
         assert r1.value == r3.value
         assert r2.value == r3.value
         assert r1.error_bound == r3.error_bound
@@ -236,7 +246,7 @@ class TestApproximation:
         # converges like N^(-1/2), so N = 40 is still ~1.6e-3 away.
         order = constant_order(0.5, (0.0, 1.0))
         x = power_function(2.0, 0.0, 1.0, Side.LEFT)
-        res = approx_type3(x, order, 1.0, params=ExpansionParams(1, 40))
+        res = approximate(Kind.TYPE_III, x, order, 1.0, params=ExpansionParams(1, 40))
         exact = 2.0 / gamma(2.5)
         assert res.value == pytest.approx(1.5061371718311305, rel=1e-10)
         assert abs(res.value - exact) <= res.error_bound
@@ -293,7 +303,12 @@ class TestApproximation:
         res = approximate(Kind.TYPE_I, x, ORDER_B, 0.0, Side.LEFT)
         assert res == ApproxResult(0.0, 0.0, ExpansionParams(1, 6), "analytic")
 
-    def test_outside_domain_rejected(self):
-        x = power_function(2.0, 0.0, 1.0, Side.LEFT)
-        with pytest.raises(ValueError):
-            approximate(Kind.TYPE_III, x, ORDER_B, -0.1, Side.LEFT)
+    @pytest.mark.parametrize("side", list(Side))
+    @pytest.mark.parametrize("route", list(OUTSIDE_ROUTES), ids=list(OUTSIDE_ROUTES))
+    def test_outside_domain_rejected(self, route, side):
+        # Past the operator's own endpoint and past the far end alike (t > b
+        # on the left, t < a on the right, which used to return a value).
+        x = power_function(2.0, 0.0, 1.0, side)
+        for t in (-0.1, 1.5):
+            with pytest.raises(SingularityError):
+                OUTSIDE_ROUTES[route](x, side, t)

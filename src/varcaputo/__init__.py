@@ -48,6 +48,6 @@ from .reference import (
     power_function,
     rl_from_caputo,
 )
-from .special import beta, digamma, gamma, signed_binomial
+from .special import digamma, gamma, signed_binomial
 
 __version__ = "0.1.0"

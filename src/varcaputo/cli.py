@@ -1,24 +1,30 @@
 """Command-line front end.
 
-Subcommands:
+Each subcommand takes exactly the flags its handler reads:
 
-* ``eval``         -- pointwise oracle vs expansion comparison with bound
-* ``convergence``  -- expansion error sweep at N in {2,4,6} over a t grid
-* ``figures``      -- variable-order vs constant-order comparison panels
-* ``pde-diffusion`` / ``pde-burgers`` -- method-of-lines runs
+* ``eval`` -- pointwise oracle vs expansion comparison with bound:
+  ``--order --kind --side --n --N --tol --out --t --gamma-exp``
+* ``convergence`` -- expansion error sweep at N in {2,4,6} over a t grid:
+  ``--order --kind --side --n --tol --out --points``
+* ``figures`` -- the six fixed variable-order vs constant-order panels,
+  one CSV each in the directory ``--out``: ``--order --tol --out --points``
+* ``pde-diffusion`` / ``pde-burgers`` -- method-of-lines runs at n = 1:
+  ``--order --N --out --mx --mt --t0``
 
 Output is CSV only (header row, 17 significant digits, '.' decimal);
-metadata lines are prefixed with '#'.  Exit codes: 0 success, 2 config
-error, 3 numerical failure.
+metadata lines are prefixed with '#'.  ``--out`` absent or '-' writes to
+stdout.  Exit codes: 0 success (also when the reader of stdout closes the
+pipe early), 2 config or output-path error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -41,7 +47,7 @@ from .reference import (
     power_closed_form,
     power_function,
 )
-from .special import DomainError, PoleError
+from .special import PoleError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,10 +91,26 @@ def parse_order(spec: str, domain: tuple[float, float] = (0.0, 1.0)) -> OrderFun
         raise ConfigError(str(exc)) from exc
 
 
-def _open_out(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """stdout for None or '-', otherwise the file at path opened for CSV.
+
+    stdout is flushed before the block ends, so a reader that closed the
+    pipe early surfaces as ``BrokenPipeError`` inside ``main``.
+    """
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+        sys.stdout.flush()
+    else:
+        with open(path, "w", newline="") as stream:
+            yield stream
+
+
+def _write_csv(stream: TextIO, header: list[str], rows: Iterable[Sequence[float]]) -> None:
+    """The header row, then each row's values at 17 significant digits."""
+    writer = csv.writer(stream)
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -101,19 +123,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not order.a <= t <= order.b:
             raise ConfigError(f"t = {t} outside the order domain [{order.a}, {order.b}]")
     x = power_function(args.gamma_exp, order.a, order.b, side)
-    stream, close = _open_out(args.out)
-    try:
-        writer = csv.writer(stream)
-        writer.writerow(["t", "oracle", "approx", "observed_error", "certified_bound"])
-        for t in ts:
-            oracle = power_closed_form(kind, side, args.gamma_exp, order, t)
-            res = approximate(kind, x, order, t, side, params, args.tol)
-            writer.writerow(
-                [_fmt(t), _fmt(oracle), _fmt(res.value), _fmt(abs(oracle - res.value)), _fmt(res.error_bound)]
-            )
-    finally:
-        if close:
-            stream.close()
+
+    def row(t: float) -> list[float]:
+        oracle = power_closed_form(kind, side, args.gamma_exp, order, t)
+        res = approximate(kind, x, order, t, side, params, args.tol)
+        return [t, oracle, res.value, abs(oracle - res.value), res.error_bound]
+
+    with _output(args.out) as stream:
+        _write_csv(stream, ["t", "oracle", "approx", "observed_error", "certified_bound"], map(row, ts))
     return EXIT_OK
 
 
@@ -122,26 +139,19 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     kind = Kind(args.kind)
     side = Side(args.side)
     x = power_function(2.0, order.a, order.b, side)
-    ns = (2, 4, 6)
-    ts = np.linspace(order.a, order.b, args.points)
-    stream, close = _open_out(args.out)
-    try:
-        writer = csv.writer(stream)
-        writer.writerow(
-            ["t", "exact", "approx_N2", "approx_N4", "approx_N6", "err_N2", "err_N4", "err_N6"]
-        )
-        for t in ts:
-            t = float(t)
-            exact = power_closed_form(kind, side, 2.0, order, t)
-            approxs = [
-                approximate(kind, x, order, t, side, ExpansionParams(args.n, N), args.tol).value
-                for N in ns
-            ]
-            errs = [abs(exact - a) for a in approxs]
-            writer.writerow([_fmt(v) for v in [t, exact, *approxs, *errs]])
-    finally:
-        if close:
-            stream.close()
+    ts = np.linspace(order.a, order.b, args.points).tolist()
+
+    def row(t: float) -> list[float]:
+        exact = power_closed_form(kind, side, 2.0, order, t)
+        approxs = [
+            approximate(kind, x, order, t, side, ExpansionParams(args.n, N), args.tol).value
+            for N in (2, 4, 6)
+        ]
+        return [t, exact, *approxs, *(abs(exact - a) for a in approxs)]
+
+    header = ["t", "exact", "approx_N2", "approx_N4", "approx_N6", "err_N2", "err_N4", "err_N6"]
+    with _output(args.out) as stream:
+        _write_csv(stream, header, map(row, ts))
     return EXIT_OK
 
 
@@ -157,86 +167,75 @@ FIGURE_PANELS = [
 ]
 
 
-def figure_panel_rows(
-    kind: Kind, side: Side, order: OrderFunction, ts: Sequence[float], tol: float
-) -> list[list[float]]:
-    """Rows (t, closed form, quadrature, const-order 0.1, const-order 0.6)."""
-    x = power_function(2.0, order.a, order.b, side)
-    lo = constant_order(0.1, (order.a, order.b))
-    hi = constant_order(0.6, (order.a, order.b))
-    rows = []
-    for t in ts:
-        t = float(t)
-        closed = power_closed_form(kind, side, 2.0, order, t)
-        quadv = caputo_quadrature(kind, x, order, t, side, tol)
-        rows.append(
-            [
-                t,
-                closed,
-                quadv,
-                power_closed_form(kind, side, 2.0, lo, t),
-                power_closed_form(kind, side, 2.0, hi, t),
-            ]
-        )
-    return rows
-
-
 def cmd_figures(args: argparse.Namespace) -> int:
-    order = parse_order(args.order if args.order else "fig1-alpha")
-    ts = np.linspace(order.a, order.b, args.points)
+    """Per panel, rows (t, closed form, quadrature, closed forms at the
+    constant orders 0.1 and 0.6)."""
+    order = parse_order(args.order)
+    ts = np.linspace(order.a, order.b, args.points).tolist()
     if args.out is None:
         raise ConfigError("figures requires --out <directory>")
     os.makedirs(args.out, exist_ok=True)
+    consts = [constant_order(c, (order.a, order.b)) for c in (0.1, 0.6)]
+    header = ["t", "variable_closed", "variable_quad", "const_alpha_0.1", "const_alpha_0.6"]
     for label, kind, side in FIGURE_PANELS:
-        path = os.path.join(args.out, f"{label}.csv")
-        with open(path, "w", newline="") as stream:
-            stream.write(f"# panel={label} order={args.order or 'fig1-alpha'}\n")
-            writer = csv.writer(stream)
-            writer.writerow(["t", "variable_closed", "variable_quad", "const_alpha_0.1", "const_alpha_0.6"])
-            for row in figure_panel_rows(kind, side, order, ts, args.tol):
-                writer.writerow([_fmt(v) for v in row])
+        x = power_function(2.0, order.a, order.b, side)
+        rows = [
+            [t, power_closed_form(kind, side, 2.0, order, t),
+             caputo_quadrature(kind, x, order, t, side, args.tol),
+             *(power_closed_form(kind, side, 2.0, c, t) for c in consts)]
+            for t in ts
+        ]
+        with _output(os.path.join(args.out, f"{label}.csv")) as stream:
+            stream.write(f"# panel={label} order={args.order}\n")
+            _write_csv(stream, header, rows)
     return EXIT_OK
 
 
-def _write_field(stream, fieldv, exact) -> None:
-    max_err = field_error(fieldv, exact)
+#: PDE subcommands: the solver, called as solve(order, grid, N), and the
+#: exact solution its field is compared with.
+_PDE_RUNS = {
+    "pde-diffusion": (
+        lambda order, grid, N: solve_diffusion(manufactured_diffusion(order, N), grid),
+        diffusion_exact,
+    ),
+    "pde-burgers": (solve_burgers, burgers_exact),
+}
+
+
+def cmd_pde(args: argparse.Namespace) -> int:
+    solve, exact = _PDE_RUNS[args.subcommand]
+    fieldv = solve(parse_order(args.order), Grid1D(args.mx, args.mt, args.t0), args.N)
+
+    def rows() -> Iterator[list[float]]:
+        for j, t in enumerate(fieldv.t_nodes):
+            for i, x in enumerate(fieldv.x_nodes):
+                ue = float(exact(x, t))
+                yield [x, t, fieldv.u[i, j], ue, abs(fieldv.u[i, j] - ue)]
+
     meta = " ".join(f"{k}={v}" for k, v in fieldv.meta.items())
-    stream.write(f"# {meta} max_err={_fmt(max_err)}\n")
-    writer = csv.writer(stream)
-    writer.writerow(["x", "t", "u", "u_exact", "abs_err"])
-    for j, t in enumerate(fieldv.t_nodes):
-        for i, x in enumerate(fieldv.x_nodes):
-            ue = float(exact(x, t))
-            writer.writerow(
-                [_fmt(x), _fmt(t), _fmt(fieldv.u[i, j]), _fmt(ue), _fmt(abs(fieldv.u[i, j] - ue))]
-            )
-
-
-def cmd_pde_diffusion(args: argparse.Namespace) -> int:
-    order = parse_order(args.order)
-    grid = Grid1D(args.mx, args.mt, args.t0)
-    problem = manufactured_diffusion(order, N=args.N)
-    fieldv = solve_diffusion(problem, grid, n_expansion=args.n)
-    stream, close = _open_out(args.out)
-    try:
-        _write_field(stream, fieldv, diffusion_exact)
-    finally:
-        if close:
-            stream.close()
+    with _output(args.out) as stream:
+        stream.write(f"# {meta} max_err={_fmt(field_error(fieldv, exact))}\n")
+        _write_csv(stream, ["x", "t", "u", "u_exact", "abs_err"], rows())
     return EXIT_OK
 
 
-def cmd_pde_burgers(args: argparse.Namespace) -> int:
-    order = parse_order(args.order)
-    grid = Grid1D(args.mx, args.mt, args.t0)
-    fieldv = solve_burgers(order, grid, N=args.N)
-    stream, close = _open_out(args.out)
-    try:
-        _write_field(stream, fieldv, burgers_exact)
-    finally:
-        if close:
-            stream.close()
-    return EXIT_OK
+#: Every flag of the CLI, declared once; each subcommand takes exactly the
+#: ones its handler reads, and sets the defaults that differ between them.
+_FLAGS = {
+    "--order": dict(default="paper-alpha", help="preset name or 'c1,c0'"),
+    "--kind": dict(type=int, choices=(1, 2, 3), default=3),
+    "--side": dict(choices=("left", "right"), default="left"),
+    "--n": dict(type=int, default=1, help="highest classical derivative"),
+    "--N": dict(type=int, default=6, help="series truncation"),
+    "--tol": dict(type=float, default=1e-8),
+    "--out": dict(default=None, help="output path ('-' = stdout)"),
+    "--t": dict(type=float, action="append", help="evaluation point (repeatable)"),
+    "--gamma-exp": dict(type=float, default=2.0, help="power-function exponent"),
+    "--points": dict(type=int),
+    "--mx": dict(type=int, default=20),
+    "--mt": dict(type=int, default=200),
+    "--t0": dict(type=float, default=1e-4),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,40 +245,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser, pde: bool = False) -> None:
-        p.add_argument("--order", default="paper-alpha", help="preset name or 'c1,c0'")
-        p.add_argument("--n", type=int, default=1, help="highest classical derivative")
-        p.add_argument("--N", type=int, default=6, help="series truncation")
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--out", default=None, help="output path ('-' = stdout)")
-        if not pde:
-            p.add_argument("--kind", type=int, choices=(1, 2, 3), default=3)
-            p.add_argument("--side", choices=("left", "right"), default="left")
+    def add(name: str, func, summary: str, flags: str, **defaults) -> None:
+        p = sub.add_parser(name, help=summary)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func, **defaults)
 
-    p_eval = sub.add_parser("eval", help="pointwise oracle/approximation rows")
-    add_common(p_eval)
-    p_eval.add_argument("--t", type=float, action="append", help="evaluation point (repeatable)")
-    p_eval.add_argument("--gamma-exp", type=float, default=2.0, help="power-function exponent")
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_conv = sub.add_parser("convergence", help="N in {2,4,6} error sweep for x=t^2")
-    add_common(p_conv)
-    p_conv.add_argument("--points", type=int, default=21)
-    p_conv.set_defaults(func=cmd_convergence)
-
-    p_fig = sub.add_parser("figures", help="variable vs constant order comparison panels")
-    add_common(p_fig)
-    p_fig.add_argument("--points", type=int, default=51)
-    p_fig.set_defaults(func=cmd_figures, order=None)
-
-    for name, fn in (("pde-diffusion", cmd_pde_diffusion), ("pde-burgers", cmd_pde_burgers)):
-        p_pde = sub.add_parser(name, help=f"method-of-lines {name[4:]} run")
-        add_common(p_pde, pde=True)
-        p_pde.add_argument("--mx", type=int, default=20)
-        p_pde.add_argument("--mt", type=int, default=200)
-        p_pde.add_argument("--t0", type=float, default=1e-4)
-        p_pde.set_defaults(func=fn)
-
+    add("eval", cmd_eval, "pointwise oracle/approximation rows",
+        "--order --kind --side --n --N --tol --out --t --gamma-exp")
+    add("convergence", cmd_convergence, "N in {2,4,6} error sweep for x=t^2",
+        "--order --kind --side --n --tol --out --points", points=21)
+    add("figures", cmd_figures, "variable vs constant order comparison panels",
+        "--order --tol --out --points", order="fig1-alpha", points=51)
+    for name in _PDE_RUNS:
+        add(name, cmd_pde, f"method-of-lines {name[4:]} run", "--order --N --out --mx --mt --t0")
     return parser
 
 
@@ -288,10 +267,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed the pipe (`| head`): stop quietly, and point
+        # stdout at devnull so the interpreter's final flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (QuadratureError, PoleError, ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, AdmissibilityError, ValueError) as exc:
+    except (ConfigError, AdmissibilityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

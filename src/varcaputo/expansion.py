@@ -26,24 +26,22 @@ evaluation point; there is no shared cache.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .order import OrderFunction
 from .reference import (
     DEFAULT_TOL,
     Kind,
-    QuadratureError,
     RealFn,
     ScalarFunction,
     Side,
-    SUBDIVISION_BUDGET,
+    _adaptive_quad,
     _frame,
+    _log_bracket,
 )
-from .special import DomainError, digamma, gamma, gamma_ratio, signed_binomial
+from .special import DomainError, gamma, gamma_ratio, signed_binomial
 
 __all__ = [
     "ExpansionParams",
@@ -239,23 +237,11 @@ def _scaled_moments(dx: RealFn, end: float, step: float, count: int, tol: float)
     err = np.maximum(50.0 * _EPS * resabs, np.where(resasc > 0.0, scaled, abserr)) @ _GK_HALF
     w = kronrod @ _GK_HALF
     # Negated so that a nan estimate also falls back.
-    for k in np.flatnonzero(~(err <= np.maximum(tol, 1e-12 * np.abs(w)))):
-        w[k] = _quad_moment(dx, end, step, int(k), tol)
-    return w
-
-
-def _quad_moment(dx: RealFn, end: float, step: float, k: int, tol: float) -> float:
-    """W_k by adaptive QUADPACK quadrature, its warnings kept for the error."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        val, abserr = quad(
-            lambda s: s**k * dx(end + s * step),
-            0.0, 1.0, epsabs=tol, epsrel=1e-12, limit=SUBDIVISION_BUDGET,
+    for k in map(int, np.flatnonzero(~(err <= np.maximum(tol, 1e-12 * np.abs(w))))):
+        w[k] = _adaptive_quad(
+            lambda s: s**k * dx(end + s * step), 0.0, 1.0, tol, what=f"scaled moment k={k}"
         )
-    if abserr > max(100.0 * tol, 1e-10 * abs(val)):
-        detail = "".join(f"; {' '.join(str(w.message).split()).split('.')[0]}" for w in caught)
-        raise QuadratureError(f"scaled moment k={k} did not converge (err {abserr:.3e}){detail}")
-    return val
+    return w
 
 
 def moments(
@@ -339,16 +325,12 @@ def error_bound(
     if kind is Kind.TYPE_III or alpha_prime_val == 0.0:
         return first
     L1 = L_bounds[1]
-    if kind is Kind.TYPE_I:
-        bracket_const = 1.0 / (1.0 - a)
-    else:
-        bracket_const = digamma(2.0 - a)
     second = (
         abs(alpha_prime_val)
         * L1
         * math.exp((1.0 - a) ** 2 + 1.0 - a)
         / (gamma(2.0 - a) * N ** (1.0 - a) * (1.0 - a))
-        * (abs(bracket_const - math.log(dist)) + 1.0 / N)
+        * (abs(_log_bracket(kind, a, dist)) + 1.0 / N)
         * dist ** (2.0 - a)
     )
     return first + second
@@ -419,7 +401,7 @@ def _order_variation_correction(
     with exact summation (math.fsum) to control cancellation.
     """
     sb = np.array([signed_binomial(1.0 - alpha, p) for p in range(N + 1)])
-    bracket = (1.0 / (1.0 - alpha) if kind is Kind.TYPE_I else digamma(2.0 - alpha)) - math.log(dist)
+    bracket = _log_bracket(kind, alpha, dist)
     r = np.arange(1, N + 1)
     single = math.fsum((sb * w[: N + 1]).tolist())
     double = math.fsum((sb[:, None] * w[np.add.outer(np.arange(N + 1), r)] / r).ravel().tolist())

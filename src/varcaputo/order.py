@@ -30,6 +30,8 @@ ADMISSIBILITY_MARGIN = 1e-9
 #: Step for the central-difference consistency check of alpha_prime.
 _FD_STEP = 1e-6
 _FD_TOL = 1e-5
+#: Points of the uniform grid on which ``check_admissible`` validates an order.
+_ADMISSIBILITY_GRID = 101
 
 
 class AdmissibilityError(ValueError):
@@ -44,11 +46,6 @@ class OrderFunction:
     alpha_prime: Callable[[float], float]
     a: float
     b: float
-
-    def is_constant(self) -> bool:
-        """True when alpha' vanishes identically on a coarse sample."""
-        ts = np.linspace(self.a, self.b, 17)
-        return all(self.alpha_prime(float(t)) == 0.0 for t in ts)
 
 
 def affine_order(c1: float, c0: float, domain: tuple[float, float] = (0.0, 1.0)) -> OrderFunction:
@@ -85,7 +82,7 @@ def order_from_callables(
     if not a < b:
         raise AdmissibilityError(f"empty domain [{a}, {b}]")
     order = OrderFunction(alpha=alpha, alpha_prime=alpha_prime, a=a, b=b)
-    if not check_admissible(order, 101):
+    if not check_admissible(order):
         raise AdmissibilityError("alpha(t) leaves (0,1) or alpha' is inconsistent")
     return order
 
@@ -107,14 +104,13 @@ def order_from_alpha(
     return order_from_callables(alpha, alpha_prime, domain)
 
 
-def check_admissible(order: OrderFunction, grid_points: int = 101) -> bool:
-    """True iff alpha stays inside (eps, 1-eps) on a uniform validation grid
-    and alpha' matches a central finite difference of alpha within 1e-5.
+def check_admissible(order: OrderFunction) -> bool:
+    """True iff alpha stays inside (eps, 1-eps) on a uniform grid of 101
+    points and alpha' matches a central finite difference of alpha within 1e-5
+    there.
     """
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
     eps = ADMISSIBILITY_MARGIN
-    ts = np.linspace(order.a, order.b, grid_points)
+    ts = np.linspace(order.a, order.b, _ADMISSIBILITY_GRID)
     for t in ts:
         val = order.alpha(float(t))
         if not eps < val < 1.0 - eps:

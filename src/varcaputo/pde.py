@@ -56,7 +56,10 @@ _ATOL = 1e-10
 
 
 class DegenerateCoefficientError(RuntimeError):
-    """The u_t coefficient is not strictly positive on the time range."""
+    """The time range reaches t = 0, where the u_t coefficient A t^(1-alpha)
+    vanishes: ``Grid1D`` raises it for a t0 outside (0, 1).  On (0, 1] the
+    coefficient is positive for every alpha in (0, 1), since
+    A = Gamma(N+alpha) / (Gamma(alpha) N! Gamma(2-alpha)) at n = 1."""
 
 
 class SolverError(RuntimeError):
@@ -240,10 +243,6 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
     folding the Dirichlet values ``boundary(t)`` into the forcing through
     D's two boundary columns."""
     ts = grid.t_nodes
-    for t in ts:
-        a_coef, _ = _expansion_weights(order, N, float(t))
-        if not a_coef > 0.0:
-            raise DegenerateCoefficientError(f"u_t coefficient {a_coef} not positive at t = {t}")
 
     def forcing(t: float) -> np.ndarray:
         left, right = boundary(t)
@@ -266,15 +265,13 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
     return Field2D(grid.x_nodes, ts, u, v, meta, sol.sol, rhs, jac)
 
 
-def solve_diffusion(problem: DiffusionProblem, grid: Grid1D, n_expansion: int = 1) -> Field2D:
+def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
     """March the expansion-approximated diffusion system on the grid.
 
     Fourth-order finite differences in space with the Dirichlet rows pinned
     to exactly zero; implicit BDF in time on the scaled moments W_p, with the
     sparse analytic Jacobian of the linear system.
     """
-    if n_expansion != 1:
-        raise ValueError("only n = 1 is supported for the PDE solvers")
     x_int = grid.x_nodes[1:-1]
     D2 = _derivative_matrix(grid.mx, grid.hx, 2)
     return _march(problem.order, problem.N, grid, D2, lambda t: problem.f(x_int, t),

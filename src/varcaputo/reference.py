@@ -183,14 +183,19 @@ def power_function(gamma_exp: float, a: float, b: float, side: Side = Side.LEFT)
     return ScalarFunction(value=value, a=a, b=b, derivatives=derivs)
 
 
-def _adaptive_quad(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
+def _adaptive_quad(fn: Callable[[float], float], lo: float, hi: float, tol: float,
+                   what: str = "quadrature") -> float:
+    """QUADPACK integral of fn over [lo, hi].  An error estimate above
+    max(100 tol, 1e-10 |value|) raises ``QuadratureError`` labelled ``what``;
+    QUADPACK's message, returned rather than warned under ``full_output``,
+    goes into its text and is otherwise dropped."""
     if hi <= lo:
         return 0.0
-    value, abserr = quad(fn, lo, hi, epsabs=tol, epsrel=1e-12, limit=SUBDIVISION_BUDGET)
+    value, abserr, _, *message = quad(fn, lo, hi, epsabs=tol, epsrel=1e-12,
+                                      limit=SUBDIVISION_BUDGET, full_output=1)
     if abserr > max(100.0 * tol, 1e-10 * abs(value)):
-        raise QuadratureError(
-            f"quadrature error estimate {abserr:.3e} exceeds tolerance {tol:.3e}"
-        )
+        detail = "".join(f"; {' '.join(m.split()).split('.')[0]}" for m in message)
+        raise QuadratureError(f"{what} error estimate {abserr:.3e} exceeds tolerance {tol:.3e}{detail}")
     return value
 
 
@@ -310,12 +315,11 @@ def rl_from_caputo(
         )
     alpha = order.alpha(t)
     ap = order.alpha_prime(t)
-    if kind is Kind.TYPE_I:
-        bracket = 1.0 / (1.0 - alpha) - math.log(dist)
-    else:
-        bracket = digamma(2.0 - alpha) - math.log(dist)
     static = boundary_value / gamma(1.0 - alpha) * dist ** (-alpha)
-    moving = boundary_value * ap / gamma(2.0 - alpha) * dist ** (1.0 - alpha) * bracket
+    moving = (
+        boundary_value * ap / gamma(2.0 - alpha) * dist ** (1.0 - alpha)
+        * _log_bracket(kind, alpha, dist)
+    )
     return caputo_value + static + sgn * moving
 
 
@@ -331,3 +335,9 @@ def _frame(a: float, b: float, t: float, side: Side) -> tuple[float, float, floa
         raise SingularityError(f"t = {t} outside [{a}, {b}]")
     sgn, end = (1.0, a) if side is Side.LEFT else (-1.0, b)
     return sgn, end, abs(t - end)
+
+
+def _log_bracket(kind: Kind, alpha: float, dist: float) -> float:
+    """The bracket of every alpha' term of types I and II: 1/(1-alpha) for
+    type I, Psi(2-alpha) for type II, minus ln dist."""
+    return (1.0 / (1.0 - alpha) if kind is Kind.TYPE_I else digamma(2.0 - alpha)) - math.log(dist)

@@ -1,5 +1,5 @@
-"""Real-valued special functions: Gamma, digamma, Beta and the signed
-generalized binomial coefficient.
+"""Real-valued special functions: Gamma, digamma and the signed generalized
+binomial coefficient.
 
 All coefficient formulas in this package involve ratios of Gamma functions
 whose individual factors can overflow or sit at negative arguments while the
@@ -19,7 +19,6 @@ __all__ = [
     "gamma",
     "gamma_ratio",
     "digamma",
-    "beta",
     "signed_binomial",
 ]
 
@@ -91,18 +90,6 @@ def digamma(x: float) -> float:
     if _is_nonpositive_integer(x):
         raise PoleError(f"digamma pole at x = {x}")
     return float(_sp.psi(x))
-
-
-def beta(p: float, q: float) -> float:
-    """Beta function B(p, q) = Gamma(p)Gamma(q)/Gamma(p+q) for p, q > 0.
-
-    Evaluated in log-space so large arguments do not overflow.
-    """
-    p = _check_finite(p, "p")
-    q = _check_finite(q, "q")
-    if p <= 0.0 or q <= 0.0:
-        raise DomainError(f"beta requires p, q > 0, got ({p}, {q})")
-    return math.exp(float(_sp.gammaln(p) + _sp.gammaln(q) - _sp.gammaln(p + q)))
 
 
 def signed_binomial(nu: float, p: int) -> float:

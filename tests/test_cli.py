@@ -1,13 +1,20 @@
+import argparse
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import varcaputo
 from varcaputo.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
     ConfigError,
+    build_parser,
     main,
     parse_order,
 )
@@ -161,8 +168,8 @@ class TestPde:
 
 class TestExitCodeOrdering:
     def test_quadrature_error_maps_to_numerical(self, monkeypatch, tmp_path):
-        # QuadratureError subclasses ValueError; the handler must classify it
-        # as a numerical failure (3), not a config error (2).
+        # QuadratureError subclasses RuntimeError; the handler must classify
+        # it as a numerical failure (3), not a config error (2).
         import varcaputo.cli as cli
         from varcaputo.reference import QuadratureError
 
@@ -185,3 +192,78 @@ class TestExitCodeOrdering:
         rc = main(["eval", "--t", "0.5", "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_NUMERICAL
         assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
+class TestOutput:
+    def test_missing_directory_is_config_error(self, tmp_path, capsys):
+        rc = main(["eval", "--out", str(tmp_path / "missing" / "x.csv")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_figures_into_existing_file_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("")
+        assert main(["figures", "--points", "3", "--out", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_closed_pipe_exits_quietly(self):
+        # About 0.4 MB of rows, far beyond a 64 KiB pipe buffer, so the run is
+        # still writing when the reader goes away after the first line.
+        src = str(Path(varcaputo.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "varcaputo.cli", "pde-diffusion",
+             "--N", "1", "--mx", "4", "--mt", "800"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"# ")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_OK
+        assert err == ""  # no traceback, and no other message either
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records which of its attributes are read."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "__dict__").setdefault("_reads", set()).add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--t", "0.5"],
+        ["convergence", "--points", "3"],
+        ["figures", "--points", "3"],
+        ["pde-diffusion", "--N", "1", "--mx", "4", "--mt", "4"],
+        ["pde-burgers", "--N", "1", "--mx", "4", "--mt", "4"],
+    ], ids=lambda argv: argv[0])
+    def test_every_flag_is_read(self, tmp_path, argv):
+        args = build_parser().parse_args(
+            [*argv, "--out", str(tmp_path / "out")], namespace=_ReadRecorder()
+        )
+        vars(args).pop("_reads", None)
+        assert args.func(args) == EXIT_OK
+        reads = vars(args).pop("_reads")
+        unread = set(vars(args)) - reads - {"func", "subcommand"}
+        assert not unread, f"{argv[0]} accepts flags it never reads: {sorted(unread)}"
+
+    @pytest.mark.parametrize("argv", [
+        ["convergence", "--N", "3"],
+        ["figures", "--n", "1"],
+        ["figures", "--N", "3"],
+        ["figures", "--kind", "1"],
+        ["figures", "--side", "left"],
+        ["pde-diffusion", "--n", "1"],
+        ["pde-diffusion", "--tol", "1e-8"],
+        ["pde-burgers", "--n", "1"],
+        ["pde-burgers", "--tol", "1e-8"],
+    ], ids=" ".join)
+    def test_unread_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err

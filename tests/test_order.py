@@ -43,7 +43,6 @@ class TestConstantOrder:
         order = constant_order(0.5, (0.0, 2.0))
         assert order.alpha(1.3) == 0.5
         assert order.alpha_prime(1.3) == 0.0
-        assert order.is_constant()
 
     def test_rejects_invalid(self):
         with pytest.raises(AdmissibilityError):

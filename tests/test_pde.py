@@ -83,11 +83,6 @@ class TestDiffusion:
             errs.append(field_error(solve_diffusion(problem, grid), diffusion_exact))
         assert errs[1] <= 1.05 * errs[0]
 
-    def test_only_first_order_expansion(self, diffusion_field):
-        problem = manufactured_diffusion(ORDER, N=4)
-        with pytest.raises(ValueError):
-            solve_diffusion(problem, Grid1D(mx=12, mt=40), n_expansion=2)
-
 
 @pytest.fixture(scope="module")
 def fieldv():

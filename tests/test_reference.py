@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -104,6 +106,21 @@ class TestStructuralProperties:
 
 def _fd(func, t, h=1e-6):
     return (func(t + h) - func(t - h)) / (2.0 * h)
+
+
+class TestQuadpackDiagnostics:
+    @pytest.mark.parametrize("kind", [Kind.TYPE_I, Kind.TYPE_II])
+    @pytest.mark.parametrize("side", list(Side))
+    def test_roundoff_message_does_not_warn(self, kind, side):
+        # The log-kernel integral of a fast oscillation meets QUADPACK's
+        # roundoff diagnostic while its error estimate stays within the
+        # acceptance threshold: the value is returned and nothing is warned.
+        x = ScalarFunction(value=lambda t: np.sin(200.0 * t), a=0.0, b=1.0,
+                           derivatives=(lambda t: 200.0 * np.cos(200.0 * t),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = caputo_quadrature(kind, x, affine_order(0.5, 0.49), 0.9, side, tol=1e-12)
+        assert math.isfinite(value)
 
 
 class TestDefinitionCrossCheck:

@@ -6,7 +6,6 @@ import pytest
 from varcaputo.special import (
     DomainError,
     PoleError,
-    beta,
     digamma,
     gamma,
     gamma_ratio,
@@ -74,28 +73,6 @@ class TestDigamma:
             x = float(x)
             fd = (math.log(gamma(x + h)) - math.log(gamma(x - h))) / (2.0 * h)
             assert abs(digamma(x) - fd) <= 1e-6
-
-
-class TestBeta:
-    def test_unit(self):
-        assert beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
-
-    def test_integers(self):
-        assert beta(2.0, 3.0) == pytest.approx(1.0 / 12.0, rel=1e-13)
-
-    def test_half_argument(self):
-        # Oracle: brute-force integral of s^2 (1-s)^(-1/2) over (0,1) = 16/15.
-        assert beta(3.0, 0.5) == pytest.approx(16.0 / 15.0, rel=1e-12)
-
-    def test_large_arguments_no_overflow(self):
-        v = beta(300.0, 400.0)
-        assert 0.0 < v < 1.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            beta(-1.0, 2.0)
-        with pytest.raises(DomainError):
-            beta(1.0, 0.0)
 
 
 class TestSignedBinomial:

@@ -41,7 +41,7 @@ from .reference import (
     _frame,
     _log_bracket,
 )
-from .special import DomainError, gamma, gamma_ratio, signed_binomial
+from .special import DomainError, _signed_binomials, gamma, signed_binomial
 
 __all__ = [
     "ExpansionParams",
@@ -161,29 +161,25 @@ def coefficients_left(alpha_val: float, params: ExpansionParams) -> tuple[np.nda
     arrays of the left operators at a fixed alpha value: ``head[p-1]``
     multiplies dist^(p-alpha) x^(p)(t) and ``tail[p-n]`` the moment V_p.
 
-    A_p = (1/Gamma(p+1-alpha)) [1 + sum_{l=n-p+1}^{N}
-          Gamma(alpha-n+l) / (Gamma(alpha-p) (l-n+p)!)],
-    B_p = Gamma(alpha-n+p) / (Gamma(1-alpha) Gamma(alpha) (p-n)!).
-
-    All Gamma ratios go through log-space with sign tracking since
-    alpha - p < 0 throughout; the factorials join the log-space difference,
-    so N > 170 stays finite.
+    The paper's A_p = (1/Gamma(p+1-alpha)) [1 + sum_{l=n-p+1}^{N}
+    Gamma(alpha-n+l) / (Gamma(alpha-p) (l-n+p)!)] and
+    B_p = Gamma(alpha-n+p) / (Gamma(1-alpha) Gamma(alpha) (p-n)!) are signed
+    binomials sb(nu, k) = (-1)^k C(nu, k): B_p = sb(-alpha, p-n) / Gamma(1-alpha),
+    and the partial-sum identity sum_{j=0}^{M} sb(nu, j) = sb(nu-1, M) turns
+    the bracket of A_p into sb(p-1-alpha, M), M = N-n+p.  One row
+    sb(-alpha, 0..N-n+1) gives the tail and A_1; A_p for p >= 2 takes its own
+    row.  No sum cancels, and no factorial overflows for N > 170.
     """
     if not 0.0 < alpha_val < 1.0:
         raise DomainError(f"alpha must lie in (0,1), got {alpha_val}")
     n, N = params.n, params.N
-    head = np.empty(n)
-    for p in range(1, n + 1):
-        terms = [
-            gamma_ratio(alpha_val - n + l, alpha_val - p, l - n + p)
-            for l in range(n - p + 1, N + 1)
-        ]
-        head[p - 1] = (1.0 + math.fsum(terms)) / gamma(p + 1.0 - alpha_val)
-    inv_g1ma = 1.0 / gamma(1.0 - alpha_val)
-    tail = np.empty(N - n + 1)
-    for p in range(n, N + 1):
-        tail[p - n] = gamma_ratio(alpha_val - n + p, alpha_val, p - n) * inv_g1ma
-    return head, tail
+    row = _signed_binomials(-alpha_val, N - n + 2)
+    head = np.array([
+        (row[-1] if p == 1 else signed_binomial(p - 1.0 - alpha_val, N - n + p))
+        / gamma(p + 1.0 - alpha_val)
+        for p in range(1, n + 1)
+    ])
+    return head, row[:-1] / gamma(1.0 - alpha_val)
 
 
 def coefficients_right(alpha_val: float, params: ExpansionParams) -> tuple[np.ndarray, np.ndarray]:
@@ -262,6 +258,8 @@ def moments(
     """
     if p_max < params.N:
         raise ValueError(f"p_max = {p_max} must cover the truncation N = {params.N}")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     sgn, end, dist = _frame(x.a, x.b, t, side)
     count = p_max - params.n + 1
     if dist == 0.0:
@@ -350,8 +348,11 @@ def approximate(
     The value is the truncated expansion; ``error_bound`` certifies the
     truncation error.  With alpha' = 0 the three kinds produce bitwise-equal
     values because the correction terms are skipped outright.  A t outside
-    [x.a, x.b] raises ``SingularityError``.
+    [x.a, x.b] raises ``SingularityError``, and a non-positive tol
+    ``ValueError``.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     sgn, end, dist = _frame(x.a, x.b, t, side)
     if dist == 0.0:
         return ApproxResult(0.0, 0.0, params, "analytic")
@@ -396,14 +397,14 @@ def _order_variation_correction(
     """alpha'-weighted correction distinguishing types I and II from III.
 
     In scaled moments the single sum is dist * sum_p sb_p W_p and the double
-    sum dist * sum_{p,r} sb_p W_(p+r) / r (p = 0..N, r = 1..N).  Terms
-    alternate in sign through the signed binomial, so they are accumulated
-    with exact summation (math.fsum) to control cancellation.
+    sum dist * sum_{p,r} sb_p W_(p+r) / r (p = 0..N, r = 1..N), with
+    sb_p = (-1)^p C(1-alpha, p).  Gathering the double sum by q = p + r, its
+    weight on W_q is entry q-1 of the convolution of sb with 1/r.  Terms
+    alternate in sign through the signed binomial, so both sums are
+    accumulated with exact summation (math.fsum) to control cancellation.
     """
-    sb = np.array([signed_binomial(1.0 - alpha, p) for p in range(N + 1)])
+    sb = _signed_binomials(1.0 - alpha, N + 1)
     bracket = _log_bracket(kind, alpha, dist)
-    r = np.arange(1, N + 1)
     single = math.fsum((sb * w[: N + 1]).tolist())
-    double = math.fsum((sb[:, None] * w[np.add.outer(np.arange(N + 1), r)] / r).ravel().tolist())
+    double = math.fsum((np.convolve(sb, 1.0 / np.arange(1, N + 1)) * w[1 : 2 * N + 1]).tolist())
     return ap * dist ** (2.0 - alpha) / gamma(2.0 - alpha) * (bracket * single + double)
-

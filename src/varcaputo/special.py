@@ -1,16 +1,18 @@
 """Real-valued special functions: Gamma, digamma and the signed generalized
 binomial coefficient.
 
-All coefficient formulas in this package involve ratios of Gamma functions
-whose individual factors can overflow or sit at negative arguments while the
-ratio itself is finite and modest.  ``gamma_ratio`` therefore works in
-log-space with explicit sign bookkeeping, and everything else is built on it.
+The expansion coefficients are signed binomials (-1)^k C(nu, k), built as
+rows by the recurrence of consecutive terms.  ``gamma_ratio`` serves the
+closed forms of the reference layer: it works in log-space with sign
+bookkeeping, since its factors can overflow or sit at negative arguments
+while the ratio itself is finite and modest.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy import special as _sp
 
 __all__ = [
@@ -57,13 +59,11 @@ def gamma(x: float) -> float:
     return value
 
 
-def gamma_ratio(num: float, den: float, k: int = 0) -> float:
-    """Gamma(num) / (Gamma(den) k!), computed as exp(logGamma difference).
+def gamma_ratio(num: float, den: float) -> float:
+    """Gamma(num) / Gamma(den), computed as exp(logGamma difference).
 
     Safe for negative non-integer arguments on either side; the sign of each
-    factor is tracked separately.  The factorial joins the log-space
-    difference as logGamma(k+1), so the result stays finite where k! alone
-    would overflow (k >= 171).  If only the denominator is at a pole the
+    factor is tracked separately.  If only the denominator is at a pole the
     ratio is zero.
     """
     num = _check_finite(num, "num")
@@ -81,7 +81,7 @@ def gamma_ratio(num: float, den: float, k: int = 0) -> float:
         return 0.0
     sign = float(_sp.gammasgn(num) * _sp.gammasgn(den))
     log_ratio = float(_sp.gammaln(num) - _sp.gammaln(den))
-    return sign * math.exp(log_ratio - math.lgamma(k + 1.0))
+    return sign * math.exp(log_ratio)
 
 
 def digamma(x: float) -> float:
@@ -92,29 +92,23 @@ def digamma(x: float) -> float:
     return float(_sp.psi(x))
 
 
+def _signed_binomials(nu: float, count: int) -> np.ndarray:
+    """(-1)^k C(nu, k) for k = 0..count-1, from 1 by the recurrence
+    (-1)^(k+1) C(nu, k+1) = (-1)^k C(nu, k) (k - nu) / (k + 1)."""
+    k = np.arange(count - 1.0)
+    # The ufunc form of np.cumprod, without its dispatch cost on short rows.
+    return np.multiply.accumulate(np.concatenate(([1.0], (k - nu) / (k + 1.0))))
+
+
 def signed_binomial(nu: float, p: int) -> float:
     """(-1)^p * C(nu, p) for real nu and non-negative integer p.
 
-    Uses the identity (-1)^p C(nu, p) = Gamma(p - nu) / (Gamma(-nu) p!),
-    evaluated through ``gamma_ratio``, so it stays finite beyond p = 170.
-    Exact at p = 0.
+    The last entry of the row built by ``_signed_binomials``, so it costs
+    O(p) time and memory.  Exact at p = 0.  For integer nu it is zero once
+    p exceeds nu >= 0, and C(m+p-1, p), which is finite, for nu = -m.  It
+    needs no factorial, so it stays finite beyond p = 170.
     """
     nu = _check_finite(nu, "nu")
     if p < 0 or p != int(p):
         raise DomainError(f"p must be a non-negative integer, got {p!r}")
-    p = int(p)
-    if p == 0:
-        return 1.0
-    if nu == math.floor(nu):
-        # Integer nu: the Gamma-ratio form degenerates; C(nu, p) is an
-        # ordinary binomial coefficient (zero once p exceeds nu >= 0).
-        nu_int = int(nu)
-        if nu_int < 0:
-            raise PoleError(
-                f"signed_binomial({nu}, {p}): negative integer nu hits an "
-                "uncancelled Gamma pole"
-            )
-        if p > nu_int:
-            return 0.0
-        return float((-1) ** p * math.comb(nu_int, p))
-    return gamma_ratio(p - nu, -nu, p)
+    return float(_signed_binomials(nu, int(p) + 1)[-1])

@@ -78,6 +78,11 @@ class TestEval:
         rc = main(["eval", "--t", "2.0", "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_non_positive_tol_is_config_error(self, tmp_path, tol):
+        rc = main(["eval", "--tol", tol, "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_CONFIG
+
     def test_bad_order_is_config_error(self, tmp_path):
         rc = main(["eval", "--order", "9,9", "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,12 +24,13 @@ from varcaputo.reference import (
     ScalarFunction,
     Side,
     SingularityError,
+    _log_bracket,
     caputo_quadrature,
     power_closed_form,
     power_function,
     rl_from_caputo,
 )
-from varcaputo.special import gamma
+from varcaputo.special import gamma, signed_binomial
 
 ORDER_A = affine_order(0.5, 0.49, (0.0, 1.0))  # (50t + 49)/100
 ORDER_B = affine_order(0.1, 0.5, (0.0, 1.0))   # (t + 5)/10
@@ -75,6 +77,36 @@ class TestCoefficients:
         for k in range(160, 200 - n):
             p = k + n
             assert tail[k + 1] == pytest.approx(tail[k] * (alpha - n + p) / (k + 1), rel=1e-12)
+
+    @staticmethod
+    def _paper_coefficients(alpha, n, N):
+        # The paper's A_p (with its inner sum) and B_p at 50 digits; g[l]
+        # holds Gamma(alpha-n+l), which both formulas share.
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+            g = [mpmath.gamma(a - n + l) for l in range(N + 1)]
+            head = [
+                (1 + mpmath.fsum(g[l] / math.factorial(l - n + p) for l in range(n - p + 1, N + 1))
+                 / mpmath.gamma(a - p)) / mpmath.gamma(p + 1 - a)
+                for p in range(1, n + 1)
+            ]
+            tail_scale = mpmath.gamma(1 - a) * mpmath.gamma(a)
+            tail = [g[p] / (tail_scale * math.factorial(p - n)) for p in range(n, N + 1)]
+            return head, tail
+
+    @pytest.mark.parametrize("alpha,n,N,rel", [
+        *[(alpha, n, N, 1e-12)
+          for alpha in (1e-4, 0.01, 0.1, 0.37, 0.5, 0.9, 0.99)
+          for n, N in ((1, 3), (1, 12), (1, 48), (1, 200), (2, 6), (3, 20), (3, 256))],
+        *[(alpha, 1, N, 1e-13) for alpha in (1e-6, 1.0 - 1e-6) for N in (1, 3, 12, 48, 200)],
+    ])
+    def test_against_mpmath(self, alpha, n, N, rel):
+        # The inner sum of A_p cancels down to O(alpha); the closed forms
+        # must keep full relative accuracy as alpha -> 0 and alpha -> 1.
+        head, tail = coefficients_left(alpha, ExpansionParams(n, N))
+        want_head, want_tail = self._paper_coefficients(alpha, n, N)
+        for got, want in zip([*head, *tail], [*want_head, *want_tail]):
+            assert abs(got - want) <= rel * abs(want)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -298,6 +330,38 @@ class TestApproximation:
             assert got.value == pytest.approx(want.value, rel=1e-13)
             assert got.error_bound == pytest.approx(want.error_bound, rel=1e-13)
             assert got.bound_kind == want.bound_kind
+
+    @pytest.mark.parametrize("kind", [Kind.TYPE_I, Kind.TYPE_II])
+    @pytest.mark.parametrize("N", [1, 2, 8, 32])
+    def test_correction_matches_double_sum(self, kind, N):
+        # The convolution must weight each W_q by sum_{p+r=q} sb_p / r; the
+        # certificate is too loose to notice a shifted W slice, this is not.
+        rng = np.random.default_rng(N)
+        for alpha in (0.05, 0.37, 0.93):
+            for dist in (1e-6, 0.3, 1.0):
+                w = rng.uniform(-1.0, 1.0, 2 * N + 1)
+                sb = [signed_binomial(1.0 - alpha, p) for p in range(N + 1)]
+                single = math.fsum(sb[p] * w[p] for p in range(N + 1))
+                double = math.fsum(
+                    sb[p] * w[p + r] / r for p in range(N + 1) for r in range(1, N + 1)
+                )
+                want = (0.4 * dist ** (2.0 - alpha) / gamma(2.0 - alpha)
+                        * (_log_bracket(kind, alpha, dist) * single + double))
+                got = expansion._order_variation_correction(kind, alpha, 0.4, dist, w, N)
+                assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    @pytest.mark.parametrize("route", ["approximate", "moments", "caputo_quadrature"])
+    def test_non_positive_tol_rejected(self, route, tol):
+        x = power_function(0.5, 0.0, 1.0, Side.LEFT)  # singular x' reaches QUADPACK
+        call = {
+            "approximate": lambda t: approximate(Kind.TYPE_I, x, ORDER_B, t, tol=tol),
+            "moments": lambda t: moments(x, Side.LEFT, t, ExpansionParams(1, 6), 13, tol),
+            "caputo_quadrature": lambda t: caputo_quadrature(Kind.TYPE_I, x, ORDER_B, t, tol=tol),
+        }[route]
+        for t in (0.5, 0.0):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                call(t)
 
     def test_endpoint_returns_zero(self):
         x = power_function(2.0, 0.0, 1.0, Side.LEFT)

@@ -144,15 +144,14 @@ class DerivativeBound:
 class ApproxResult:
     """Approximate derivative value plus the certified truncation bound.
 
-    ``error_bound`` is the evaluated analytic bound, not an observed error;
-    ``bound_kind`` records whether the derivative maxima behind it came from
-    analytic derivatives ("analytic") or a sampled numeric fallback
-    ("estimated").
+    Three fields: ``value`` is the truncated expansion; ``error_bound`` is
+    the evaluated analytic bound, not an observed error; ``bound_kind``
+    records whether the derivative maxima behind it came from analytic
+    derivatives ("analytic") or a sampled numeric fallback ("estimated").
     """
 
     value: float
     error_bound: float
-    params: ExpansionParams
     bound_kind: str = "analytic"
 
 
@@ -258,8 +257,8 @@ def moments(
     """
     if p_max < params.N:
         raise ValueError(f"p_max = {p_max} must cover the truncation N = {params.N}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     sgn, end, dist = _frame(x.a, x.b, t, side)
     count = p_max - params.n + 1
     if dist == 0.0:
@@ -312,26 +311,20 @@ def error_bound(
     if dist == 0.0:
         return 0.0
     n, N = params.n, params.N
-    a = alpha_val
-    Lnp1 = L_bounds[n + 1]
-    first = (
-        Lnp1
-        * math.exp((n - a) ** 2 + n - a)
-        / (gamma(n + 1.0 - a) * N ** (n - a) * (n - a))
-        * dist ** (n + 1.0 - a)
-    )
+    first = _bound_term(n, L_bounds[n + 1], alpha_val, N, dist)
     if kind is Kind.TYPE_III or alpha_prime_val == 0.0:
         return first
-    L1 = L_bounds[1]
-    second = (
-        abs(alpha_prime_val)
-        * L1
-        * math.exp((1.0 - a) ** 2 + 1.0 - a)
-        / (gamma(2.0 - a) * N ** (1.0 - a) * (1.0 - a))
-        * (abs(_log_bracket(kind, a, dist)) + 1.0 / N)
-        * dist ** (2.0 - a)
-    )
-    return first + second
+    bracket = abs(_log_bracket(kind, alpha_val, dist)) + 1.0 / N
+    return first + _bound_term(1, abs(alpha_prime_val) * L_bounds[1], alpha_val, N, dist) * bracket
+
+
+def _bound_term(m: int, L: float, alpha: float, N: int, dist: float) -> float:
+    """L e^((m-alpha)^2+m-alpha) dist^(m+1-alpha) / (Gamma(m+1-alpha)
+    N^(m-alpha) (m-alpha)): the bound's term for a derivative maximum L,
+    with (m, L) = (n, L_(n+1)) for the first term and (1, |alpha'| L_1) for
+    the second."""
+    k = m - alpha
+    return L * math.exp(k * k + k) / (gamma(k + 1.0) * N**k * k) * dist ** (k + 1.0)
 
 
 def approximate(
@@ -346,23 +339,24 @@ def approximate(
     """Integer-order expansion of the requested Caputo derivative at t.
 
     The value is the truncated expansion; ``error_bound`` certifies the
-    truncation error.  With alpha' = 0 the three kinds produce bitwise-equal
-    values because the correction terms are skipped outright.  A t outside
-    [x.a, x.b] raises ``SingularityError``, and a non-positive tol
+    truncation error.  The alpha' weight is 0 for type III and alpha'(t)
+    for types I and II; where it is 0 the correction, its extra moments and
+    the bound's x' maximum are skipped outright, so with alpha' = 0 the
+    three kinds produce bitwise-equal values.  A t outside [x.a, x.b] raises
+    ``SingularityError``, and a tol that is not positive and finite
     ``ValueError``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     sgn, end, dist = _frame(x.a, x.b, t, side)
     if dist == 0.0:
-        return ApproxResult(0.0, 0.0, params, "analytic")
+        return ApproxResult(0.0, 0.0, "analytic")
     n, N = params.n, params.N
     alpha = order.alpha(t)
-    ap = order.alpha_prime(t)
-    needs_correction = kind is not Kind.TYPE_III and ap != 0.0
+    ap = 0.0 if kind is Kind.TYPE_III else order.alpha_prime(t)
 
     head, tail = (coefficients_left if side is Side.LEFT else coefficients_right)(alpha, params)
-    p_max = n + 2 * N if needs_correction else N
+    p_max = N if ap == 0.0 else n + 2 * N
     w = _scaled_moments(x.deriv(1), end, sgn * dist, p_max - n + 1, tol)
 
     head_terms = [
@@ -372,16 +366,13 @@ def approximate(
     tail_terms = tail * dist ** (1.0 - alpha) * w[: N - n + 1]
     value = math.fsum(head_terms + tail_terms.tolist())
 
-    if needs_correction:
+    if ap != 0.0:
         value += _order_variation_correction(kind, alpha, ap, dist, w, N)
 
-    orders_needed = (1, n + 1) if kind is not Kind.TYPE_III else (n + 1,)
-    bounds = derivative_bound(x, orders_needed, min(end, t), max(end, t))
-    eb = error_bound(kind, params, alpha, ap, dist, bounds)
+    bounds = derivative_bound(x, (n + 1,) if ap == 0.0 else (1, n + 1), min(end, t), max(end, t))
     return ApproxResult(
         value=value,
-        error_bound=eb,
-        params=params,
+        error_bound=error_bound(kind, params, alpha, ap, dist, bounds),
         bound_kind="estimated" if bounds.estimated else "analytic",
     )
 

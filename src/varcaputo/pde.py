@@ -55,11 +55,12 @@ _RTOL = 1e-8
 _ATOL = 1e-10
 
 
-class DegenerateCoefficientError(RuntimeError):
+class DegenerateCoefficientError(ValueError):
     """The time range reaches t = 0, where the u_t coefficient A t^(1-alpha)
-    vanishes: ``Grid1D`` raises it for a t0 outside (0, 1).  On (0, 1] the
-    coefficient is positive for every alpha in (0, 1), since
-    A = Gamma(N+alpha) / (Gamma(alpha) N! Gamma(2-alpha)) at n = 1."""
+    vanishes: ``Grid1D`` raises it for a t0 outside (0, 1), a configuration
+    error found before any numerics.  On (0, 1] the coefficient is positive
+    for every alpha in (0, 1), since A = Gamma(N+alpha) / (Gamma(alpha) N!
+    Gamma(2-alpha)) at n = 1."""
 
 
 class SolverError(RuntimeError):
@@ -162,41 +163,31 @@ def _derivative_matrix(mx: int, hx: float, deriv: int) -> np.ndarray:
     """Finite-difference weights for the requested derivative at the interior
     nodes, fourth-order accurate, acting on the full node vector.
 
-    Interior rows use the 5-point central stencil; the two rows next to each
-    boundary use 6-point biased stencils with matching order (weights from a
-    Vandermonde solve).  Fourth order keeps the spatial error well below the
-    fractional-expansion truncation error on the coarse grids used here.
+    One rule gives every row: the weights are the Vandermonde solve over the
+    row's window, which is 5 nodes centred on the row's node, or, one node
+    from a boundary, min(6, mx+1) nodes flush with that boundary.  Fourth
+    order keeps the spatial error well below the fractional-expansion
+    truncation error on the coarse grids used here.
     """
-    m = mx - 1
-    D = np.zeros((m, mx + 1))
-    if deriv == 2:
-        central = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * hx**2)
-    else:
-        central = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * hx)
-
-    def biased_weights(offsets: np.ndarray) -> np.ndarray:
-        k = len(offsets)
-        A = np.vander(offsets * hx, k, increasing=True).T
-        b = np.zeros(k)
-        b[deriv] = math.factorial(deriv)
-        return np.linalg.solve(A, b)
-
+    D = np.zeros((mx - 1, mx + 1))
     width = min(6, mx + 1)
     for row, i in enumerate(range(1, mx)):
         if 2 <= i <= mx - 2:
-            D[row, i - 2 : i + 3] = central
+            nodes = np.arange(i - 2, i + 3)
         else:
-            # One node from the boundary: biased stencil over `width` nodes.
-            base = 0 if i == 1 else mx + 1 - width
-            offsets = np.arange(base, base + width) - i
-            D[row, base : base + width] = biased_weights(offsets.astype(float))
+            nodes = np.arange(width) if i == 1 else np.arange(mx + 1 - width, mx + 1)
+        vander = np.vander((nodes - i) * hx, nodes.size, increasing=True).T
+        taylor = np.zeros(nodes.size)
+        taylor[deriv] = math.factorial(deriv)
+        D[row, nodes] = np.linalg.solve(vander, taylor)
     return D
 
 
-def _expansion_weights(order: OrderFunction, N: int, t: float) -> tuple[float, np.ndarray]:
+def _expansion_weights(order: OrderFunction, params: ExpansionParams,
+                       t: float) -> tuple[float, np.ndarray]:
     """u_t coefficient a = A t^(1-alpha) and the scaled-moment weights B_p/A."""
     alpha = order.alpha(t)
-    head, tail = coefficients_left(alpha, ExpansionParams(1, N))
+    head, tail = coefficients_left(alpha, params)
     a1 = float(head[0])
     return a1 * t ** (1.0 - alpha), tail / a1
 
@@ -210,8 +201,10 @@ def _linear_core(
         u_t  = (c(t) + L u) / a(t) - sum_p (B_p/A) W_p,
         W_p' = (u_t - p W_p) / t.
     The Jacobian's u-row block is [L/a, -(B_p/A) I]; each W_p row block is that
-    row divided by t, minus (p/t) I on its own diagonal block.
+    row divided by t, minus (p/t) I on its own diagonal block.  An N < 1
+    raises ``ValueError`` here, before any step.
     """
+    params = ExpansionParams(1, N)
     m = L.shape[0]
     n = (N + 1) * m
     p = np.arange(1, N + 1)
@@ -223,13 +216,13 @@ def _linear_core(
     cols = np.concatenate([np.tile(top_cols, N + 1), np.arange(m, n)])
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        a_coef, b = _expansion_weights(order, N, t)
+        a_coef, b = _expansion_weights(order, params, t)
         w = y[m:].reshape(N, m)
         u_t = (forcing(t) + L @ y[:m]) / a_coef - b @ w
         return np.concatenate([u_t, ((u_t - p[:, None] * w) / t).ravel()])
 
     def jac(t: float, y: np.ndarray) -> sparse.csc_matrix:
-        a_coef, b = _expansion_weights(order, N, t)
+        a_coef, b = _expansion_weights(order, params, t)
         top = np.concatenate([l_vals / a_coef, np.repeat(-b, m)])
         data = np.concatenate([top, np.tile(top / t, N), np.repeat(-p / t, m)])
         return sparse.csc_matrix((data, (rows, cols)), shape=(n, n))
@@ -288,8 +281,6 @@ def solve_burgers(order: OrderFunction, grid: Grid1D, N: int) -> Field2D:
     equations through the boundary columns of D2 - D1.  Time stepping is the
     same implicit BDF core as in ``solve_diffusion``.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
     x_int = grid.x_nodes[1:-1]
 
     def source(t: float) -> np.ndarray:

@@ -146,7 +146,11 @@ def power_function(gamma_exp: float, a: float, b: float, side: Side = Side.LEFT)
     """(t-a)^gamma for the left side, (b-t)^gamma for the right, with analytic
     derivatives up to order 4 (enough for expansions with n <= 3).
 
-    The callables take floats or arrays; the float path stays free of NumPy
+    The p-th derivative is the falling factorial gamma (gamma-1) ...
+    (gamma-p+1) times dist^(gamma-p), with the sign (-1)^p on the right.  The
+    factor is exactly 0 once p exceeds an integer gamma, and the exponent is
+    then 0, so the derivative is 0 everywhere, endpoints included.  The
+    callables take floats or arrays; the float path stays free of NumPy
     because the quadrature routines call it point by point.
     """
     if gamma_exp <= 0:
@@ -156,8 +160,9 @@ def power_function(gamma_exp: float, a: float, b: float, side: Side = Side.LEFT)
     ndarray = np.ndarray  # bound once: quad calls the float path at every node
 
     def make_deriv(p: int) -> RealFn:
-        scale = (1.0 if left else (-1.0) ** p) * gamma_ratio(gamma_exp + 1.0, gamma_exp + 1.0 - p)
-        exponent = gamma_exp - p
+        factor = math.prod(gamma_exp - j for j in range(p))
+        scale = factor if left else (-1.0) ** p * factor
+        exponent = gamma_exp - p if factor != 0.0 else 0.0  # no 0 * inf at the end
         at_end = 0.0 if exponent > 0.0 else (scale if exponent == 0.0 else math.inf)
 
         def dfn(t):
@@ -175,27 +180,22 @@ def power_function(gamma_exp: float, a: float, b: float, side: Side = Side.LEFT)
         value = lambda t: (t - a) ** gamma_exp
     else:
         value = lambda t: (b - t) ** gamma_exp
-    n_derivs = 4 if gamma_exp != math.floor(gamma_exp) else min(4, int(gamma_exp))
-    derivs = tuple(make_deriv(p) for p in range(1, n_derivs + 1))
-    if n_derivs < 4:
-        # Derivatives beyond the polynomial degree vanish identically.
-        derivs = derivs + tuple(lambda t: 0.0 for _ in range(4 - n_derivs))
-    return ScalarFunction(value=value, a=a, b=b, derivatives=derivs)
+    return ScalarFunction(value=value, a=a, b=b, derivatives=tuple(map(make_deriv, range(1, 5))))
 
 
 def _adaptive_quad(fn: Callable[[float], float], lo: float, hi: float, tol: float,
                    what: str = "quadrature") -> float:
-    """QUADPACK integral of fn over [lo, hi].  An error estimate above
-    max(100 tol, 1e-10 |value|) raises ``QuadratureError`` labelled ``what``;
+    """QUADPACK integral of fn over [lo, hi].  A value that is not finite, or
+    an error estimate that is not at most max(100 tol, 1e-10 |value|) (a nan
+    estimate included), raises ``QuadratureError`` labelled ``what``;
     QUADPACK's message, returned rather than warned under ``full_output``,
     goes into its text and is otherwise dropped."""
-    if hi <= lo:
-        return 0.0
     value, abserr, _, *message = quad(fn, lo, hi, epsabs=tol, epsrel=1e-12,
                                       limit=SUBDIVISION_BUDGET, full_output=1)
-    if abserr > max(100.0 * tol, 1e-10 * abs(value)):
+    if not (math.isfinite(value) and abserr <= max(100.0 * tol, 1e-10 * abs(value))):
         detail = "".join(f"; {' '.join(m.split()).split('.')[0]}" for m in message)
-        raise QuadratureError(f"{what} error estimate {abserr:.3e} exceeds tolerance {tol:.3e}{detail}")
+        raise QuadratureError(f"{what} value {value:.3e} with error estimate {abserr:.3e} "
+                              f"misses tolerance {tol:.3e}{detail}")
     return value
 
 
@@ -219,8 +219,8 @@ def caputo_quadrature(
     integrals get tol, tol/2 or tol/4 for types III, I and II, and the type
     II term tol/2.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     sgn, end, dist = _frame(x.a, x.b, t, side)
     if dist == 0.0:
         return 0.0

@@ -78,14 +78,25 @@ class TestEval:
         rc = main(["eval", "--t", "2.0", "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG
 
-    @pytest.mark.parametrize("tol", ["0", "-1"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     def test_non_positive_tol_is_config_error(self, tmp_path, tol):
         rc = main(["eval", "--tol", tol, "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG
 
     def test_bad_order_is_config_error(self, tmp_path):
-        rc = main(["eval", "--order", "9,9", "--out", str(tmp_path / "x.csv")])
-        assert rc == EXIT_CONFIG
+        # Coefficients that leave (0, 1), and coefficients that are not numbers.
+        for spec in ("9,9", "a,b"):
+            rc = main(["eval", "--order", spec, "--out", str(tmp_path / "x.csv")])
+            assert rc == EXIT_CONFIG
+
+    def test_non_finite_quadrature_is_numerical_failure(self, tmp_path, capsys):
+        # x' = 0.8 (1-t)^(-0.2) is infinite at b, and QUADPACK lands on b.
+        out = tmp_path / "x.csv"
+        rc = main(["eval", "--kind", "1", "--side", "right", "--gamma-exp", "0.8",
+                   "--N", "2", "--t", "0.999999999", "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["--kind", "1", "--N", "32", "--t", "1e-6"],  # raw moments dist^(p+1) underflow
@@ -98,6 +109,21 @@ class TestEval:
         assert rc == EXIT_OK
         _, rows = _read_csv(out)
         assert float(rows[0]["observed_error"]) <= float(rows[0]["certified_bound"])
+
+
+class TestNoPartialOutput:
+    # n = 4 needs x^(5), beyond the analytic derivatives of power_function
+    # and the numeric fallback: a configuration error raised by the first row.
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--n", "4", "--N", "6"],
+        ["convergence", "--n", "4", "--points", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_failure_writes_nothing(self, tmp_path, argv, capsys):
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
 
 
 class TestConvergence:
@@ -153,12 +179,14 @@ class TestPde:
         for key in ("stepper=BDF", "steps=", "nfev=", "njev=", "nlu="):
             assert key in meta[0]
 
-    def test_degenerate_t0_is_numerical_failure(self, tmp_path):
-        rc = main(
-            ["pde-diffusion", "--order", "paper-beta",
-             "--t0", "0.0", "--out", str(tmp_path / "x.csv")]
-        )
-        assert rc == EXIT_NUMERICAL
+    def test_degenerate_t0_is_config_error(self, tmp_path):
+        # Grid1D rejects the flag value before any numerics run.
+        for t0 in ("0.0", "1.5"):
+            rc = main(
+                ["pde-diffusion", "--order", "paper-beta",
+                 "--t0", t0, "--out", str(tmp_path / "x.csv")]
+            )
+            assert rc == EXIT_CONFIG
 
     def test_burgers_run(self, tmp_path):
         out = tmp_path / "burg.csv"

@@ -72,6 +72,10 @@ class TestCallableOrders:
             t = float(t)
             assert order.alpha_prime(t) == pytest.approx(0.2 * np.cos(t), abs=1e-7)
 
+    def test_reversed_domain_rejected(self):
+        with pytest.raises(AdmissibilityError):
+            order_from_callables(lambda t: 0.5, lambda t: 0.0, (1.0, 0.0))
+
     def test_range_violation_detected_on_grid(self):
         with pytest.raises(AdmissibilityError):
             order_from_callables(

@@ -150,3 +150,18 @@ class TestStepper:
             scale = abs(J) @ np.abs(y) + np.abs(base)
             gap = np.abs(J @ y - (f.rhs(t, y) - base))
             assert np.all(gap <= 64 * eps * scale)
+
+    @pytest.mark.parametrize("equation", ["diffusion", "burgers"])
+    def test_zero_N_rejected_before_stepping(self, equation, monkeypatch):
+        import varcaputo.pde as pde
+
+        def stepper(*args, **kwargs):
+            raise AssertionError("the time stepper ran")
+
+        monkeypatch.setattr(pde, "solve_ivp", stepper)
+        grid = Grid1D(mx=8, mt=4)
+        with pytest.raises(ValueError, match="N >= n >= 1"):
+            if equation == "diffusion":
+                solve_diffusion(manufactured_diffusion(ORDER, N=0), grid)
+            else:
+                solve_burgers(ORDER, grid, N=0)

@@ -9,6 +9,7 @@ from varcaputo.order import affine_order, constant_order
 from varcaputo.reference import (
     DomainError,
     Kind,
+    QuadratureError,
     ScalarFunction,
     Side,
     SingularityError,
@@ -40,6 +41,42 @@ class TestPowerFunction:
         assert x.value(0.0) == 0.0
         assert x.deriv(1)(0.0) == 0.0
         assert x.deriv(3)(0.0) == 0.0
+        # The falling factorial 3.5 * 2.5 * 1.5 * 0.5 = 6.5625; the fourth
+        # derivative is infinite at a.
+        assert x.deriv(4)(0.25) == pytest.approx(6.5625 * 0.25**-0.5, rel=1e-15)
+        assert x.deriv(4)(0.0) == math.inf
+
+    @pytest.mark.parametrize("gamma_exp", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("side", list(Side))
+    def test_derivatives_beyond_integer_exponent_vanish(self, gamma_exp, side):
+        # Zero at every point, both endpoints included, as floats and arrays;
+        # the derivative of order gamma is the constant +-gamma!.
+        x = power_function(gamma_exp, 0.0, 1.0, side)
+        ts = np.array([0.0, 0.5, 1.0])
+        m = int(gamma_exp)
+        for p in range(m + 1, 5):
+            assert [x.deriv(p)(float(t)) for t in ts] == [0.0, 0.0, 0.0]
+            assert np.all(x.deriv(p)(ts) == 0.0)
+        sign = -1.0 if side is Side.RIGHT and m % 2 else 1.0
+        assert [x.deriv(m)(float(t)) for t in ts] == [sign * math.factorial(m)] * 3
+
+    def test_zero_exponent_rejected(self):
+        with pytest.raises(DomainError):
+            power_function(0.0, 0.0, 1.0)
+        with pytest.raises(DomainError):
+            power_closed_form(Kind.TYPE_I, Side.LEFT, 0.0, ORDER, 0.5)
+
+
+class TestScalarFunction:
+    def test_derivative_order_zero_rejected(self):
+        x = ScalarFunction(value=lambda t: t * t, a=0.0, b=1.0)
+        with pytest.raises(ValueError):
+            x.deriv(0)
+
+    def test_numeric_fallback_limited_to_order_three(self):
+        x = ScalarFunction(value=lambda t: t * t, a=0.0, b=1.0)
+        with pytest.raises(DomainError):
+            x.deriv(4)
 
 
 class TestClosedFormFrozenValues:
@@ -121,6 +158,13 @@ class TestQuadpackDiagnostics:
             warnings.simplefilter("error")
             value = caputo_quadrature(kind, x, affine_order(0.5, 0.49), 0.9, side, tol=1e-12)
         assert math.isfinite(value)
+
+    def test_non_finite_value_raises(self):
+        # x' = 0.5 (1-t)^(-0.5) is infinite at b, within 1e-9 of t: QUADPACK
+        # lands on b, and its inf or nan is an error, not a value.
+        x = power_function(0.5, 0.0, 1.0, Side.RIGHT)
+        with pytest.raises(QuadratureError):
+            caputo_quadrature(Kind.TYPE_III, x, constant_order(0.3), 1.0 - 1e-9, Side.RIGHT)
 
 
 class TestDefinitionCrossCheck:

@@ -112,6 +112,11 @@ class TestSignedBinomial:
         for k in range(6):
             assert signed_binomial(-2.0, k) == math.comb(k + 1, k)
 
+    @pytest.mark.parametrize("p", [-1, 1.5])
+    def test_non_integer_or_negative_p_rejected(self, p):
+        with pytest.raises(DomainError):
+            signed_binomial(0.5, p)
+
 
 class TestGammaRatio:
     def test_negative_arguments(self):
@@ -120,6 +125,12 @@ class TestGammaRatio:
 
     def test_denominator_pole_gives_zero(self):
         assert gamma_ratio(3.0, -2.0) == 0.0
+
+    @pytest.mark.parametrize("den", [-2.0, 0.5])
+    def test_numerator_pole_rejected(self, den):
+        # Whether or not the denominator sits at a pole too.
+        with pytest.raises(PoleError):
+            gamma_ratio(-1.0, den)
 
     def test_large_arguments(self):
         # Gamma(171.5)/Gamma(170.5) = 170.5; both factors overflow alone.

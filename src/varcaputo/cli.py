@@ -108,6 +108,13 @@ def _write_csv(stream: TextIO, header: list[str], rows: Iterable[Sequence[float]
     writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
+def _t_grid(order: OrderFunction, points: int) -> list[float]:
+    """points equispaced t over the order domain, both ends included."""
+    if points < 2:
+        raise ConfigError(f"--points must be at least 2 (a grid has both ends), got {points}")
+    return np.linspace(order.a, order.b, points).tolist()
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     order = parse_order(args.order)
     kind = Kind(args.kind)
@@ -135,7 +142,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     kind = Kind(args.kind)
     side = Side(args.side)
     x = power_function(2.0, order.a, order.b, side)
-    ts = np.linspace(order.a, order.b, args.points).tolist()
+    ts = _t_grid(order, args.points)
 
     def row(t: float) -> list[float]:
         exact = power_closed_form(kind, side, 2.0, order, t)
@@ -168,7 +175,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     """Per panel, rows (t, closed form, quadrature, closed forms at the
     constant orders 0.1 and 0.6)."""
     order = parse_order(args.order)
-    ts = np.linspace(order.a, order.b, args.points).tolist()
+    ts = _t_grid(order, args.points)
     if args.out is None:
         raise ConfigError("figures requires --out <directory>")
     os.makedirs(args.out, exist_ok=True)

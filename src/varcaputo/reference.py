@@ -17,9 +17,9 @@ changes only that endpoint and sign; a t outside [a, b] raises
 The type III kernel |t-tau|^(-alpha) is weakly singular; the substitution
 u = |t-tau|^(1-alpha) turns it into a bounded integrand, after which ordinary
 adaptive Gauss-Kronrod quadrature (scipy's QUADPACK) converges quickly.
-Types I and II are evaluated through the relation formulas tying them to
-type III -- differentiating a parameter-dependent singular integral in t
-numerically would be far worse conditioned.
+Types I and II add one alpha'-weighted log-kernel integral of x': the kinds
+differ only in alpha' (0 for type III) and its constant (``_log_bracket``).
+No singular integral is differentiated in t numerically.
 """
 
 from __future__ import annotations
@@ -70,11 +70,6 @@ class Kind(enum.Enum):
 class Side(enum.Enum):
     LEFT = "left"
     RIGHT = "right"
-
-
-#: Tolerance divisor of the type III and log-kernel integrals: each kind
-#: halves it once per correction term it adds to type III.
-_TOL_SPLIT = {Kind.TYPE_III: 1.0, Kind.TYPE_I: 2.0, Kind.TYPE_II: 4.0}
 
 
 class QuadratureError(RuntimeError):
@@ -146,12 +141,13 @@ def power_function(gamma_exp: float, a: float, b: float, side: Side = Side.LEFT)
     """(t-a)^gamma for the left side, (b-t)^gamma for the right, with analytic
     derivatives up to order 4 (enough for expansions with n <= 3).
 
-    The p-th derivative is the falling factorial gamma (gamma-1) ...
-    (gamma-p+1) times dist^(gamma-p), with the sign (-1)^p on the right.  The
-    factor is exactly 0 once p exceeds an integer gamma, and the exponent is
-    then 0, so the derivative is 0 everywhere, endpoints included.  The
-    callables take floats or arrays; the float path stays free of NumPy
-    because the quadrature routines call it point by point.
+    The value and every derivative come from one closure: the p-th
+    derivative is the falling factorial gamma (gamma-1) ... (gamma-p+1)
+    times dist^(gamma-p), with the sign (-1)^p on the right, and the value is
+    its p = 0 case.  The factor is exactly 0 once p exceeds an integer gamma,
+    and the exponent is then 0, so the derivative is 0 everywhere, endpoints
+    included.  The callables take floats or arrays; the float path stays
+    free of NumPy because the quadrature routines call x' point by point.
     """
     if gamma_exp <= 0:
         raise DomainError(f"power exponent must be positive, got {gamma_exp}")
@@ -176,11 +172,8 @@ def power_function(gamma_exp: float, a: float, b: float, side: Side = Side.LEFT)
 
         return dfn
 
-    if left:
-        value = lambda t: (t - a) ** gamma_exp
-    else:
-        value = lambda t: (b - t) ** gamma_exp
-    return ScalarFunction(value=value, a=a, b=b, derivatives=tuple(map(make_deriv, range(1, 5))))
+    return ScalarFunction(value=make_deriv(0), a=a, b=b,
+                          derivatives=tuple(map(make_deriv, range(1, 5))))
 
 
 def _adaptive_quad(fn: Callable[[float], float], lo: float, hi: float, tol: float,
@@ -209,48 +202,37 @@ def caputo_quadrature(
 ) -> float:
     """The requested Caputo derivative by quadrature of its defining integrals.
 
-    Type III: the weak singularity is removed by u = dist^(1-alpha) in the
-    signed frame, under which the kernel contributes a constant and only x'
-    is sampled.  Type I adds the alpha'-weighted log-kernel correction, whose
-    kernel is bounded (only the log factor needs clamping at tau -> t).
-    Type II adds the digamma-weighted term of its relation to type I, a
-    weakly singular integrand handled by the same substitution.  The
-    tolerance is halved once per added term: the type III and log-kernel
-    integrals get tol, tol/2 or tol/4 for types III, I and II, and the type
-    II term tol/2.
+    Only x' is sampled.  Type III: u = dist^(1-alpha) in the signed frame
+    removes the weak singularity, and the kernel contributes a constant.
+    Types I and II add, when alpha' != 0, alpha'/Gamma(2-alpha) times the
+    integral of s^(1-alpha) x'(t - sgn s) (c - ln s) over s in [0, dist],
+    with c = 1/(1-alpha) or Psi(2-alpha) from ``_log_bracket`` and ln s
+    clamped at s -> 0; type II's own term, an integral of x, takes this form
+    after an integration by parts.  The kinds differ only in alpha' and c.
+    Each integral gets tol when it runs alone and tol/2 when both run.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    sgn, end, dist = _frame(x.a, x.b, t, side)
+    sgn, _, dist = _frame(x.a, x.b, t, side)
     if dist == 0.0:
         return 0.0
     alpha = order.alpha(t)
     oma = 1.0 - alpha
-    tol_split = tol / _TOL_SPLIT[kind]
-    dx = x.deriv(1)
-    upper = dist**oma
-    value = sgn * _adaptive_quad(
-        lambda u: dx(t - sgn * u ** (1.0 / oma)), 0.0, upper, tol_split
-    ) / gamma(2.0 - alpha)
     ap = 0.0 if kind is Kind.TYPE_III else order.alpha_prime(t)
-    if ap == 0.0:
-        return value
-    inv = 1.0 / oma
+    tol_each = tol if ap == 0.0 else tol / 2.0
+    dx = x.deriv(1)
+    value = sgn * _adaptive_quad(
+        lambda u: dx(t - sgn * u ** (1.0 / oma)), 0.0, dist**oma, tol_each
+    )
+    if ap != 0.0:
+        c = _log_bracket(kind, alpha, 1.0)
 
-    def log_kernel(tau: float) -> float:
-        s = max(sgn * (t - tau), _LOG_CLAMP)
-        return s**oma * dx(tau) * (inv - math.log(s))
+        def log_kernel(s: float) -> float:
+            s = max(s, _LOG_CLAMP)
+            return s**oma * dx(t - sgn * s) * (c - math.log(s))
 
-    corr = _adaptive_quad(log_kernel, min(end, t), max(end, t), tol_split)
-    value += ap / gamma(2.0 - alpha) * corr
-    if kind is Kind.TYPE_I:
-        return value
-    x_end = x.value(end)
-    integral = _adaptive_quad(
-        lambda u: x.value(t - sgn * u ** (1.0 / oma)) - x_end, 0.0, upper, tol / 2.0
-    ) / oma
-    factor = ap * digamma(oma) / gamma(oma)
-    return value + sgn * factor * integral
+        value += ap * _adaptive_quad(log_kernel, 0.0, dist, tol_each)
+    return value / gamma(2.0 - alpha)
 
 
 def power_closed_form(

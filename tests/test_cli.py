@@ -114,10 +114,15 @@ class TestEval:
 class TestNoPartialOutput:
     # n = 4 needs x^(5), beyond the analytic derivatives of power_function
     # and the numeric fallback: a configuration error raised by the first row.
+    # A t-grid of fewer than 2 points is rejected before any output is made.
     @pytest.mark.parametrize("argv", [
         ["eval", "--n", "4", "--N", "6"],
         ["convergence", "--n", "4", "--points", "3"],
-    ], ids=lambda argv: argv[0])
+        ["convergence", "--points", "0"],
+        ["convergence", "--points", "1"],
+        ["figures", "--points", "0"],
+    ], ids=["eval", "convergence", "convergence-points0", "convergence-points1",
+            "figures-points0"])
     def test_failure_writes_nothing(self, tmp_path, argv, capsys):
         out = tmp_path / "x.csv"
         assert main([*argv, "--out", str(out)]) == EXIT_CONFIG

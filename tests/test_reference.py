@@ -140,6 +140,17 @@ class TestStructuralProperties:
         v = caputo_quadrature(kind, c, ORDER, 0.5, side, tol=1e-10)
         assert abs(v) <= 1e-10
 
+    @pytest.mark.parametrize("gamma_exp", [0.5, 2.0, 3.5])
+    @pytest.mark.parametrize("side", list(Side))
+    def test_kinds_agree_bitwise_at_constant_order(self, gamma_exp, side):
+        # With alpha' = 0 types I and II are type III: the same integral at
+        # the same tolerance, not a nearby value.
+        order = constant_order(0.4, (0.0, 1.0))
+        x = power_function(gamma_exp, 0.0, 1.0, side)
+        for t in (0.3, 0.7):
+            vals = {caputo_quadrature(kind, x, order, t, side) for kind in Kind}
+            assert len(vals) == 1
+
 
 def _fd(func, t, h=1e-6):
     return (func(t + h) - func(t - h)) / (2.0 * h)
@@ -159,6 +170,17 @@ class TestQuadpackDiagnostics:
             value = caputo_quadrature(kind, x, affine_order(0.5, 0.49), 0.9, side, tol=1e-12)
         assert math.isfinite(value)
 
+    @pytest.mark.parametrize("kind", [Kind.TYPE_I, Kind.TYPE_II])
+    def test_type2_as_robust_as_type1_near_right_end(self, kind):
+        # x' is infinite at b, 1e-6 from t.  Types I and II run the same two
+        # integrals of x' and differ only in a constant, so neither raises.
+        order = affine_order(0.5, 0.49)
+        x = power_function(0.5, 0.0, 1.0, Side.RIGHT)
+        t = 1.0 - 1e-6
+        value = caputo_quadrature(kind, x, order, t, Side.RIGHT)
+        closed = power_closed_form(kind, Side.RIGHT, 0.5, order, t)
+        assert value == pytest.approx(closed, rel=1e-8)
+
     def test_non_finite_value_raises(self):
         # x' = 0.5 (1-t)^(-0.5) is infinite at b, within 1e-9 of t: QUADPACK
         # lands on b, and its inf or nan is an error, not a value.
@@ -167,44 +189,64 @@ class TestQuadpackDiagnostics:
             caputo_quadrature(Kind.TYPE_III, x, constant_order(0.3), 1.0 - 1e-9, Side.RIGHT)
 
 
+#: Functions for the definition cross-check, by test id.
+CROSS_CHECK_FUNCTIONS = {
+    "t2": ScalarFunction(value=lambda t: t * t, a=0.0, b=1.0, derivatives=(lambda t: 2.0 * t,)),
+    "exp": ScalarFunction(value=np.exp, a=0.0, b=1.0, derivatives=(np.exp,)),
+    "sin3t": ScalarFunction(value=lambda t: np.sin(3.0 * t), a=0.0, b=1.0,
+                            derivatives=(lambda t: 3.0 * np.cos(3.0 * t),)),
+}
+CROSS_CHECK_ORDERS = {"increasing": ORDER, "decreasing": affine_order(-0.4, 0.8, (0.0, 1.0))}
+
+
+@pytest.mark.parametrize("x_id", list(CROSS_CHECK_FUNCTIONS))
+@pytest.mark.parametrize("order_id", list(CROSS_CHECK_ORDERS))
+@pytest.mark.parametrize("side", list(Side), ids=lambda side: side.value)
 class TestDefinitionCrossCheck:
     """Differentiate the defining integrals numerically, independent of the
-    substitution-based implementation."""
+    substitution-based implementation.  The implementation never integrates
+    x itself, so this also checks the integration by parts behind its type
+    II term."""
 
     @staticmethod
-    def _inner(x, a, t, alpha_val):
-        # int_a^t (t-tau)^(-alpha) (x(tau)-x(a)) dtau via u = (t-tau)^(1-alpha)
-        if t <= a:
+    def _inner(x, side, t, alpha_val):
+        # int_0^dist s^(-alpha) (x(t - sgn s) - x(end)) ds via u = s^(1-alpha),
+        # the integral over tau between end and t with s = |t - tau|
+        sgn, end = (1.0, x.a) if side is Side.LEFT else (-1.0, x.b)
+        dist = sgn * (t - end)
+        if dist <= 0.0:
             return 0.0
         e = 1.0 - alpha_val
-        xa = x.value(a)
+        x_end = x.value(end)
 
         def integrand(u):
-            return x.value(t - u ** (1.0 / e)) - xa
+            return x.value(t - sgn * u ** (1.0 / e)) - x_end
 
-        val, _ = quad(integrand, 0.0, (t - a) ** e, epsabs=1e-13, limit=400)
+        val, _ = quad(integrand, 0.0, dist**e, epsabs=1e-13, limit=400)
         return val / e
 
-    def test_type2_is_full_derivative(self):
-        x = power_function(2.0, 0.0, 1.0, Side.LEFT)
+    def test_type2_is_full_derivative(self, side, order_id, x_id):
+        x, order = CROSS_CHECK_FUNCTIONS[x_id], CROSS_CHECK_ORDERS[order_id]
+        sgn = 1.0 if side is Side.LEFT else -1.0
         t0 = 0.5
 
         def outer(t):
-            return self._inner(x, 0.0, t, ORDER.alpha(t)) / gamma(1.0 - ORDER.alpha(t))
+            return self._inner(x, side, t, order.alpha(t)) / gamma(1.0 - order.alpha(t))
 
-        direct = _fd(outer, t0)
-        impl = caputo_quadrature(Kind.TYPE_II, x, ORDER, t0, Side.LEFT, tol=1e-12)
+        direct = sgn * _fd(outer, t0)
+        impl = caputo_quadrature(Kind.TYPE_II, x, order, t0, side, tol=1e-12)
         assert direct == pytest.approx(impl, rel=1e-5)
 
-    def test_type1_keeps_gamma_outside(self):
-        x = power_function(2.0, 0.0, 1.0, Side.LEFT)
+    def test_type1_keeps_gamma_outside(self, side, order_id, x_id):
+        x, order = CROSS_CHECK_FUNCTIONS[x_id], CROSS_CHECK_ORDERS[order_id]
+        sgn = 1.0 if side is Side.LEFT else -1.0
         t0 = 0.5
 
         def outer(t):
-            return self._inner(x, 0.0, t, ORDER.alpha(t))
+            return self._inner(x, side, t, order.alpha(t))
 
-        direct = _fd(outer, t0) / gamma(1.0 - ORDER.alpha(t0))
-        impl = caputo_quadrature(Kind.TYPE_I, x, ORDER, t0, Side.LEFT, tol=1e-12)
+        direct = sgn * _fd(outer, t0) / gamma(1.0 - order.alpha(t0))
+        impl = caputo_quadrature(Kind.TYPE_I, x, order, t0, side, tol=1e-12)
         assert direct == pytest.approx(impl, rel=1e-5)
 
 

@@ -39,7 +39,8 @@ from .pde import (
     solve_burgers,
     solve_diffusion,
 )
-from .reference import Kind, Side, caputo_quadrature, power_closed_form, power_function
+from .reference import (Kind, ScalarFunction, Side, caputo_quadrature, power_closed_form,
+                        power_function)
 from .special import PoleError
 
 EXIT_OK = 0
@@ -115,16 +116,26 @@ def _t_grid(order: OrderFunction, points: int) -> list[float]:
     return np.linspace(order.a, order.b, points).tolist()
 
 
+def _check_n(n: int, x: ScalarFunction) -> None:
+    """The error bound needs x^(n+1), so --n is limited by the analytic
+    derivatives x carries."""
+    top = len(x.derivatives)
+    if n >= top:
+        raise ConfigError(f"--n must be at most {top - 1}, got {n}: the bound needs x^(n+1), "
+                          f"and the power function has analytic derivatives up to order {top}")
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     order = parse_order(args.order)
     kind = Kind(args.kind)
     side = Side(args.side)
+    x = power_function(args.gamma_exp, order.a, order.b, side)
+    _check_n(args.n, x)
     params = ExpansionParams(args.n, args.N)
     ts = args.t if args.t else [0.5]
     for t in ts:
         if not order.a <= t <= order.b:
             raise ConfigError(f"t = {t} outside the order domain [{order.a}, {order.b}]")
-    x = power_function(args.gamma_exp, order.a, order.b, side)
 
     def row(t: float) -> list[float]:
         oracle = power_closed_form(kind, side, args.gamma_exp, order, t)
@@ -142,6 +153,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     kind = Kind(args.kind)
     side = Side(args.side)
     x = power_function(2.0, order.a, order.b, side)
+    _check_n(args.n, x)
     ts = _t_grid(order, args.points)
 
     def row(t: float) -> list[float]:

@@ -16,8 +16,9 @@ vectorised Gauss-Kronrod (G10/K21) pass over a fixed panel set, graded
 geometrically towards the endpoint s = 0, evaluates x' once and yields every
 W_k with QUADPACK's qk21 error estimate; a W_k whose estimate misses the
 tolerance (an endpoint-singular x', say) is recomputed by adaptive QUADPACK
-quadrature alone.  The derivative maxima behind the bound are sampled in one
-array call per derivative order.
+quadrature alone.  The derivative maxima behind the bound come from the two
+ends of the range where the function declares monotone |x^(p)|, and are
+sampled in one array call per derivative order otherwise.
 
 Coefficient arrays are recomputed on every call because alpha depends on the
 evaluation point; there is no shared cache.
@@ -37,6 +38,7 @@ from .reference import (
     RealFn,
     ScalarFunction,
     Side,
+    SingularityError,
     _adaptive_quad,
     _frame,
     _log_bracket,
@@ -273,18 +275,29 @@ def derivative_bound(
     lo: float,
     hi: float,
 ) -> DerivativeBound:
-    """Sampled maxima of |x^(p)| on [lo, hi] for the requested orders.
+    """Maxima of |x^(p)| on [lo, hi] for the requested orders.
 
-    Each derivative is evaluated once on the whole sample array.  Analytic
-    derivatives are sampled as-is; numeric fallbacks get a 5% safety factor
-    and flag the bound as estimated.
+    An analytic derivative of a function that declares
+    ``monotone_derivatives`` takes its maximum at an end, so it is called
+    once at lo and once at hi, as floats.  Every other order is evaluated
+    once on a whole array of samples: analytic derivatives as-is, numeric
+    fallbacks with a 5% safety factor, which flag the bound as estimated.
+    A range that is not inside [x.a, x.b] raises ``SingularityError``.
     """
-    ts = np.linspace(lo, hi, _BOUND_SAMPLES)
+    if not x.a <= lo <= hi <= x.b:
+        raise SingularityError(f"range [{lo}, {hi}] not inside [{x.a}, {x.b}]")
     values: dict[int, float] = {}
     estimated = False
+    ts = None
     for p in orders:
+        fn = x.deriv(p)
         analytic = p <= len(x.derivatives)
-        m = float(np.max(np.abs(_sample(x.deriv(p), ts))))
+        if analytic and x.monotone_derivatives:
+            values[p] = max(abs(float(fn(lo))), abs(float(fn(hi))))
+            continue
+        if ts is None:
+            ts = np.linspace(lo, hi, _BOUND_SAMPLES)
+        m = float(np.max(np.abs(_sample(fn, ts))))
         if not analytic:
             m *= _BOUND_SAFETY
             estimated = True

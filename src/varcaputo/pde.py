@@ -24,6 +24,7 @@ effect is O(t0^2) for the manufactured solutions used here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -202,7 +203,9 @@ def _linear_core(
         W_p' = (u_t - p W_p) / t.
     The Jacobian's u-row block is [L/a, -(B_p/A) I]; each W_p row block is that
     row divided by t, minus (p/t) I on its own diagonal block.  An N < 1
-    raises ``ValueError`` here, before any step.
+    raises ``ValueError`` here, before any step.  The t-dependent terms a, B_p/A
+    and c(t) are kept for the last t, which BDF's Newton iterations and its
+    Jacobian evaluate over and over.
     """
     params = ExpansionParams(1, N)
     m = L.shape[0]
@@ -215,14 +218,19 @@ def _linear_core(
     rows = np.concatenate([(top_rows + m * np.arange(N + 1)[:, None]).ravel(), np.arange(m, n)])
     cols = np.concatenate([np.tile(top_cols, N + 1), np.arange(m, n)])
 
+    @functools.lru_cache(maxsize=1)
+    def terms(t: float) -> tuple[float, np.ndarray, np.ndarray]:
+        """a, B_p/A and c(t); rhs and jac treat the arrays as read-only."""
+        return (*_expansion_weights(order, params, t), forcing(t))
+
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        a_coef, b = _expansion_weights(order, params, t)
+        a_coef, b, c = terms(t)
         w = y[m:].reshape(N, m)
-        u_t = (forcing(t) + L @ y[:m]) / a_coef - b @ w
+        u_t = (c + L @ y[:m]) / a_coef - b @ w
         return np.concatenate([u_t, ((u_t - p[:, None] * w) / t).ravel()])
 
     def jac(t: float, y: np.ndarray) -> sparse.csc_matrix:
-        a_coef, b = _expansion_weights(order, params, t)
+        a_coef, b, _ = terms(t)
         top = np.concatenate([l_vals / a_coef, np.repeat(-b, m)])
         data = np.concatenate([top, np.tile(top / t, N), np.repeat(-p / t, m)])
         return sparse.csc_matrix((data, (rows, cols)), shape=(n, n))

@@ -94,12 +94,18 @@ class ScalarFunction:
     central finite difference with step 1e-7 (one-sided at the endpoints)
     stands in, at a documented accuracy loss of roughly 1e-7.  Numeric
     higher derivatives are limited to order 3.
+
+    ``monotone_derivatives`` declares that each callable in ``derivatives``
+    has monotone |x^(p)| on [a, b], so its maximum over a subinterval is at
+    an end; the expansion's bound then evaluates the two ends instead of
+    sampling.  It says nothing about numeric-fallback orders.
     """
 
     value: RealFn
     a: float
     b: float
     derivatives: tuple[RealFn, ...] = field(default=())
+    monotone_derivatives: bool = False
 
     def deriv(self, p: int = 1) -> RealFn:
         if p < 1:
@@ -148,6 +154,10 @@ def power_function(gamma_exp: float, a: float, b: float, side: Side = Side.LEFT)
     and the exponent is then 0, so the derivative is 0 everywhere, endpoints
     included.  The callables take floats or arrays; the float path stays
     free of NumPy because the quadrature routines call x' point by point.
+    |x^(p)| = |gamma (gamma-1) ... (gamma-p+1)| dist^(gamma-p) is increasing,
+    constant or decreasing in dist with the sign of gamma - p, so it is
+    monotone in t and the function declares ``monotone_derivatives``; at a
+    singular end the derivative is inf, which is then its maximum.
     """
     if gamma_exp <= 0:
         raise DomainError(f"power exponent must be positive, got {gamma_exp}")
@@ -173,7 +183,8 @@ def power_function(gamma_exp: float, a: float, b: float, side: Side = Side.LEFT)
         return dfn
 
     return ScalarFunction(value=make_deriv(0), a=a, b=b,
-                          derivatives=tuple(map(make_deriv, range(1, 5))))
+                          derivatives=tuple(map(make_deriv, range(1, 5))),
+                          monotone_derivatives=True)
 
 
 def _adaptive_quad(fn: Callable[[float], float], lo: float, hi: float, tol: float,

@@ -113,8 +113,8 @@ class TestEval:
 
 class TestNoPartialOutput:
     # n = 4 needs x^(5), beyond the analytic derivatives of power_function
-    # and the numeric fallback: a configuration error raised by the first row.
-    # A t-grid of fewer than 2 points is rejected before any output is made.
+    # and the numeric fallback, and a t-grid of fewer than 2 points has no
+    # ends: both are rejected before any output is made.
     @pytest.mark.parametrize("argv", [
         ["eval", "--n", "4", "--N", "6"],
         ["convergence", "--n", "4", "--points", "3"],
@@ -129,6 +129,23 @@ class TestNoPartialOutput:
         assert not out.exists()
         assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().out == ""
+
+
+class TestExpansionDepth:
+    # The bound needs x^(n+1); power_function carries derivatives up to order 4.
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--n", "4", "--N", "6", "--gamma-exp", "6"],
+        ["convergence", "--n", "4", "--points", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_n_beyond_analytic_derivatives_names_the_flag(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--n" in err and "order 4" in err and "fallback" not in err
+
+    def test_deepest_n_runs(self, capsys):
+        assert main(["eval", "--n", "3", "--N", "3", "--gamma-exp", "5"]) == EXIT_OK
+        _, row = capsys.readouterr().out.splitlines()
+        assert math.isfinite(float(row.split(",")[-1]))
 
 
 class TestConvergence:

@@ -258,6 +258,60 @@ class TestErrorBound:
         for p in (1, 2):
             assert L[p] == 1.05 * loop_max(numeric.deriv(p))
 
+    @pytest.mark.parametrize("side", list(Side))
+    @pytest.mark.parametrize("g", [0.5, 0.8, 1.0, 1.5, 2.0, 3.5, 5.0])
+    def test_derivative_bound_ends_match_sampled_maxima(self, g, side):
+        # |x^(p)| of a power function is monotone, so its two ends give the
+        # maximum of a 1001-point scan, up to the last bits of NumPy's array
+        # pow; an inf at a singular end stays inf.
+        x = power_function(g, 0.0, 1.0, side)
+        for lo, hi in [(0.0, 1.0), (0.0, 0.3), (0.7, 1.0), (0.2, 0.6), (0.0, 1e-9),
+                       (1.0 - 1e-9, 1.0)]:
+            L = derivative_bound(x, (1, 2, 3, 4), lo, hi)
+            assert not L.estimated
+            for p in (1, 2, 3, 4):
+                sampled = float(np.max(np.abs(x.deriv(p)(np.linspace(lo, hi, 1001)))))
+                assert L[p] == sampled or abs(L[p] - sampled) <= 4 * np.spacing(sampled)
+
+    @staticmethod
+    def _counting(fns, points):
+        """fns wrapped to add the number of points of each call to points[0]."""
+        def wrap(fn):
+            def counted(t):
+                points[0] += np.size(t)
+                return fn(t)
+            return counted
+        return tuple(map(wrap, fns))
+
+    def test_derivative_bound_monotone_calls_each_end_once(self):
+        x = power_function(1.5, 0.0, 1.0, Side.LEFT)
+        points = [0]
+        flagged = ScalarFunction(x.value, 0.0, 1.0, self._counting(x.derivatives, points),
+                                 monotone_derivatives=True)
+        L = derivative_bound(flagged, (1, 2), 0.2, 0.7)
+        assert points[0] == 4
+        assert L[1] == x.deriv(1)(0.7) and L[2] == x.deriv(2)(0.2)
+        assert not L.estimated
+
+    def test_derivative_bound_monotone_flag_leaves_fallback_sampled(self):
+        x = power_function(3.5, 0.0, 1.0, Side.RIGHT)
+        points = [0]
+        flagged = ScalarFunction(x.value, 0.0, 1.0, self._counting(x.derivatives[:1], points),
+                                 monotone_derivatives=True)
+        L = derivative_bound(flagged, (1, 2), 0.0, 1.0)
+        assert L.estimated
+        ts = np.linspace(0.0, 1.0, 1001)
+        # Two end calls for x', then x'' by differences of x' on the samples.
+        assert points[0] >= 2 + 1001
+        assert L[1] == abs(x.deriv(1)(0.0))
+        assert L[2] == 1.05 * float(np.max(np.abs(flagged.deriv(2)(ts))))
+
+    @pytest.mark.parametrize("lo, hi", [(-0.1, 0.5), (0.5, 1.1), (0.6, 0.4), (math.nan, 0.5)])
+    def test_derivative_bound_range_outside_domain_rejected(self, lo, hi):
+        x = power_function(0.5, 0.0, 1.0, Side.LEFT)
+        with pytest.raises(SingularityError):
+            derivative_bound(x, (1,), lo, hi)
+
 
 class TestApproximation:
     @pytest.mark.parametrize("order", [ORDER_A, ORDER_B], ids=["alpha-a", "alpha-b"])

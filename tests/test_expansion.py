@@ -387,6 +387,19 @@ class TestApproximation:
         assert math.isfinite(res.value) and math.isfinite(res.error_bound)
         assert abs(res.value - ref) <= res.error_bound
 
+    def test_value_only_certificate(self):
+        # x = t^4 given by its values only, at n = 2: the bound takes x''' on
+        # [0, 0.6] from one third difference of the values, so it still holds
+        # and stays within 10% of the bound from the analytic derivatives.
+        params = ExpansionParams(2, 12)
+        values_only = ScalarFunction(value=lambda t: t**4, a=0.0, b=1.0)
+        res = approximate(Kind.TYPE_III, values_only, ORDER_A, 0.6, Side.LEFT, params)
+        analytic = approximate(Kind.TYPE_III, power_function(4.0, 0.0, 1.0), ORDER_A, 0.6,
+                               Side.LEFT, params)
+        exact = power_closed_form(Kind.TYPE_III, Side.LEFT, 4.0, ORDER_A, 0.6)
+        assert res.bound_kind == "estimated" and analytic.bound_kind == "analytic"
+        assert abs(res.value - exact) <= res.error_bound <= 1.1 * analytic.error_bound
+
     def test_float_only_callables(self):
         # Callables that reject arrays (float(), math.*, if/else on t) are
         # sampled point by point and give the array path's values.

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from varcaputo.expansion import approximate
 from varcaputo.order import (
     AdmissibilityError,
     affine_order,
@@ -9,6 +12,7 @@ from varcaputo.order import (
     order_from_alpha,
     order_from_callables,
 )
+from varcaputo.reference import Kind, Side, caputo_quadrature, power_function
 
 
 class TestAffineOrder:
@@ -71,6 +75,33 @@ class TestCallableOrders:
         for t in np.linspace(0.0, 1.0, 11):
             t = float(t)
             assert order.alpha_prime(t) == pytest.approx(0.2 * np.cos(t), abs=1e-7)
+
+    @pytest.mark.parametrize("inner, slope, ts", [
+        (lambda t: t, 1.0, (0.0, 5e-7, 0.5, 1.0)),
+        (lambda t: 1.0 - t, -1.0, (0.0, 1.0 - 5e-7, 1.0)),
+    ], ids=["sqrt(t)", "sqrt(1-t)"])
+    def test_finite_difference_fallback_stays_in_domain(self, inner, slope, ts):
+        # alpha = 0.3 + 0.4 sqrt(t) or 0.3 + 0.4 sqrt(1 - t) has an infinite
+        # alpha' at one end, and math.sqrt rejects a t outside [0, 1]: alpha'
+        # and a type I expansion must not reach past the domain for their
+        # differences, next to the end or at it.
+        def alpha(t):
+            if not 0.0 <= t <= 1.0:
+                pytest.fail(f"alpha called at t = {t!r}, outside [0, 1]")
+            return 0.3 + 0.4 * math.sqrt(inner(t))
+
+        order = order_from_alpha(alpha)
+        x = power_function(2.0, 0.0, 1.0)
+        for t in ts:
+            ap = order.alpha_prime(t)
+            assert math.isfinite(ap)
+            if inner(t) > 0.0:
+                assert ap == pytest.approx(0.2 * slope / math.sqrt(inner(t)), rel=1e-3)
+            for side in Side:
+                res = approximate(Kind.TYPE_I, x, order, t, side)
+                assert math.isfinite(res.value) and math.isfinite(res.error_bound)
+                ref = caputo_quadrature(Kind.TYPE_I, x, order, t, side)
+                assert abs(res.value - ref) <= res.error_bound
 
     def test_reversed_domain_rejected(self):
         with pytest.raises(AdmissibilityError):

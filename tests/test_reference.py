@@ -78,6 +78,37 @@ class TestScalarFunction:
         with pytest.raises(DomainError):
             x.deriv(4)
 
+    @pytest.mark.parametrize("name", ["exp", "sin3t", "cubic"])
+    @pytest.mark.parametrize("p, tol", [(1, 1e-7), (2, 1e-3), (3, 1e-2)])
+    def test_numeric_derivative_accuracy(self, name, p, tol):
+        # A function given by its values only: x^(p) is one p-th difference,
+        # accurate on the whole of [0, 1], ends included, and a float call
+        # gives the bits of the matching array entry.
+        value, *exact = {
+            "exp": (np.exp, np.exp, np.exp, np.exp),
+            "sin3t": (lambda t: np.sin(3.0 * t), lambda t: 3.0 * np.cos(3.0 * t),
+                      lambda t: -9.0 * np.sin(3.0 * t), lambda t: -27.0 * np.cos(3.0 * t)),
+            "cubic": (lambda t: t * t * (1.0 - t) + 0.5 * t, lambda t: 2.0 * t - 3.0 * t * t + 0.5,
+                      lambda t: 2.0 - 6.0 * t, lambda t: -6.0 + 0.0 * t),
+        }[name]
+        dfn = ScalarFunction(value=value, a=0.0, b=1.0).deriv(p)
+        ts = np.linspace(0.0, 1.0, 1001)
+        on_array = dfn(ts)
+        assert np.max(np.abs(on_array - exact[p - 1](ts))) <= tol
+        on_floats = np.array([dfn(float(t)) for t in ts])
+        assert on_floats.tobytes() == on_array.tobytes()
+
+    def test_numeric_derivative_on_short_domain(self):
+        # On [0, 1e-4] the four points of x''' cannot take their usual step
+        # 1.2e-4; they spread over the domain and stay inside it.
+        def value(t):
+            assert np.all((0.0 <= t) & (t <= 1e-4)), t
+            return t**3
+
+        x = ScalarFunction(value=value, a=0.0, b=1e-4)
+        for t in (0.0, 3e-5, 1e-4):
+            assert x.deriv(3)(t) == pytest.approx(6.0, rel=1e-6)
+
 
 class TestClosedFormFrozenValues:
     """Frozen oracle values for x = t^2, alpha(t) = (5t+1)/10, t = 0.5."""

@@ -214,25 +214,25 @@ def _scaled_moments(dx: RealFn, end: float, step: float, count: int, tol: float)
     # rows m..2m-1 being rows 0..m-1 times s^m.
     g = np.empty((count, _GK_NODES.size))
     g[0] = _sample(dx, end + _GK_NODES * step)
-    filled, s_m = 1, _GK_NODES
-    while filled < count:
-        m = min(filled, count - filled)
-        np.multiply(g[:m], s_m, out=g[filled : filled + m])
-        filled += m
-        s_m = s_m * s_m
-    panels = g.reshape(count, -1, _GK_RULE.shape[0])
-    sums = panels @ _GK_RULE
-    kronrod = sums[..., 0]
-    abserr = np.abs(kronrod - sums[..., 1])
-    resabs = np.abs(panels) @ _GK_RULE[:, 0]
-    dev = panels - 0.5 * kronrod[..., None]
-    resasc = np.abs(dev, out=dev) @ _GK_RULE[:, 0]
-    # QUADPACK's qk21 estimate: scale |K21 - G10| by the panel's variation,
-    # and never claim less than 50 eps of its absolute integral.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # an inf in x' gives nan rows, which fall back
+        filled, s_m = 1, _GK_NODES
+        while filled < count:
+            m = min(filled, count - filled)
+            np.multiply(g[:m], s_m, out=g[filled : filled + m])
+            filled += m
+            s_m = s_m * s_m
+        panels = g.reshape(count, -1, _GK_RULE.shape[0])
+        # QUADPACK's qk21 estimate: scale |K21 - G10| by the panel's
+        # variation, and never claim less than 50 eps of its absolute integral.
+        sums = panels @ _GK_RULE
+        kronrod = sums[..., 0]
+        abserr = np.abs(kronrod - sums[..., 1])
+        resabs = np.abs(panels) @ _GK_RULE[:, 0]
+        dev = panels - 0.5 * kronrod[..., None]
+        resasc = np.abs(dev, out=dev) @ _GK_RULE[:, 0]
         scaled = resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5)
-    err = np.maximum(50.0 * _EPS * resabs, np.where(resasc > 0.0, scaled, abserr)) @ _GK_HALF
-    w = kronrod @ _GK_HALF
+        err = np.maximum(50.0 * _EPS * resabs, np.where(resasc > 0.0, scaled, abserr)) @ _GK_HALF
+        w = kronrod @ _GK_HALF
     # Negated so that a nan estimate also falls back.
     for k in map(int, np.flatnonzero(~(err <= np.maximum(tol, 1e-12 * np.abs(w))))):
         w[k] = _adaptive_quad(
@@ -293,7 +293,8 @@ def derivative_bound(
         fn = x.deriv(p)
         analytic = p <= len(x.derivatives)
         if analytic and x.monotone_derivatives:
-            values[p] = max(abs(float(fn(lo))), abs(float(fn(hi))))
+            ends = (abs(float(fn(lo))), abs(float(fn(hi))))
+            values[p] = math.nan if math.isnan(sum(ends)) else max(ends)  # nan-aware, as np.max
             continue
         if ts is None:
             ts = np.linspace(lo, hi, _BOUND_SAMPLES)
@@ -319,8 +320,8 @@ def error_bound(
     |alpha'|-weighted second term whose bracket carries 1/(1-alpha) or
     Psi(2-alpha) respectively.  Monotone decreasing in N; zero at dist = 0.
     """
-    if dist < 0:
-        raise ValueError("dist must be non-negative")
+    if not 0.0 <= dist < math.inf:
+        raise ValueError(f"dist must be finite and non-negative, got {dist}")
     if dist == 0.0:
         return 0.0
     n, N = params.n, params.N
@@ -351,13 +352,13 @@ def approximate(
 ) -> ApproxResult:
     """Integer-order expansion of the requested Caputo derivative at t.
 
-    The value is the truncated expansion; ``error_bound`` certifies the
-    truncation error.  The alpha' weight is 0 for type III and alpha'(t)
-    for types I and II; where it is 0 the correction, its extra moments and
-    the bound's x' maximum are skipped outright, so with alpha' = 0 the
-    three kinds produce bitwise-equal values.  A t outside [x.a, x.b] raises
-    ``SingularityError``, and a tol that is not positive and finite
-    ``ValueError``.
+    The value is one exact sum of weighted x^(p)(t) and scaled moments W;
+    ``error_bound`` certifies its truncation error.  The alpha' weight is 0
+    for type III and alpha'(t) for types I and II; where it is 0 the alpha'
+    weights, their extra moments and the bound's x' maximum are skipped
+    outright, so with alpha' = 0 the three kinds produce bitwise-equal
+    values.  A t outside [x.a, x.b] raises ``SingularityError``, and a tol
+    that is not positive and finite ``ValueError``.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -368,20 +369,18 @@ def approximate(
     alpha = order.alpha(t)
     ap = 0.0 if kind is Kind.TYPE_III else order.alpha_prime(t)
 
-    head, tail = (coefficients_left if side is Side.LEFT else coefficients_right)(alpha, params)
-    p_max = N if ap == 0.0 else n + 2 * N
-    w = _scaled_moments(x.deriv(1), end, sgn * dist, p_max - n + 1, tol)
-
-    head_terms = [
-        float(head[p - 1]) * dist ** (p - alpha) * x.deriv(p)(t)
-        for p in range(1, n + 1)
-    ]
-    tail_terms = tail * dist ** (1.0 - alpha) * w[: N - n + 1]
-    value = math.fsum(head_terms + tail_terms.tolist())
-
+    # Weights sgn^p A_p dist^(p-alpha) on x^(p)(t) and c on W_0..W_(c.size-1);
+    # the right side is the left one reflected, which changes only sgn.
+    head, tail = coefficients_left(alpha, params)
+    c = sgn * dist ** (1.0 - alpha) * tail
     if ap != 0.0:
-        value += _order_variation_correction(kind, alpha, ap, dist, w, N)
-
+        c_ap = _alpha_prime_weights(kind, alpha, ap, dist, N)
+        c_ap[: c.size] += c
+        c = c_ap
+    w = _scaled_moments(x.deriv(1), end, sgn * dist, c.size, tol)
+    terms = [sgn**p * float(h) * dist ** (p - alpha) * x.deriv(p)(t) for p, h in enumerate(head, 1)]
+    # The signed binomials alternate in sign: sum exactly to avoid cancellation.
+    value = math.fsum(terms + (c * w).tolist())
     bounds = derivative_bound(x, (n + 1,) if ap == 0.0 else (1, n + 1), min(end, t), max(end, t))
     return ApproxResult(
         value=value,
@@ -390,25 +389,14 @@ def approximate(
     )
 
 
-def _order_variation_correction(
-    kind: Kind,
-    alpha: float,
-    ap: float,
-    dist: float,
-    w: np.ndarray,
-    N: int,
-) -> float:
-    """alpha'-weighted correction distinguishing types I and II from III.
-
-    In scaled moments the single sum is dist * sum_p sb_p W_p and the double
-    sum dist * sum_{p,r} sb_p W_(p+r) / r (p = 0..N, r = 1..N), with
-    sb_p = (-1)^p C(1-alpha, p).  Gathering the double sum by q = p + r, its
-    weight on W_q is entry q-1 of the convolution of sb with 1/r.  Terms
-    alternate in sign through the signed binomial, so both sums are
-    accumulated with exact summation (math.fsum) to control cancellation.
-    """
+def _alpha_prime_weights(kind: Kind, alpha: float, ap: float, dist: float, N: int) -> np.ndarray:
+    """Weights on W_0..W_2N of the alpha' term of types I and II:
+    K (bracket sum_p sb_p W_p + sum_{p,r} sb_p W_(p+r) / r), p = 0..N, r = 1..N,
+    with K = alpha' dist^(2-alpha) / Gamma(2-alpha), sb_p = (-1)^p C(1-alpha, p)
+    and the bracket of ``_log_bracket``.  Gathered by q = p + r, the double
+    sum weights W_q by entry q-1 of the convolution of sb with 1/r."""
     sb = _signed_binomials(1.0 - alpha, N + 1)
-    bracket = _log_bracket(kind, alpha, dist)
-    single = math.fsum((sb * w[: N + 1]).tolist())
-    double = math.fsum((np.convolve(sb, 1.0 / np.arange(1, N + 1)) * w[1 : 2 * N + 1]).tolist())
-    return ap * dist ** (2.0 - alpha) / gamma(2.0 - alpha) * (bracket * single + double)
+    c = np.zeros(2 * N + 1)
+    c[: N + 1] = _log_bracket(kind, alpha, dist) * sb
+    c[1:] += np.convolve(sb, 1.0 / np.arange(1, N + 1))
+    return ap * dist ** (2.0 - alpha) / gamma(2.0 - alpha) * c

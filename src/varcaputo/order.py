@@ -94,7 +94,13 @@ def order_from_alpha(
     """Fallback constructor: alpha' by the first difference of ``_difference``,
     which calls alpha only inside the domain.  Its rounding sets its error: 5e-9
     on [0, 1], ends included, for 0.3 + 0.2 sin t, against 4e-11 inside for a
-    central difference of step 1e-6 that reaches past the ends."""
+    central difference of step 1e-6 that reaches past the ends.
+
+    alpha' is then the very difference ``check_admissible`` compares it
+    with, so that check cannot reject it: an alpha with unbounded alpha' at
+    an end, such as 0.3 + 0.4 sqrt(t), is accepted, with a finite alpha'(0)
+    (3276.8) where the true one is infinite.  Pass the analytic alpha' to
+    ``order_from_callables`` when it is known."""
     a, b = float(domain[0]), float(domain[1])
     return order_from_callables(alpha, _difference(alpha, 1, a, b), (a, b))
 

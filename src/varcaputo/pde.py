@@ -35,7 +35,7 @@ from scipy.integrate import solve_ivp
 
 from .expansion import ExpansionParams, coefficients_left
 from .order import OrderFunction
-from .special import gamma
+from .special import DomainError, gamma
 
 __all__ = [
     "Grid1D",
@@ -242,7 +242,10 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
            boundary: Callable, u0_interior: np.ndarray, meta: dict) -> Field2D:
     """Integrate the linear core for the operator D on the full node vector,
     folding the Dirichlet values ``boundary(t)`` into the forcing through
-    D's two boundary columns."""
+    D's two boundary columns.  An order whose domain does not cover the
+    time range [t0, 1] raises ``DomainError`` before any step."""
+    if not (order.a <= grid.t0 and order.b >= 1.0):
+        raise DomainError(f"order domain [{order.a}, {order.b}] does not cover [{grid.t0}, 1]")
     ts = grid.t_nodes
 
     def forcing(t: float) -> np.ndarray:

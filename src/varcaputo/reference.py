@@ -138,9 +138,14 @@ def power_function(gamma_exp: float, a: float, b: float, side: Side = Side.LEFT)
     constant or decreasing in dist with the sign of gamma - p, so it is
     monotone in t and the function declares ``monotone_derivatives``; at a
     singular end the derivative is inf, which is then its maximum.
+
+    gamma must be positive and finite, and so must the falling factorials up
+    to order 4 (gamma^4 overflows once gamma exceeds about 1.16e77); any
+    other exponent raises ``DomainError``.
     """
-    if gamma_exp <= 0:
-        raise DomainError(f"power exponent must be positive, got {gamma_exp}")
+    if not (gamma_exp > 0 and math.isfinite(math.prod(gamma_exp - j for j in range(4)))):
+        raise DomainError(f"power exponent must be positive with finite derivative factors, "
+                          f"got {gamma_exp}")
 
     left = side is Side.LEFT
     ndarray = np.ndarray  # bound once: quad calls the float path at every node

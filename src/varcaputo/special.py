@@ -64,7 +64,8 @@ def gamma_ratio(num: float, den: float) -> float:
 
     Safe for negative non-integer arguments on either side; the sign of each
     factor is tracked separately.  If only the denominator is at a pole the
-    ratio is zero.
+    ratio is zero.  A log ratio that is not finite (logGamma overflows past
+    about 2.6e305) raises :class:`OverflowError`.
     """
     num = _check_finite(num, "num")
     den = _check_finite(den, "den")
@@ -80,7 +81,9 @@ def gamma_ratio(num: float, den: float) -> float:
     if den_pole:
         return 0.0
     sign = float(_sp.gammasgn(num) * _sp.gammasgn(den))
-    log_ratio = float(_sp.gammaln(num) - _sp.gammaln(den))
+    log_ratio = float(_sp.gammaln(num)) - float(_sp.gammaln(den))
+    if not math.isfinite(log_ratio):
+        raise OverflowError(f"gamma_ratio({num}, {den}): log ratio {log_ratio} is not finite")
     return sign * math.exp(log_ratio)
 
 

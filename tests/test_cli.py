@@ -1,12 +1,16 @@
 import argparse
+import contextlib
 import csv
+import io
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import varcaputo
 from varcaputo.cli import (
@@ -322,3 +326,42 @@ class TestFlags:
             main(argv)
         assert exc.value.code == EXIT_CONFIG
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+#: Inputs of the ``eval`` sweep: admissible, degenerate and malformed values.
+_SWEEP_ORDERS = ["paper-alpha", "paper-beta", "fig1-alpha", "0.2,0.3", "-0.5,0.9", "0,0.6",
+                 "1.0,0.5", "0.5", "a,b", "nan,0.5", "inf,0", ""]
+_SWEEP_GAMMAS = ["0.5", "1", "2", "3.5", "1e-12", "1e80", "1e300", "nan", "inf", "-1"]
+_SWEEP_TS = ["0", "1", "1e-300", "1e-12", "1e-6", "0.5", "0.999999", "0.999999999999",
+             "1.0000001", "-1e-9", "-0.5", "2", "nan"]
+
+
+@st.composite
+def eval_argv(draw):
+    ts = draw(st.lists(st.sampled_from(_SWEEP_TS), min_size=0, max_size=2))
+    return ["eval", f"--order={draw(st.sampled_from(_SWEEP_ORDERS))}",
+            "--kind", str(draw(st.sampled_from([1, 2, 3]))),
+            "--side", draw(st.sampled_from(["left", "right"])),
+            "--n", str(draw(st.integers(1, 3))), "--N", str(draw(st.integers(1, 300))),
+            f"--gamma-exp={draw(st.sampled_from(_SWEEP_GAMMAS))}", *(f"--t={t}" for t in ts)]
+
+
+class TestEvalSweep:
+    # Every argv either succeeds or fails with a typed error and its exit
+    # code.  Whether the bound holds or is finite is not asserted: integer
+    # gamma <= n gives a zero bound against a rounding error, and gamma < n+1
+    # an infinite one.
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(argv=eval_argv())
+    @example(argv=["eval", "--side", "right", "--gamma-exp=1e300"])  # bound was nan
+    @example(argv=["eval", "--gamma-exp=1e308"])  # oracle was nan
+    def test_exit_code_without_traceback_warning_or_nan(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main(argv)
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+        assert "Traceback" not in err.getvalue()
+        assert not caught, [str(w.message) for w in caught]
+        assert "nan" not in out.getvalue().lower()

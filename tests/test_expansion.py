@@ -192,6 +192,15 @@ class TestMoments:
         with pytest.raises(QuadratureError):
             approximate(Kind.TYPE_I, x, ORDER_A, 1.0 - 1e-9, Side.RIGHT, ExpansionParams(1, 2))
 
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_infinite_node_raises_typed_error(self, kind):
+        # x' = 0.5 (1-t)^(-0.5) at t = 1 - 1e-12: a node rounds onto b, where
+        # x' is inf.  The error estimate is nan with no NumPy warning (an
+        # error under the test configuration), and the fallback raises.
+        x = power_function(0.5, 0.0, 1.0, Side.RIGHT)
+        with pytest.raises(QuadratureError):
+            approximate(kind, x, ORDER_A, 1.0 - 1e-12, Side.RIGHT)
+
     def test_vanish_at_start(self):
         x = power_function(2.0, 0.0, 1.0, Side.LEFT)
         mom = moments(x, Side.LEFT, 0.0, ExpansionParams(1, 3), p_max=3)
@@ -230,6 +239,13 @@ class TestErrorBound:
         L = DerivativeBound(values={1: 2.0, 2: 2.0}, estimated=False)
         with pytest.raises(ValueError):
             error_bound(Kind.TYPE_III, ExpansionParams(1, 4), 0.5, 0.0, -1e-3, L)
+
+    @pytest.mark.parametrize("dist", [math.nan, math.inf])
+    def test_non_finite_distance_rejected(self, dist):
+        L = DerivativeBound(values={1: 2.0, 2: 2.0}, estimated=False)
+        for kind in Kind:
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                error_bound(kind, ExpansionParams(1, 4), 0.5, 0.3, dist, L)
 
     def test_missing_order_raises(self):
         L = DerivativeBound(values={1: 2.0}, estimated=False)
@@ -305,6 +321,13 @@ class TestErrorBound:
         assert points[0] >= 2 + 1001
         assert L[1] == abs(x.deriv(1)(0.0))
         assert L[2] == 1.05 * float(np.max(np.abs(flagged.deriv(2)(ts))))
+
+    @pytest.mark.parametrize("nan_at", [0.2, 0.7])
+    def test_derivative_bound_monotone_keeps_nan_at_either_end(self, nan_at):
+        # As on the sampled path (np.max), a nan at lo or at hi is the bound.
+        dx = lambda t: math.nan if t == nan_at else 1.0
+        x = ScalarFunction(lambda t: t, 0.0, 1.0, (dx,), monotone_derivatives=True)
+        assert math.isnan(derivative_bound(x, (1,), 0.2, 0.7)[1])
 
     @pytest.mark.parametrize("lo, hi", [(-0.1, 0.5), (0.5, 1.1), (0.6, 0.4), (math.nan, 0.5)])
     def test_derivative_bound_range_outside_domain_rejected(self, lo, hi):
@@ -433,7 +456,8 @@ class TestApproximation:
                 )
                 want = (0.4 * dist ** (2.0 - alpha) / gamma(2.0 - alpha)
                         * (_log_bracket(kind, alpha, dist) * single + double))
-                got = expansion._order_variation_correction(kind, alpha, 0.4, dist, w, N)
+                weights = expansion._alpha_prime_weights(kind, alpha, 0.4, dist, N)
+                got = math.fsum((weights * w).tolist())
                 assert got == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])

@@ -4,6 +4,7 @@ from scipy import sparse
 from scipy.integrate import quad
 
 from varcaputo.order import affine_order
+from varcaputo.special import DomainError
 from varcaputo.pde import (
     DegenerateCoefficientError,
     DiffusionProblem,
@@ -182,3 +183,23 @@ class TestStepper:
                 solve_diffusion(manufactured_diffusion(ORDER, N=0), grid)
             else:
                 solve_burgers(ORDER, grid, N=0)
+
+    @pytest.mark.parametrize("equation", ["diffusion", "burgers"])
+    @pytest.mark.parametrize("c1, c0, domain", [
+        (0.5, 0.49, (0.0, 0.5)),  # alpha admissible, but only up to t = 0.5
+        (0.1, 0.5, (0.2, 1.0)),   # starts after t0 = 1e-4
+        (1.0, 0.3, (0.0, 0.5)),   # alpha(1) = 1.3 once past the domain
+    ])
+    def test_order_domain_must_cover_time_range(self, equation, c1, c0, domain, monkeypatch):
+        import varcaputo.pde as pde
+
+        def stepper(*args, **kwargs):
+            raise AssertionError("the time stepper ran")
+
+        monkeypatch.setattr(pde, "solve_ivp", stepper)
+        order, grid = affine_order(c1, c0, domain), Grid1D(mx=10, mt=10)
+        with pytest.raises(DomainError, match="does not cover"):
+            if equation == "diffusion":
+                solve_diffusion(manufactured_diffusion(order, N=3), grid)
+            else:
+                solve_burgers(order, grid, N=3)

@@ -67,6 +67,18 @@ class TestPowerFunction:
             power_closed_form(Kind.TYPE_I, Side.LEFT, 0.0, ORDER, 0.5)
 
 
+    @pytest.mark.parametrize("gamma_exp", [math.nan, math.inf, -1.0, 1.2e77, 1e300])
+    def test_non_finite_derivative_factors_rejected(self, gamma_exp):
+        # Beyond about 1.16e77 the factor gamma (gamma-1) (gamma-2) (gamma-3)
+        # of the fourth derivative overflows; x'' at 0.5 was inf * 0 = nan.
+        with pytest.raises(DomainError):
+            power_function(gamma_exp, 0.0, 1.0)
+
+    def test_largest_exponent_accepted(self):
+        x = power_function(1e77, 0.0, 1.0)
+        assert math.isfinite(x.deriv(4)(1.0))
+
+
 class TestScalarFunction:
     def test_derivative_order_zero_rejected(self):
         x = ScalarFunction(value=lambda t: t * t, a=0.0, b=1.0)

@@ -132,6 +132,12 @@ class TestGammaRatio:
         with pytest.raises(PoleError):
             gamma_ratio(-1.0, den)
 
+    @pytest.mark.parametrize("num, den", [(1e308, 1e308 - 0.5), (2.0, 1e308), (1e308, 2.0)])
+    def test_non_finite_log_ratio_raises(self, num, den):
+        # log Gamma overflows to inf past about 2.6e305: inf - inf is no ratio.
+        with pytest.raises(OverflowError):
+            gamma_ratio(num, den)
+
     def test_large_arguments(self):
         # Gamma(171.5)/Gamma(170.5) = 170.5; both factors overflow alone.
         assert gamma_ratio(171.5, 170.5) == pytest.approx(170.5, rel=1e-12)

@@ -133,9 +133,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _check_n(args.n, x)
     params = ExpansionParams(args.n, args.N)
     ts = args.t if args.t else [0.5]
-    for t in ts:
-        if not order.a <= t <= order.b:
-            raise ConfigError(f"t = {t} outside the order domain [{order.a}, {order.b}]")
 
     def row(t: float) -> list[float]:
         oracle = power_closed_form(kind, side, args.gamma_exp, order, t)

@@ -35,6 +35,7 @@ from .order import OrderFunction
 from .reference import (
     DEFAULT_TOL,
     Kind,
+    QuadratureError,
     RealFn,
     ScalarFunction,
     Side,
@@ -358,7 +359,12 @@ def approximate(
     weights, their extra moments and the bound's x' maximum are skipped
     outright, so with alpha' = 0 the three kinds produce bitwise-equal
     values.  A t outside [x.a, x.b] raises ``SingularityError``, and a tol
-    that is not positive and finite ``ValueError``.
+    that is not positive and finite ``ValueError``.  The moments are checked
+    against the identity sgn dist W_0 = x(t) - x(end) (two calls of x): a
+    gap above 100 (dist max(tol, 1e-12 |W_0|) + eps (|x(t)| + |x(end)|))
+    raises ``QuadratureError``, since the moment pass then missed where x'
+    lives (x = t^gamma with gamma ~ 1e-12 puts nearly all of W_0 below
+    s = e^(-1/gamma)).
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -378,6 +384,12 @@ def approximate(
         c_ap[: c.size] += c
         c = c_ap
     w = _scaled_moments(x.deriv(1), end, sgn * dist, c.size, tol)
+    # The exact identity sgn dist W_0 = x(t) - x(end) catches a pass that missed x'.
+    xt, xe = float(x.value(t)), float(x.value(end))
+    gap = abs(sgn * dist * w[0] - (xt - xe))
+    if not gap <= 100.0 * (dist * max(tol, 1e-12 * abs(w[0])) + _EPS * (abs(xt) + abs(xe))):
+        raise QuadratureError(f"scaled moment W_0 = {w[0]:.3e} misses x(t) - x(end) by {gap:.3e} "
+                              f"over dist {dist:.3e}")
     terms = [sgn**p * float(h) * dist ** (p - alpha) * x.deriv(p)(t) for p, h in enumerate(head, 1)]
     # The signed binomials alternate in sign: sum exactly to avoid cancellation.
     value = math.fsum(terms + (c * w).tolist())

@@ -7,15 +7,13 @@ integer-order expansion
     dV_p/dt = t^(p-1) u_t,   V_p(x, t0) = 0.
 
 After fourth-order finite differences in space each problem is a linear ODE
-system.  It is integrated in the scaled moments W_p = V_p / t^p, which keep
-the weights O(1) (the raw weights t^(1-p-alpha) reach ~1e44 near t0):
-
-    u_t  = (c(t) + L u) / (A t^(1-alpha)) - sum_p (B_p/A) W_p,
-    W_p' = (u_t - p W_p) / t,   W_p(t0) = 0,
-
-with implicit BDF and the sparse analytic Jacobian, so the step count is
-set by accuracy, not by the mx^2 stability limit of an explicit stepper.
-Diffusion and Burgers are two configurations of this one core.
+system.  One core, ``_march``, states it and integrates it in the scaled
+moments W_p = V_p / t^p, which keep the weights O(1) (the raw weights
+t^(1-p-alpha) reach ~1e44 near t0), with implicit BDF and the sparse
+analytic Jacobian, so the step count is set by accuracy, not by the mx^2
+stability limit of an explicit stepper.  Diffusion and Burgers are two
+configurations of it: a space operator, a source, boundary values and an
+initial profile.
 
 The u_t coefficient A t^(1-alpha) vanishes at t = 0, so integration starts
 at a small t0 > 0 with u taken from the initial condition; the offset's
@@ -184,31 +182,28 @@ def _derivative_matrix(mx: int, hx: float, deriv: int) -> np.ndarray:
     return D
 
 
-def _expansion_weights(order: OrderFunction, params: ExpansionParams,
-                       t: float) -> tuple[float, np.ndarray]:
-    """u_t coefficient a = A t^(1-alpha) and the scaled-moment weights B_p/A."""
-    alpha = order.alpha(t)
-    head, tail = coefficients_left(alpha, params)
-    a1 = float(head[0])
-    return a1 * t ** (1.0 - alpha), tail / a1
+def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Callable,
+           boundary: Callable, u0_interior: np.ndarray, meta: dict) -> Field2D:
+    """Integrate by BDF the linear system of the operator D (acting on the
+    full node vector) in the interior state (u, W_1..W_N):
 
-
-def _linear_core(
-    order: OrderFunction, N: int, L: np.ndarray, forcing: Callable[[float], np.ndarray]
-) -> tuple[Callable, Callable]:
-    """Right-hand side and sparse Jacobian of the linear system in (u, W_1..W_N).
-
-    For the interior operator L (m x m) and forcing c(t):
         u_t  = (c(t) + L u) / a(t) - sum_p (B_p/A) W_p,
-        W_p' = (u_t - p W_p) / t.
-    The Jacobian's u-row block is [L/a, -(B_p/A) I]; each W_p row block is that
-    row divided by t, minus (p/t) I on its own diagonal block.  An N < 1
-    raises ``ValueError`` here, before any step.  The t-dependent terms a, B_p/A
+        W_p' = (u_t - p W_p) / t,   W_p(t0) = 0,
+
+    with L the interior block of D, a = A t^(1-alpha), and c(t) = source(t)
+    plus the Dirichlet values ``boundary(t)`` through D's boundary columns.
+    The Jacobian's u-row block is [L/a, -(B_p/A) I]; each W_p row block is
+    that row divided by t, minus (p/t) I on its own diagonal block.  a, B_p/A
     and c(t) are kept for the last t, which BDF's Newton iterations and its
-    Jacobian evaluate over and over.
+    Jacobian evaluate over and over.  An order whose domain does not cover
+    [t0, 1] raises ``DomainError``, then an N < 1 ``ValueError``, both before
+    any step.
     """
+    if not (order.a <= grid.t0 and order.b >= 1.0):
+        raise DomainError(f"order domain [{order.a}, {order.b}] does not cover [{grid.t0}, 1]")
     params = ExpansionParams(1, N)
-    m = L.shape[0]
+    L = D[:, 1:-1]
+    m = grid.mx - 1
     n = (N + 1) * m
     p = np.arange(1, N + 1)
     l_rows, l_cols = np.nonzero(L)
@@ -221,7 +216,11 @@ def _linear_core(
     @functools.lru_cache(maxsize=1)
     def terms(t: float) -> tuple[float, np.ndarray, np.ndarray]:
         """a, B_p/A and c(t); rhs and jac treat the arrays as read-only."""
-        return (*_expansion_weights(order, params, t), forcing(t))
+        alpha = order.alpha(t)
+        head, tail = coefficients_left(alpha, params)
+        a1 = float(head[0])
+        left, right = boundary(t)
+        return a1 * t ** (1.0 - alpha), tail / a1, source(t) + D[:, 0] * left + D[:, -1] * right
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         a_coef, b, c = terms(t)
@@ -235,25 +234,7 @@ def _linear_core(
         data = np.concatenate([top, np.tile(top / t, N), np.repeat(-p / t, m)])
         return sparse.csc_matrix((data, (rows, cols)), shape=(n, n))
 
-    return rhs, jac
-
-
-def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Callable,
-           boundary: Callable, u0_interior: np.ndarray, meta: dict) -> Field2D:
-    """Integrate the linear core for the operator D on the full node vector,
-    folding the Dirichlet values ``boundary(t)`` into the forcing through
-    D's two boundary columns.  An order whose domain does not cover the
-    time range [t0, 1] raises ``DomainError`` before any step."""
-    if not (order.a <= grid.t0 and order.b >= 1.0):
-        raise DomainError(f"order domain [{order.a}, {order.b}] does not cover [{grid.t0}, 1]")
     ts = grid.t_nodes
-
-    def forcing(t: float) -> np.ndarray:
-        left, right = boundary(t)
-        return source(t) + D[:, 0] * left + D[:, -1] * right
-
-    m = grid.mx - 1
-    rhs, jac = _linear_core(order, N, D[:, 1:-1], forcing)
     y0 = np.concatenate([u0_interior, np.zeros(N * m)])
     sol = solve_ivp(rhs, (grid.t0, 1.0), y0, method="BDF", jac=jac, rtol=_RTOL, atol=_ATOL,
                     t_eval=ts, dense_output=True)
@@ -263,7 +244,7 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
     u[1:-1, :] = sol.y[:m, :]
     u[0, :], u[-1, :] = boundary(ts)
     v = np.zeros((N, grid.mx + 1, len(ts)))
-    v[:, 1:-1, :] = sol.y[m:, :].reshape(N, m, len(ts)) * ts ** np.arange(1, N + 1)[:, None, None]
+    v[:, 1:-1, :] = sol.y[m:, :].reshape(N, m, len(ts)) * ts ** p[:, None, None]
     meta = {"t0": grid.t0, "N": N, "mx": grid.mx, "mt": grid.mt, **meta, "stepper": "BDF",
             "steps": len(sol.sol.ts) - 1, "nfev": sol.nfev, "njev": sol.njev, "nlu": sol.nlu}
     return Field2D(grid.x_nodes, ts, u, v, meta, sol.sol, rhs, jac)

@@ -46,11 +46,10 @@ __all__ = [
     "power_closed_form",
     "rl_from_caputo",
     "DEFAULT_TOL",
-    "SUBDIVISION_BUDGET",
 ]
 
 DEFAULT_TOL = 1e-8
-SUBDIVISION_BUDGET = 10_000
+_SUBDIVISION_BUDGET = 10_000
 
 _LOG_CLAMP = 1e-300
 
@@ -180,7 +179,7 @@ def _adaptive_quad(fn: Callable[[float], float], lo: float, hi: float, tol: floa
     QUADPACK's message, returned rather than warned under ``full_output``,
     goes into its text and is otherwise dropped."""
     value, abserr, _, *message = quad(fn, lo, hi, epsabs=tol, epsrel=1e-12,
-                                      limit=SUBDIVISION_BUDGET, full_output=1)
+                                      limit=_SUBDIVISION_BUDGET, full_output=1)
     if not (math.isfinite(value) and abserr <= max(100.0 * tol, 1e-10 * abs(value))):
         detail = "".join(f"; {' '.join(m.split()).split('.')[0]}" for m in message)
         raise QuadratureError(f"{what} value {value:.3e} with error estimate {abserr:.3e} "

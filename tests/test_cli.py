@@ -102,6 +102,16 @@ class TestEval:
         assert capsys.readouterr().err.startswith("numerical failure: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_missed_moment_is_numerical_failure(self, tmp_path, side, capsys):
+        # The moment pass misses W_0 of t^1e-12, which lies at s < e^(-1e12):
+        # approx was 8.67e-12 against oracle 0.480, with exit 0.
+        out = tmp_path / "x.csv"
+        rc = main(["eval", "--gamma-exp", "1e-12", "--side", side, "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert "W_0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["--kind", "1", "--N", "32", "--t", "1e-6"],  # raw moments dist^(p+1) underflow
         ["--N", "200"],  # 200! exceeds double range

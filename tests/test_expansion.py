@@ -201,6 +201,20 @@ class TestMoments:
         with pytest.raises(QuadratureError):
             approximate(kind, x, ORDER_A, 1.0 - 1e-12, Side.RIGHT)
 
+    @pytest.mark.parametrize("x, side, t", [
+        (power_function(1e-12, 0.0, 1.0, Side.LEFT), Side.LEFT, 0.5),
+        (power_function(1e-12, 0.0, 1.0, Side.RIGHT), Side.RIGHT, 0.5),
+        (power_function(0.5, 0.0, 1.0, Side.LEFT), Side.RIGHT, 1e-9),
+    ], ids=["tiny-gamma-left", "tiny-gamma-right", "left-x-right-operator"])
+    def test_missed_moment_raises(self, x, side, t):
+        # t^1e-12 has nearly all of W_0 ~ 1 below s = e^(-1e12), under every
+        # node, and the pass returns ~3e-11.  x = t^0.5 under the right
+        # operator at t = 1e-9 has its singular x' next to t, at s ~ 1, where
+        # the panels are not graded (-3875 against -5.70, bound 1.5e13).  Both
+        # were silent; the identity sgn dist W_0 = x(t) - x(end) rejects them.
+        with pytest.raises(QuadratureError, match="W_0"):
+            approximate(Kind.TYPE_III, x, ORDER_A, t, side)
+
     def test_vanish_at_start(self):
         x = power_function(2.0, 0.0, 1.0, Side.LEFT)
         mom = moments(x, Side.LEFT, 0.0, ExpansionParams(1, 3), p_max=3)

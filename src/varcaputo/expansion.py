@@ -36,7 +36,6 @@ from .reference import (
     DEFAULT_TOL,
     Kind,
     QuadratureError,
-    RealFn,
     ScalarFunction,
     Side,
     SingularityError,
@@ -201,16 +200,22 @@ def _sample(fn, ts: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(values, dtype=float), ts.shape)
 
 
-def _scaled_moments(dx: RealFn, end: float, step: float, count: int, tol: float) -> np.ndarray:
+def _scaled_moments(x: ScalarFunction, t: float, end: float, step: float, count: int,
+                    tol: float) -> np.ndarray:
     """W_k = int_0^1 s^k x'(end + s*step) ds for k = 0..count-1, where
-    step = sgn dist in the signed frame: (a, dist) on the left, (b, -dist) on
-    the right.
+    step = sgn dist = t - end in the signed frame: (a, dist) on the left,
+    (b, -dist) on the right.
 
     One Gauss-Kronrod pass over the fixed panels gives every W_k and its
     qk21 error estimate (summed over panels); W_k is kept when the estimate
     is at most max(tol, 1e-12 |W_k|), and recomputed by adaptive quadrature
-    otherwise.
+    otherwise.  The result is checked against the exact identity
+    sgn dist W_0 = x(t) - x(end) (two calls of x): a gap above
+    100 (dist max(tol, 1e-12 |W_0|) + eps (|x(t)| + |x(end)|)) raises
+    ``QuadratureError``, since the pass then missed where x' lives (x = t^gamma
+    with gamma ~ 1e-12 puts nearly all of W_0 below s = e^(-1/gamma)).
     """
+    dx = x.deriv(1)
     # Row k of g holds s^k x' on the nodes; the rows are filled by doubling,
     # rows m..2m-1 being rows 0..m-1 times s^m.
     g = np.empty((count, _GK_NODES.size))
@@ -239,6 +244,11 @@ def _scaled_moments(dx: RealFn, end: float, step: float, count: int, tol: float)
         w[k] = _adaptive_quad(
             lambda s: s**k * dx(end + s * step), 0.0, 1.0, tol, what=f"scaled moment k={k}"
         )
+    xt, xe = float(x.value(t)), float(x.value(end))
+    gap = abs(step * w[0] - (xt - xe))
+    if not gap <= 100.0 * (abs(step) * max(tol, 1e-12 * abs(w[0])) + _EPS * (abs(xt) + abs(xe))):
+        raise QuadratureError(f"scaled moment W_0 = {w[0]:.3e} misses x(t) - x(end) by {gap:.3e} "
+                              f"over dist {abs(step):.3e}")
     return w
 
 
@@ -256,7 +266,8 @@ def moments(
     of (b-tau)^(p-n) x'(tau) over (t, b) on the right, computed as
     dist^(k+1) W_k with k = p - n; all vanish at the endpoint.  The scaled
     moments W_k come from one shared Gauss-Kronrod pass, with adaptive
-    quadrature at tolerance ``tol`` for any W_k it cannot certify.
+    quadrature at tolerance ``tol`` for any W_k it cannot certify; a pass
+    that fails the W_0 identity of ``_scaled_moments`` raises ``QuadratureError``.
     """
     if p_max < params.N:
         raise ValueError(f"p_max = {p_max} must cover the truncation N = {params.N}")
@@ -266,7 +277,7 @@ def moments(
     count = p_max - params.n + 1
     if dist == 0.0:
         return np.zeros(count)
-    w = _scaled_moments(x.deriv(1), end, sgn * dist, count, tol)
+    w = _scaled_moments(x, t, end, sgn * dist, count, tol)
     return w * dist ** np.arange(1.0, count + 1.0)
 
 
@@ -359,12 +370,8 @@ def approximate(
     weights, their extra moments and the bound's x' maximum are skipped
     outright, so with alpha' = 0 the three kinds produce bitwise-equal
     values.  A t outside [x.a, x.b] raises ``SingularityError``, and a tol
-    that is not positive and finite ``ValueError``.  The moments are checked
-    against the identity sgn dist W_0 = x(t) - x(end) (two calls of x): a
-    gap above 100 (dist max(tol, 1e-12 |W_0|) + eps (|x(t)| + |x(end)|))
-    raises ``QuadratureError``, since the moment pass then missed where x'
-    lives (x = t^gamma with gamma ~ 1e-12 puts nearly all of W_0 below
-    s = e^(-1/gamma)).
+    that is not positive and finite ``ValueError``.  A moment pass that
+    fails the W_0 identity of ``_scaled_moments`` raises ``QuadratureError``.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -383,13 +390,7 @@ def approximate(
         c_ap = _alpha_prime_weights(kind, alpha, ap, dist, N)
         c_ap[: c.size] += c
         c = c_ap
-    w = _scaled_moments(x.deriv(1), end, sgn * dist, c.size, tol)
-    # The exact identity sgn dist W_0 = x(t) - x(end) catches a pass that missed x'.
-    xt, xe = float(x.value(t)), float(x.value(end))
-    gap = abs(sgn * dist * w[0] - (xt - xe))
-    if not gap <= 100.0 * (dist * max(tol, 1e-12 * abs(w[0])) + _EPS * (abs(xt) + abs(xe))):
-        raise QuadratureError(f"scaled moment W_0 = {w[0]:.3e} misses x(t) - x(end) by {gap:.3e} "
-                              f"over dist {dist:.3e}")
+    w = _scaled_moments(x, t, end, sgn * dist, c.size, tol)
     terms = [sgn**p * float(h) * dist ** (p - alpha) * x.deriv(p)(t) for p, h in enumerate(head, 1)]
     # The signed binomials alternate in sign: sum exactly to avoid cancellation.
     value = math.fsum(terms + (c * w).tolist())

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .order import OrderFunction, _difference
 from .special import DomainError, digamma, gamma, gamma_ratio
@@ -177,7 +176,10 @@ def _adaptive_quad(fn: Callable[[float], float], lo: float, hi: float, tol: floa
     an error estimate that is not at most max(100 tol, 1e-10 |value|) (a nan
     estimate included), raises ``QuadratureError`` labelled ``what``;
     QUADPACK's message, returned rather than warned under ``full_output``,
-    goes into its text and is otherwise dropped."""
+    goes into its text and is otherwise dropped.  SciPy is imported here, on
+    the first call, so that importing the package does not load it."""
+    from scipy.integrate import quad
+
     value, abserr, _, *message = quad(fn, lo, hi, epsabs=tol, epsrel=1e-12,
                                       limit=_SUBDIVISION_BUDGET, full_output=1)
     if not (math.isfinite(value) and abserr <= max(100.0 * tol, 1e-10 * abs(value))):

@@ -1,11 +1,12 @@
 """Real-valued special functions: Gamma, digamma and the signed generalized
 binomial coefficient.
 
-The expansion coefficients are signed binomials (-1)^k C(nu, k), built as
-rows by the recurrence of consecutive terms.  ``gamma_ratio`` serves the
-closed forms of the reference layer: it works in log-space with sign
-bookkeeping, since its factors can overflow or sit at negative arguments
-while the ratio itself is finite and modest.
+Everything here runs on ``math`` (and NumPy for the binomial rows), so it
+loads no SciPy.  The expansion coefficients are signed binomials
+(-1)^k C(nu, k), built as rows by the recurrence of consecutive terms.
+``gamma_ratio`` serves the closed forms of the reference layer: it works in
+log-space with sign bookkeeping, since its factors can overflow or sit at
+negative arguments while the ratio itself is finite and modest.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 __all__ = [
     "PoleError",
@@ -53,10 +53,10 @@ def gamma(x: float) -> float:
     x = _check_finite(x)
     if _is_nonpositive_integer(x):
         raise PoleError(f"gamma pole at x = {x}")
-    value = float(_sp.gamma(x))
-    if not math.isfinite(value):
-        raise OverflowError(f"gamma({x}) overflows double precision")
-    return value
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise OverflowError(f"gamma({x}) overflows double precision") from None
 
 
 def gamma_ratio(num: float, den: float) -> float:
@@ -64,8 +64,8 @@ def gamma_ratio(num: float, den: float) -> float:
 
     Safe for negative non-integer arguments on either side; the sign of each
     factor is tracked separately.  If only the denominator is at a pole the
-    ratio is zero.  A log ratio that is not finite (logGamma overflows past
-    about 2.6e305) raises :class:`OverflowError`.
+    ratio is zero.  A logGamma that overflows (past about 2.6e305), or a
+    ratio that does, raises :class:`OverflowError`.
     """
     num = _check_finite(num, "num")
     den = _check_finite(den, "den")
@@ -80,19 +80,35 @@ def gamma_ratio(num: float, den: float) -> float:
         raise PoleError(f"gamma_ratio: numerator pole at {num}")
     if den_pole:
         return 0.0
-    sign = float(_sp.gammasgn(num) * _sp.gammasgn(den))
-    log_ratio = float(_sp.gammaln(num)) - float(_sp.gammaln(den))
-    if not math.isfinite(log_ratio):
-        raise OverflowError(f"gamma_ratio({num}, {den}): log ratio {log_ratio} is not finite")
-    return sign * math.exp(log_ratio)
+    # Off the poles, Gamma(x < 0) has the sign (-1)^ceil(-x).
+    sign = (-1.0) ** ((num < 0.0) * math.ceil(-num) + (den < 0.0) * math.ceil(-den))
+    try:
+        return sign * math.exp(math.lgamma(num) - math.lgamma(den))
+    except OverflowError:
+        raise OverflowError(f"gamma_ratio({num}, {den}) overflows double precision") from None
 
 
 def digamma(x: float) -> float:
-    """Digamma (Psi) function, the logarithmic derivative of Gamma."""
+    """Digamma (Psi) function, the logarithmic derivative of Gamma.
+
+    Below 1/2 it reflects, Psi(x) = Psi(1-x) - pi / tan(pi r), with r = x -
+    round(x) exact, so the pole term keeps its relative accuracy next to the
+    negative poles.  Then Psi(x) = Psi(x+1) - 1/x carries x up to 10, where
+    the asymptotic series (Abramowitz & Stegun 6.3.18) ends the sum.
+    """
     x = _check_finite(x)
     if _is_nonpositive_integer(x):
         raise PoleError(f"digamma pole at x = {x}")
-    return float(_sp.psi(x))
+    if x < 0.5:
+        return digamma(1.0 - x) - math.pi / math.tan(math.pi * (x - round(x)))
+    acc = 0.0
+    while x < 10.0:
+        acc -= 1.0 / x
+        x += 1.0
+    s = 1.0 / (x * x)
+    # B_2k / (2k) for k = 1..7 by Horner; at x >= 10 the first term left out is below 1e-17.
+    series = 1/12 - s * (1/120 - s * (1/252 - s * (1/240 - s * (1/132 - s * (691/32760 - s/12)))))
+    return acc + math.log(x) - 0.5 / x - s * series
 
 
 def _signed_binomials(nu: float, count: int) -> np.ndarray:

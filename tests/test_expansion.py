@@ -211,9 +211,12 @@ class TestMoments:
         # node, and the pass returns ~3e-11.  x = t^0.5 under the right
         # operator at t = 1e-9 has its singular x' next to t, at s ~ 1, where
         # the panels are not graded (-3875 against -5.70, bound 1.5e13).  Both
-        # were silent; the identity sgn dist W_0 = x(t) - x(end) rejects them.
+        # were silent; the identity sgn dist W_0 = x(t) - x(end) rejects them,
+        # in ``moments`` (which returned V_1 = 1.46e-11 for t^1e-12) as well.
         with pytest.raises(QuadratureError, match="W_0"):
             approximate(Kind.TYPE_III, x, ORDER_A, t, side)
+        with pytest.raises(QuadratureError, match="W_0"):
+            moments(x, side, t, ExpansionParams(1, 6), p_max=6)
 
     def test_vanish_at_start(self):
         x = power_function(2.0, 0.0, 1.0, Side.LEFT)

@@ -11,6 +11,7 @@ from varcaputo.order import (
     constant_order,
     order_from_alpha,
     order_from_callables,
+    _difference,
 )
 from varcaputo.reference import Kind, Side, caputo_quadrature, power_function
 
@@ -75,6 +76,15 @@ class TestCallableOrders:
         for t in np.linspace(0.0, 1.0, 11):
             t = float(t)
             assert order.alpha_prime(t) == pytest.approx(0.2 * np.cos(t), abs=1e-7)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_difference_float_and_array_agree_bitwise(self, k):
+        # A float is clamped by min/max, an array by np.minimum/np.maximum:
+        # the same bits at both ends, next to them, inside and at nan.
+        dfn = _difference(lambda t: t * t * t - 2.0 * t + 0.5, k, -1.0, 2.0)
+        ts = [-1.0, -1.0 + 1e-12, -0.3, 0.0, 0.5, 2.0 - 1e-12, 2.0, math.nan]
+        floats = np.array([dfn(t) for t in ts])
+        assert floats.view(np.uint64).tolist() == dfn(np.array(ts)).view(np.uint64).tolist()
 
     @pytest.mark.parametrize("inner, slope, ts", [
         (lambda t: t, 1.0, (0.0, 5e-7, 0.5, 1.0)),

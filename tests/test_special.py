@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import special as scipy_special
 
 from varcaputo.special import (
     DomainError,
@@ -141,3 +143,45 @@ class TestGammaRatio:
     def test_large_arguments(self):
         # Gamma(171.5)/Gamma(170.5) = 170.5; both factors overflow alone.
         assert gamma_ratio(171.5, 170.5) == pytest.approx(170.5, rel=1e-12)
+
+
+#: Positive points, negative non-integers, and points within 1e-6 and 1e-9 of
+#: the poles 0, -1, ..., -6, where Gamma and Psi are large and change fast.
+MPMATH_GRID = sorted(
+    [float(x) for x in np.linspace(0.05, 30.0, 25)] + [0.5, 1.0, 1.4616321449683622, 2.0]
+    + [-0.5, -1.3, -2.5, -3.7, -5.5, -10.25, -20.5]
+    + [k + d for k in range(-6, 1) for d in (1e-9, -1e-9, 1e-6, -1e-6) if k + d < 0 or d > 0]
+)
+
+
+def _close(got: float, ref, rtol: float = 1e-13) -> bool:
+    return abs(got - float(ref)) <= rtol * max(1.0, abs(float(ref)))
+
+
+class TestAgainstMpmath:
+    """gamma, gamma_ratio and digamma to 1e-13 of mpmath, relative to
+    max(1, |value|), on a grid that includes negative non-integers within
+    1e-9 of the poles."""
+
+    def test_gamma(self):
+        with mpmath.workdps(40):
+            bad = [x for x in MPMATH_GRID if not _close(gamma(x), mpmath.gamma(mpmath.mpf(x)))]
+        assert bad == []
+
+    def test_digamma(self):
+        with mpmath.workdps(40):
+            bad = [x for x in MPMATH_GRID if not _close(digamma(x), mpmath.digamma(mpmath.mpf(x)))]
+        assert bad == []
+
+    def test_gamma_ratio(self):
+        with mpmath.workdps(40):
+            ref = {x: mpmath.gamma(mpmath.mpf(x)) for x in MPMATH_GRID}
+            bad = [(num, den) for num in MPMATH_GRID for den in MPMATH_GRID
+                   if not _close(gamma_ratio(num, den), ref[num] / ref[den])]
+        assert bad == []
+
+    def test_gamma_ratio_sign_matches_gammasgn(self):
+        for x in MPMATH_GRID:
+            sign = float(scipy_special.gammasgn(x))
+            assert math.copysign(1.0, gamma_ratio(x, 2.0)) == sign
+            assert math.copysign(1.0, gamma_ratio(2.0, x)) == sign

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .expansion import ExpansionParams, approximate
-from .order import AdmissibilityError, OrderFunction, affine_order, constant_order
+from .order import OrderFunction, affine_order, constant_order
 from .pde import (
     Grid1D,
     burgers_exact,
@@ -66,7 +66,8 @@ def _fmt(x: float) -> str:
 
 
 def parse_order(spec: str, domain: tuple[float, float] = (0.0, 1.0)) -> OrderFunction:
-    """Parse an order spec: preset name or 'c1,c0' affine coefficients."""
+    """Parse an order spec: preset name or 'c1,c0' affine coefficients.  A bad
+    spec raises ``ConfigError``, an order outside (0, 1) ``AdmissibilityError``."""
     if spec in ORDER_PRESETS:
         c1, c0 = ORDER_PRESETS[spec]
     else:
@@ -79,10 +80,7 @@ def parse_order(spec: str, domain: tuple[float, float] = (0.0, 1.0)) -> OrderFun
             c1, c0 = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise ConfigError(f"bad order coefficients {spec!r}") from exc
-    try:
-        return affine_order(c1, c0, domain)
-    except AdmissibilityError as exc:
-        raise ConfigError(str(exc)) from exc
+    return affine_order(c1, c0, domain)
 
 
 @contextlib.contextmanager

@@ -369,12 +369,14 @@ def approximate(
     for type III and alpha'(t) for types I and II; where it is 0 the alpha'
     weights, their extra moments and the bound's x' maximum are skipped
     outright, so with alpha' = 0 the three kinds produce bitwise-equal
-    values.  A t outside [x.a, x.b] raises ``SingularityError``, and a tol
-    that is not positive and finite ``ValueError``.  A moment pass that
-    fails the W_0 identity of ``_scaled_moments`` raises ``QuadratureError``.
+    values.  A t outside [x.a, x.b] or the order's [a, b] raises
+    ``SingularityError``, and a tol that is not positive and finite
+    ``ValueError``.  A moment pass that fails the W_0 identity of
+    ``_scaled_moments`` raises ``QuadratureError``.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    _frame(order.a, order.b, t, side)  # alpha is admitted on its domain only
     sgn, end, dist = _frame(x.a, x.b, t, side)
     if dist == 0.0:
         return ApproxResult(0.0, 0.0, "analytic")

@@ -28,14 +28,14 @@ __all__ = [
 #: arguments 1-alpha, 2-alpha stay finite.
 ADMISSIBILITY_MARGIN = 1e-9
 
-#: Largest accepted gap between alpha' and the difference of alpha.
+#: Largest gap between alpha' and alpha's difference, beyond that one's rounding.
 _FD_TOL = 1e-5
-#: Points of the uniform grid on which ``check_admissible`` validates an order.
+#: Points of the uniform grid on which an order is admitted.
 _ADMISSIBILITY_GRID = 101
 
 
 class AdmissibilityError(ValueError):
-    """The order function leaves the open interval (0, 1) on its domain."""
+    """The order fails ``check_admissible``; the message says which test, where."""
 
 
 @dataclass(frozen=True)
@@ -49,22 +49,10 @@ class OrderFunction:
 
 
 def affine_order(c1: float, c0: float, domain: tuple[float, float] = (0.0, 1.0)) -> OrderFunction:
-    """Order alpha(t) = c1*t + c0 with alpha'(t) = c1.
-
-    Raises :class:`AdmissibilityError` if the (affine, hence monotone) range
-    leaves (0, 1) on the domain.
-    """
-    a, b = float(domain[0]), float(domain[1])
-    if not a < b:
-        raise AdmissibilityError(f"empty domain [{a}, {b}]")
-    eps = ADMISSIBILITY_MARGIN
-    for endpoint in (a, b):
-        val = c1 * endpoint + c0
-        if not eps < val < 1.0 - eps:
-            raise AdmissibilityError(
-                f"alpha({endpoint}) = {val} outside ({eps}, {1 - eps})"
-            )
-    return OrderFunction(alpha=lambda t: c1 * t + c0, alpha_prime=lambda t: c1, a=a, b=b)
+    """Order alpha(t) = c1*t + c0 with alpha'(t) = c1, by ``order_from_callables``.
+    c1*t + c0 is monotone in floating point too, so it is admitted exactly
+    when both ends lie in (1e-9, 1 - 1e-9): alpha' passes with its allowance."""
+    return order_from_callables(lambda t: c1 * t + c0, lambda t: c1, domain)
 
 
 def constant_order(c: float, domain: tuple[float, float] = (0.0, 1.0)) -> OrderFunction:
@@ -77,13 +65,11 @@ def order_from_callables(
     alpha_prime: Callable[[float], float],
     domain: tuple[float, float] = (0.0, 1.0),
 ) -> OrderFunction:
-    """Generic constructor with analytic alpha'."""
-    a, b = float(domain[0]), float(domain[1])
-    if not a < b:
-        raise AdmissibilityError(f"empty domain [{a}, {b}]")
-    order = OrderFunction(alpha=alpha, alpha_prime=alpha_prime, a=a, b=b)
-    if not check_admissible(order):
-        raise AdmissibilityError("alpha(t) leaves (0,1) or alpha' is inconsistent")
+    """The order (alpha, alpha') on domain, the one admission path of every constructor:
+    raises :class:`AdmissibilityError` naming the failed test and its first failing t."""
+    order = OrderFunction(alpha, alpha_prime, float(domain[0]), float(domain[1]))
+    if failure := _admission_failure(order):
+        raise AdmissibilityError(failure)
     return order
 
 
@@ -106,16 +92,31 @@ def order_from_alpha(
 
 
 def check_admissible(order: OrderFunction) -> bool:
-    """True iff alpha stays inside (eps, 1-eps) on a uniform grid of 101
-    points and alpha' is within 1e-5 of the first difference of alpha
-    (``_difference``, one-sided at the ends) there.
-    """
-    eps = ADMISSIBILITY_MARGIN
-    ts = np.linspace(order.a, order.b, _ADMISSIBILITY_GRID)
-    if not all(eps < order.alpha(t) < 1.0 - eps for t in map(float, ts)):
-        return False
-    fd = _difference(order.alpha, 1, order.a, order.b)
-    return all(abs(fd(t) - order.alpha_prime(t)) <= _FD_TOL for t in map(float, ts))
+    """True iff a < b, b - a is finite and, on a uniform grid of 101 points, alpha stays in
+    (1e-9, 1 - 1e-9) and alpha' within 1e-5 of alpha's first difference (``_difference``)
+    plus its rounding, 4 eps (1 + |t alpha'|)/h for the machine eps and the stencil's step
+    h = min(sqrt(eps), b - a), without which an exact alpha' fails on short or far domains."""
+    return _admission_failure(order) is None
+
+
+def _admission_failure(order: OrderFunction) -> str | None:
+    """The first test of ``check_admissible`` that order fails, and where, or None."""
+    a, b = order.a, order.b
+    if not (a < b and math.isfinite(b - a)):
+        return f"domain [{a}, {b}] is empty or unbounded: b - a = {b - a}"
+    lo, hi = ADMISSIBILITY_MARGIN, 1.0 - ADMISSIBILITY_MARGIN
+    ts = np.linspace(a, b, _ADMISSIBILITY_GRID).tolist()
+    for t in ts:
+        if not lo < (val := order.alpha(t)) < hi:
+            return f"alpha({t}) = {val} outside ({lo}, {hi})"
+    eps = np.finfo(float).eps
+    fd, h = _difference(order.alpha, 1, a, b), min(math.sqrt(eps), b - a)  # h: fd's step
+    for t in ts:
+        ap, diff = order.alpha_prime(t), fd(t)
+        tol = _FD_TOL + 4.0 * eps * (1.0 + abs(t * ap)) / h
+        if not abs(diff - ap) <= tol:
+            return f"alpha'({t}) = {ap} is not within {tol:.3g} of alpha's difference {diff}"
+    return None
 
 
 def _difference(fn: Callable, k: int, a: float, b: float) -> Callable:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -75,6 +76,8 @@ class Grid1D:
     t0: float = DEFAULT_T0
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.mx, numbers.Integral) and isinstance(self.mt, numbers.Integral)):
+            raise ValueError(f"mx and mt must be integers, got mx={self.mx!r}, mt={self.mt!r}")
         if self.mx < 4 or self.mt < 4:
             raise ValueError("need mx >= 4 and mt >= 4")
         if not 0.0 < self.t0 < 1.0:

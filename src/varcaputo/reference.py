@@ -206,10 +206,12 @@ def caputo_quadrature(
     with c = 1/(1-alpha) or Psi(2-alpha) from ``_log_bracket`` and ln s
     clamped at s -> 0; type II's own term, an integral of x, takes this form
     after an integration by parts.  The kinds differ only in alpha' and c.
-    Each integral gets tol when it runs alone and tol/2 when both run.
+    Each integral gets tol when it runs alone and tol/2 when both run.  A t
+    outside [x.a, x.b] or the order's [a, b] raises ``SingularityError``.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    _frame(order.a, order.b, t, side)  # alpha is admitted on its domain only
     sgn, _, dist = _frame(x.a, x.b, t, side)
     if dist == 0.0:
         return 0.0

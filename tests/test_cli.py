@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import varcaputo
+from varcaputo import AdmissibilityError
 from varcaputo.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -47,7 +48,7 @@ class TestParseOrder:
             parse_order("not-a-preset")
         with pytest.raises(ConfigError):
             parse_order("1,2,3")
-        with pytest.raises(ConfigError):
+        with pytest.raises(AdmissibilityError):
             parse_order("2,0")  # leaves (0,1) on the domain
 
 

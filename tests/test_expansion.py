@@ -504,3 +504,13 @@ class TestApproximation:
         for t in (-0.1, 1.5):
             with pytest.raises(SingularityError):
                 OUTSIDE_ROUTES[route](x, side, t)
+
+    @pytest.mark.parametrize("side", list(Side))
+    @pytest.mark.parametrize("route", ["approximate", "caputo_quadrature", "power_closed_form",
+                                       "rl_from_caputo"])
+    def test_outside_order_domain_rejected(self, route, side):
+        # x lives on [0, 2] but the order was admitted on [0, 1] only: a t in
+        # x's domain and past the order's must not evaluate alpha there.
+        x = power_function(2.0, 0.0, 2.0, side)
+        with pytest.raises(SingularityError, match=r"t = 1.5 outside \[0.0, 1.0\]"):
+            OUTSIDE_ROUTES[route](x, side, 1.5)

@@ -1,11 +1,15 @@
 import math
+import random
+import re
 
 import numpy as np
 import pytest
 
 from varcaputo.expansion import approximate
 from varcaputo.order import (
+    ADMISSIBILITY_MARGIN,
     AdmissibilityError,
+    OrderFunction,
     affine_order,
     check_admissible,
     constant_order,
@@ -39,8 +43,40 @@ class TestAffineOrder:
             affine_order(0.0, 0.0, (0.0, 1.0))  # constant 0
 
     def test_rejects_degenerate_domain(self):
-        with pytest.raises(AdmissibilityError):
+        with pytest.raises(AdmissibilityError, match=r"domain \[1.0, 1.0\] is empty"):
             affine_order(0.0, 0.5, (1.0, 1.0))
+        # A length that is not finite is refused before a grid is built on it.
+        for domain in [(0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308)]:
+            with pytest.raises(AdmissibilityError, match="unbounded: b - a = inf"):
+                affine_order(0.0, 0.5, domain)
+
+    def test_admitted_exactly_when_both_ends_inside(self):
+        # affine_order admits through the shared grid and alpha' tests; an
+        # affine alpha must still be accepted exactly when c1*t + c0 lies in
+        # (eps, 1-eps) at both ends, also where the alpha' test's difference
+        # rounds badly: domains ~1e-11 long, or offset to 1e4 and beyond.
+        eps = ADMISSIBILITY_MARGIN
+        rng = random.Random(7)
+        near = [eps, 1.0 - eps]
+        accepted = 0
+        for _ in range(1000):
+            tiny = rng.random() < 0.4
+            a = rng.choice([0.0, 1.0, -1.0]) * rng.choice(
+                [rng.random(), 10 ** rng.uniform(4, 4.3 if tiny else 6)])
+            b = a + 10 ** (rng.uniform(-11.5, -10.5) if tiny else rng.uniform(-3, 3))
+            ends = [rng.choice(near) * (1.0 + rng.choice([-1e-15, 0.0, 1e-15]))
+                    if rng.random() < 0.4 else rng.uniform(-0.05, 1.05) for _ in range(2)]
+            c1 = (ends[1] - ends[0]) / (b - a)
+            c0 = ends[0] - c1 * a
+            inside = all(eps < c1 * t + c0 < 1.0 - eps for t in (a, b))
+            try:
+                affine_order(c1, c0, (a, b))
+                admitted = True
+            except AdmissibilityError:
+                admitted = False
+            assert admitted == inside, (c1, c0, a, b)
+            accepted += admitted
+        assert 200 < accepted < 800  # both verdicts are exercised
 
 
 class TestConstantOrder:
@@ -116,6 +152,30 @@ class TestCallableOrders:
     def test_reversed_domain_rejected(self):
         with pytest.raises(AdmissibilityError):
             order_from_callables(lambda t: 0.5, lambda t: 0.0, (1.0, 0.0))
+
+    def test_exact_alpha_prime_accepted_far_from_zero(self):
+        # alpha' is exact, but alpha's difference at t ~ 1e4 carries a
+        # rounding of about eps |t alpha'| / h, far above 1e-5.
+        order = order_from_callables(lambda t: 0.9 * t + 0.05 - 9000, lambda t: 0.9,
+                                     (1e4, 1e4 + 1))
+        assert check_admissible(order) is True
+
+    def test_rejection_names_test_and_t(self):
+        with pytest.raises(AdmissibilityError,
+                           match=re.escape("alpha(0.8) = 1.0 outside (1e-09, 0.999999999)")):
+            affine_order(0.5, 0.6)  # first leaves (0, 1) at t = 0.8, not at the end
+        with pytest.raises(AdmissibilityError, match=re.escape("alpha'(0.0) = 0.5 is not within")):
+            order_from_callables(lambda t: 0.3 + 0.2 * math.sin(t), lambda t: 0.5 * math.cos(t))
+        with pytest.raises(AdmissibilityError, match=re.escape("alpha'(0.5) = 0.7 is not within")):
+            order_from_callables(lambda t: 0.5, lambda t: 0.7 if t == 0.5 else 0.0)
+
+    def test_check_admissible_is_a_bool(self):
+        good = OrderFunction(lambda t: 0.5, lambda t: 0.0, 0.0, 1.0)
+        assert check_admissible(good) is True
+        for bad in (OrderFunction(lambda t: 1.5, lambda t: 0.0, 0.0, 1.0),
+                    OrderFunction(lambda t: 0.5, lambda t: 1.0, 0.0, 1.0),
+                    OrderFunction(lambda t: 0.5, lambda t: 0.0, 1.0, 0.0)):
+            assert check_admissible(bad) is False
 
     def test_range_violation_detected_on_grid(self):
         with pytest.raises(AdmissibilityError):

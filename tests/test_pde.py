@@ -37,6 +37,15 @@ class TestGrid:
         with pytest.raises(DegenerateCoefficientError):
             Grid1D(mx=10, mt=20, t0=1.5)
 
+    @pytest.mark.parametrize("mx, mt", [(4.5, 10), (8, 10.5), (8.0, 10), ("8", 10)])
+    def test_non_integer_sizes_rejected(self, mx, mt):
+        with pytest.raises(ValueError, match="mx and mt must be integers"):
+            Grid1D(mx=mx, mt=mt)
+
+    def test_numpy_integer_sizes_accepted(self):
+        g = Grid1D(mx=np.int64(8), mt=np.int32(10))
+        assert len(g.x_nodes) == 9 and len(g.t_nodes) == 11
+
 
 @pytest.fixture(scope="module")
 def diffusion_field():

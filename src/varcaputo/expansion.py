@@ -27,6 +27,7 @@ evaluation point; there is no shared cache.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +123,7 @@ class ExpansionParams:
     N: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and isinstance(self.N, int)):
+        if not (isinstance(self.n, numbers.Integral) and isinstance(self.N, numbers.Integral)):
             raise ValueError("n and N must be integers")
         if not 1 <= self.n <= self.N:
             raise ValueError(f"need N >= n >= 1, got n={self.n}, N={self.N}")

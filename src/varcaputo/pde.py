@@ -9,11 +9,14 @@ integer-order expansion
 After fourth-order finite differences in space each problem is a linear ODE
 system.  One core, ``_march``, states it and integrates it in the scaled
 moments W_p = V_p / t^p, which keep the weights O(1) (the raw weights
-t^(1-p-alpha) reach ~1e44 near t0), with implicit BDF and the sparse
-analytic Jacobian, so the step count is set by accuracy, not by the mx^2
-stability limit of an explicit stepper.  Diffusion and Burgers are two
-configurations of it: a space operator, a source, boundary values and an
-initial profile.
+t^(1-p-alpha) reach ~1e44 near t0), by the implicit NDF formulas of SciPy's
+BDF in ``_LinearBDF``.  The system is affine in the state, so each step is
+one linear solve with no Newton iteration, and every W_p row block is
+diagonal in W_p, so that solve reduces to one banded m x m system (m =
+mx - 1).  A step costs O(N m), and the step count is set by accuracy, not by
+the mx^2 stability limit of an explicit stepper nor by the 1/t growth of the
+Jacobian near t0.  Diffusion and Burgers are two configurations of the core:
+a space operator, a source, boundary values and an initial profile.
 
 The u_t coefficient A t^(1-alpha) vanishes at t = 0, so integration starts
 at a small t0 > 0 with u taken from the initial condition; the offset's
@@ -30,7 +33,8 @@ from typing import Callable
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
+from scipy.integrate import DenseOutput, OdeSolver, solve_ivp
+from scipy.linalg import get_lapack_funcs
 
 from .expansion import ExpansionParams, coefficients_left
 from .order import OrderFunction
@@ -118,7 +122,11 @@ class Field2D:
     expose the solver's continuous solution, the ODE right-hand side and its
     Jacobian for verification; they act on the scaled interior state
     (u, W_1..W_N), and the first m = mx - 1 entries of ``rhs`` are u_t.
-    ``meta`` records the stepper and its step, RHS, Jacobian and LU counts.
+    ``meta`` records the stepper and its counts: ``steps`` accepted steps,
+    ``nfev`` RHS calls (two at start-up, then one per step attempt),
+    ``njev`` assemblies of the t-dependent terms a(t), B_p/A and the source
+    (redone whenever the stepper moves to a new t), and ``nlu`` banded m x m
+    factorisations (one per step attempt).
     """
 
     x_nodes: np.ndarray
@@ -185,22 +193,183 @@ def _derivative_matrix(mx: int, hx: float, deriv: int) -> np.ndarray:
     return D
 
 
+#: NDF constants of SciPy's BDF (Shampine & Reichelt, "The MATLAB ODE
+#: Suite", SIAM J. Sci. Comput. 18, 1997): kappa, gamma_k = sum_{j<=k} 1/j,
+#: the formula's alpha_k and the error constants, for orders 1..5.
+_MAX_ORDER = 5
+_KAPPA = np.array([0.0, -0.1850, -1 / 9, -0.0823, -0.0415, 0.0])
+_GAMMA = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, _MAX_ORDER + 1))])
+_ALPHA = (1.0 - _KAPPA) * _GAMMA
+_ERROR_CONST = _KAPPA * _GAMMA + 1.0 / np.arange(1, _MAX_ORDER + 2)
+#: SciPy's step-factor limits, and its safety factor 0.9 (2k + 1)/(2k + i)
+#: for a Newton iteration capped at k = 4 that converges in i = 1 step.
+_MIN_FACTOR, _MAX_FACTOR, _SAFETY = 0.2, 10.0, 0.9
+
+
+def _rms(x: np.ndarray) -> float:
+    return float(np.linalg.norm(x)) / math.sqrt(x.size)
+
+
+def _compute_r(order: int, factor: float) -> np.ndarray:
+    """The matrix that maps backward differences to a step ``factor`` times
+    the old one."""
+    i = np.arange(1, order + 1)[:, None]
+    M = np.zeros((order + 1, order + 1))
+    M[1:, 1:] = (i - 1 - factor * i.T) / i
+    M[0] = 1.0
+    return np.cumprod(M, axis=0)
+
+
+def _change_d(D: np.ndarray, order: int, factor: float) -> None:
+    """Rescale the differences D[:order+1] in place to the new step."""
+    RU = _compute_r(order, factor) @ _compute_r(order, 1.0)
+    D[: order + 1] = RU.T @ D[: order + 1]
+
+
+class _NdfDense(DenseOutput):
+    """The interpolating polynomial of one step, from its differences."""
+
+    def __init__(self, t_old: float, t: float, h: float, order: int, D: np.ndarray):
+        super().__init__(t_old, t)
+        self.t_shift = t - h * np.arange(order)
+        self.denom = h * (1 + np.arange(order))
+        self.D = D
+
+    def _call_impl(self, t: np.ndarray) -> np.ndarray:
+        x = (np.atleast_1d(t) - self.t_shift[:, None]) / self.denom[:, None]
+        y = self.D[0][:, None] + self.D[1:].T @ np.cumprod(x, axis=0)
+        return y if t.ndim else y[:, 0]
+
+
+class _LinearBDF(OdeSolver):
+    """SciPy's variable-order NDF stepper (orders 1..5, its constants, RMS
+    error norm, step-size and order selection and difference rescaling) for
+    a system y' = f(t, y) affine in y, forward in t.
+
+    For such a system the implicit equation of a step, d = c f(t_new,
+    y_predict + d) - psi, is the linear system (I - c J(t_new)) d = c
+    f(t_new, y_predict) - psi, so each step attempt makes one call of f and
+    one call of ``solve(t_new, c, r)``, which returns d; there is no Newton
+    iteration to fail.  ``nlu`` counts those solves.  The first step comes
+    from Hairer and Wanner's rule (Solving ODEs I, II.4), at one extra call
+    of f.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, solve, rtol, atol, vectorized=False):
+        super().__init__(fun, t0, y0, t_bound, vectorized)
+        self.solve, self.rtol, self.atol = solve, rtol, atol
+        f = self.fun(self.t, self.y)
+        self.h_abs = self._initial_step(f)
+        self.D = np.zeros((_MAX_ORDER + 3, self.n))
+        self.D[0], self.D[1] = self.y, f * self.h_abs
+        self.order = 1
+        self.n_equal_steps = 0
+
+    def _initial_step(self, f0: np.ndarray) -> float:
+        span = self.t_bound - self.t
+        scale = self.atol + self.rtol * np.abs(self.y)
+        d0, d1 = _rms(self.y / scale), _rms(f0 / scale)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+        f1 = self.fun(self.t + h0, self.y + h0 * f0)
+        d2 = _rms((f1 - f0) / scale) / h0
+        big = max(d1, d2)
+        h1 = max(1e-6, 1e-3 * h0) if big <= 1e-15 else math.sqrt(0.01 / big)
+        return min(100.0 * h0, h1, span)
+
+    def _step_impl(self):
+        t, D, order = self.t, self.D, self.order
+        min_step = 10.0 * (np.nextafter(t, np.inf) - t)
+        h = self.h_abs
+        if h < min_step:
+            _change_d(D, order, min_step / h)
+            self.n_equal_steps = 0
+            h = min_step
+        while True:
+            if h < min_step:
+                return False, self.TOO_SMALL_STEP
+            t_new = t + h
+            if t_new > self.t_bound:
+                t_new = self.t_bound
+                _change_d(D, order, (t_new - t) / h)
+                self.n_equal_steps = 0
+            h = t_new - t
+            y_predict = D[: order + 1].sum(axis=0)
+            psi = _GAMMA[1 : order + 1] @ D[1 : order + 1] / _ALPHA[order]
+            c = h / _ALPHA[order]
+            d = self.solve(t_new, c, c * self.fun(t_new, y_predict) - psi)
+            self.nlu += 1
+            y_new = y_predict + d
+            scale = self.atol + self.rtol * np.abs(y_new)
+            error_norm = _rms(_ERROR_CONST[order] * d / scale)
+            if error_norm <= 1.0:
+                break
+            # A non-finite d fails the test above and shrinks h by _MIN_FACTOR.
+            factor = max(_MIN_FACTOR, _SAFETY * error_norm ** (-1.0 / (order + 1)))
+            h *= factor
+            _change_d(D, order, factor)
+            self.n_equal_steps = 0
+
+        self.n_equal_steps += 1
+        self.t, self.y, self.h_abs = t_new, y_new, h
+        # d is the (order+1)-th difference of the new step; update the rest.
+        D[order + 2] = d - D[order + 1]
+        D[order + 1] = d
+        for i in reversed(range(order + 1)):
+            D[i] += D[i + 1]
+        if self.n_equal_steps < order + 1:
+            return True, None
+
+        error_norms = np.array([
+            _rms(_ERROR_CONST[order - 1] * D[order] / scale) if order > 1 else np.inf,
+            error_norm,
+            _rms(_ERROR_CONST[order + 1] * D[order + 2] / scale) if order < _MAX_ORDER else np.inf,
+        ])
+        with np.errstate(divide="ignore"):
+            factors = error_norms ** (-1.0 / np.arange(order, order + 3))
+        self.order = order + int(np.argmax(factors)) - 1
+        factor = min(_MAX_FACTOR, _SAFETY * float(np.max(factors)))
+        self.h_abs *= factor
+        _change_d(D, self.order, factor)
+        self.n_equal_steps = 0
+        return True, None
+
+    def _dense_output_impl(self):
+        return _NdfDense(self.t_old, self.t, self.h_abs, self.order,
+                         self.D[: self.order + 1].copy())
+
+
 def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Callable,
            boundary: Callable, u0_interior: np.ndarray, meta: dict) -> Field2D:
-    """Integrate by BDF the linear system of the operator D (acting on the
-    full node vector) in the interior state (u, W_1..W_N):
+    """Integrate by the NDF formulas the linear system of the operator D
+    (acting on the full node vector) in the interior state (u, W_1..W_N):
 
-        u_t  = (c(t) + L u) / a(t) - sum_p (B_p/A) W_p,
+        u_t  = (c(t) + L u) / a(t) - sum_p b_p(t) W_p,
         W_p' = (u_t - p W_p) / t,   W_p(t0) = 0,
 
-    with L the interior block of D, a = A t^(1-alpha), and c(t) = source(t)
-    plus the Dirichlet values ``boundary(t)`` through D's boundary columns.
-    The Jacobian's u-row block is [L/a, -(B_p/A) I]; each W_p row block is
-    that row divided by t, minus (p/t) I on its own diagonal block.  a, B_p/A
-    and c(t) are kept for the last t, which BDF's Newton iterations and its
-    Jacobian evaluate over and over.  An order whose domain does not cover
-    [t0, 1] raises ``DomainError``, then an N < 1 ``ValueError``, both before
-    any step.
+    with L the interior block of D, a = A t^(1-alpha), b_p = B_p/A, and c(t)
+    = source(t) plus the Dirichlet values ``boundary(t)`` through D's
+    boundary columns.  The Jacobian's u-row block is [L/a, -b_p I]; each W_p
+    row block is that row divided by t, minus (p/t) I on its own diagonal
+    block.
+
+    Each step attempt of ``_LinearBDF`` solves (I - cJ(t)) d = r.  With g =
+    L d_u / a - sum_p b_p d_p, the u rows read d_u - c g = r_u and the W_p
+    rows d_p (1 + cp/t) = r_p + (c/t) g, so d_p = q_p (r_p + (c/t) g) with
+    q_p = 1/(1 + cp/t).  Putting d_p into g gives g beta = L d_u / a - rho,
+    with beta = 1 + (c/t) sum_p b_p q_p and rho = sum_p b_p q_p r_p, and the
+    u rows become one banded m x m system,
+
+        (I - c/(a beta) L) d_u = r_u - (c/beta) rho,
+
+    after which g = (L d_u / a - rho)/beta gives every d_p.  At n = 1 every
+    B_p and A is positive, so beta >= 1.  A step costs O(N m) and one banded
+    LU of L's bandwidth (at most 4 each side), whatever N is.
+
+    a, b_p and c(t) are kept for the last t, which the step's solve and any
+    ``rhs``/``jac`` call at the same t reuse.  ``jac`` is the sparse analytic
+    Jacobian, kept as an independent check of the solve.  An order whose
+    domain does not cover [t0, 1] raises ``DomainError``, then an N < 1
+    ``ValueError``, both before any step.
     """
     if not (order.a <= grid.t0 and order.b >= 1.0):
         raise DomainError(f"order domain [{order.a}, {order.b}] does not cover [{grid.t0}, 1]")
@@ -215,10 +384,16 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
     top_cols = np.concatenate([l_cols, np.arange(m, n)])
     rows = np.concatenate([(top_rows + m * np.arange(N + 1)[:, None]).ravel(), np.arange(m, n)])
     cols = np.concatenate([np.tile(top_cols, N + 1), np.arange(m, n)])
+    # L in LAPACK's gbsv layout: A[i, j] at ab[kl + ku + i - j, j], with kl
+    # rows of fill-in space on top.
+    kl, ku = int(np.max(l_rows - l_cols)), int(np.max(l_cols - l_rows))
+    band = np.zeros((2 * kl + ku + 1, m))
+    band[kl + ku + l_rows - l_cols, l_cols] = l_vals
+    (gbsv,) = get_lapack_funcs(("gbsv",), (band,))
 
     @functools.lru_cache(maxsize=1)
     def terms(t: float) -> tuple[float, np.ndarray, np.ndarray]:
-        """a, B_p/A and c(t); rhs and jac treat the arrays as read-only."""
+        """a, B_p/A and c(t); rhs, jac and solve treat the arrays as read-only."""
         alpha = order.alpha(t)
         head, tail = coefficients_left(alpha, params)
         a1 = float(head[0])
@@ -237,10 +412,26 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
         data = np.concatenate([top, np.tile(top / t, N), np.repeat(-p / t, m)])
         return sparse.csc_matrix((data, (rows, cols)), shape=(n, n))
 
+    def solve(t: float, c: float, r: np.ndarray) -> np.ndarray:
+        a_coef, b, _ = terms(t)
+        q = 1.0 / (1.0 + (c / t) * p)
+        bq = b * q
+        beta = 1.0 + (c / t) * float(np.sum(bq))
+        r_w = r[m:].reshape(N, m)
+        rho = bq @ r_w
+        ab = band * (-c / (a_coef * beta))
+        ab[kl + ku] += 1.0
+        _, _, d_u, info = gbsv(kl, ku, ab, r[:m] - (c / beta) * rho,
+                               overwrite_ab=True, overwrite_b=True)
+        if info != 0:
+            raise SolverError(f"singular step matrix at t = {t} (LAPACK gbsv info {info})")
+        g = (L @ d_u / a_coef - rho) / beta
+        return np.concatenate([d_u, (q[:, None] * (r_w + (c / t) * g)).ravel()])
+
     ts = grid.t_nodes
     y0 = np.concatenate([u0_interior, np.zeros(N * m)])
-    sol = solve_ivp(rhs, (grid.t0, 1.0), y0, method="BDF", jac=jac, rtol=_RTOL, atol=_ATOL,
-                    t_eval=ts, dense_output=True)
+    sol = solve_ivp(rhs, (grid.t0, 1.0), y0, method=_LinearBDF, t_eval=ts, dense_output=True,
+                    solve=solve, rtol=_RTOL, atol=_ATOL)
     if not sol.success:
         raise SolverError(f"time stepping failed: {sol.message}")
     u = np.zeros((grid.mx + 1, len(ts)))
@@ -249,7 +440,8 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
     v = np.zeros((N, grid.mx + 1, len(ts)))
     v[:, 1:-1, :] = sol.y[m:, :].reshape(N, m, len(ts)) * ts ** p[:, None, None]
     meta = {"t0": grid.t0, "N": N, "mx": grid.mx, "mt": grid.mt, **meta, "stepper": "BDF",
-            "steps": len(sol.sol.ts) - 1, "nfev": sol.nfev, "njev": sol.njev, "nlu": sol.nlu}
+            "steps": len(sol.sol.ts) - 1, "nfev": sol.nfev,
+            "njev": terms.cache_info().misses, "nlu": sol.nlu}
     return Field2D(grid.x_nodes, ts, u, v, meta, sol.sol, rhs, jac)
 
 
@@ -257,8 +449,8 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
     """March the expansion-approximated diffusion system on the grid.
 
     Fourth-order finite differences in space with the Dirichlet rows pinned
-    to exactly zero; implicit BDF in time on the scaled moments W_p, with the
-    sparse analytic Jacobian of the linear system.
+    to exactly zero; implicit NDF/BDF steps in time on the scaled moments
+    W_p, each one banded linear solve.
     """
     x_int = grid.x_nodes[1:-1]
     D2 = _derivative_matrix(grid.mx, grid.hx, 2)
@@ -274,7 +466,7 @@ def solve_burgers(order: OrderFunction, grid: Grid1D, N: int) -> Field2D:
     lateral boundaries are pinned to the exact solution x^2 + t^2 (recorded
     in the output metadata as this solver's choice) and enter the interior
     equations through the boundary columns of D2 - D1.  Time stepping is the
-    same implicit BDF core as in ``solve_diffusion``.
+    same implicit core as in ``solve_diffusion``.
     """
     x_int = grid.x_nodes[1:-1]
 

@@ -207,7 +207,8 @@ def caputo_quadrature(
     clamped at s -> 0; type II's own term, an integral of x, takes this form
     after an integration by parts.  The kinds differ only in alpha' and c.
     Each integral gets tol when it runs alone and tol/2 when both run.  A t
-    outside [x.a, x.b] or the order's [a, b] raises ``SingularityError``.
+    outside [x.a, x.b] or the order's [a, b] raises ``SingularityError``, and
+    an alpha(t) outside (0, 1) ``DomainError``.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -216,6 +217,8 @@ def caputo_quadrature(
     if dist == 0.0:
         return 0.0
     alpha = order.alpha(t)
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0,1), got alpha({t}) = {alpha}")
     oma = 1.0 - alpha
     ap = 0.0 if kind is Kind.TYPE_III else order.alpha_prime(t)
     tol_each = tol if ap == 0.0 else tol / 2.0

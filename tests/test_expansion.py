@@ -116,6 +116,13 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             ExpansionParams(1.0, 3)
 
+    def test_numpy_integers_accepted(self):
+        params = ExpansionParams(np.int64(1), 6)
+        assert (params.n, params.N) == (1, 6)
+        head, tail = coefficients_left(0.5, ExpansionParams(np.int32(1), np.int64(4)))
+        want_head, want_tail = coefficients_left(0.5, ExpansionParams(1, 4))
+        assert np.array_equal(head, want_head) and np.array_equal(tail, want_tail)
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_alpha_outside_unit_interval(self, alpha):
         with pytest.raises(DomainError):

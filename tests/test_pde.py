@@ -87,8 +87,9 @@ class TestDiffusion:
             assert got == pytest.approx(ref, abs=10.0 * 1e-7, rel=1e-5)
 
     def test_t_terms_computed_once_per_t(self):
-        # BDF's Newton iterations and its Jacobian revisit the last t; the
-        # core keeps that t's terms instead of calling the source again.
+        # Each step attempt's RHS call and its structured solve share one t;
+        # the core keeps that t's terms instead of calling the source again,
+        # and meta["njev"] counts those assemblies.
         problem = manufactured_diffusion(ORDER, N=4)
         ts = []
 
@@ -100,6 +101,7 @@ class TestDiffusion:
         field = solve_diffusion(recorded, Grid1D(mx=12, mt=40, t0=1e-4))
         assert len(ts) > 10
         assert all(s != t for s, t in zip(ts, ts[1:]))
+        assert field.meta["njev"] == len(ts)
         assert field_error(field, diffusion_exact) <= 5e-3
 
     def test_error_decreases_with_N(self):
@@ -137,6 +139,78 @@ class TestBurgers:
             for N in (2, 6)
         ]
         assert errs[1] <= 1.05 * errs[0]
+
+    def test_numpy_integer_N_accepted(self):
+        grid = Grid1D(mx=12, mt=40, t0=1e-4)
+        got = solve_burgers(ORDER, grid, np.int64(4))
+        assert np.array_equal(got.u, solve_burgers(ORDER, grid, 4).u)
+
+
+def _record_solves(monkeypatch) -> dict:
+    """Run the real stepper, but keep the structured solve that the core
+    hands it and count the calls the stepper makes of it."""
+    import varcaputo.pde as pde
+
+    real, seen = pde.solve_ivp, {"calls": 0}
+
+    def spy(*args, solve, **kwargs):
+        def counted(*call):
+            seen["calls"] += 1
+            return solve(*call)
+
+        seen["solve"] = solve
+        return real(*args, solve=counted, **kwargs)
+
+    monkeypatch.setattr(pde, "solve_ivp", spy)
+    return seen
+
+
+class TestStructuredSolve:
+    @pytest.mark.parametrize("equation", ["diffusion", "burgers"])
+    @pytest.mark.parametrize("N", [1, 6, 12, 48])
+    def test_solve_against_jacobian_oracle(self, equation, N, monkeypatch):
+        # The solve eliminates the W_p rows and factorises one banded m x m
+        # matrix; the sparse analytic Jacobian is assembled apart from it.
+        seen = _record_solves(monkeypatch)
+        grid = Grid1D(mx=12, mt=4, t0=1e-4)
+        if equation == "diffusion":
+            f = solve_diffusion(manufactured_diffusion(ORDER, N=N), grid)
+        else:
+            f = solve_burgers(ORDER, grid, N=N)
+        n = (N + 1) * (grid.mx - 1)
+        rng = np.random.default_rng(N)
+        eps = np.finfo(float).eps
+        for t in (grid.t0, 0.3, 1.0):
+            J = f.jac(t, np.zeros(n))
+            for ratio in np.logspace(-3, 3, 7):  # c/t
+                c = ratio * t
+                r = rng.standard_normal(n)
+                d = seen["solve"](t, c, r)
+                scale = np.abs(r) + np.abs(d) + c * (abs(J) @ np.abs(d))
+                assert np.all(np.abs(d - c * (J @ d) - r) <= 16 * eps * scale)
+
+    @pytest.mark.parametrize("equation", ["diffusion", "burgers"])
+    def test_one_rhs_call_and_one_solve_per_attempt(self, equation, monkeypatch):
+        # Start-up takes two RHS calls (y0, and the initial-step probe); every
+        # step attempt after that takes one RHS call and one solve.
+        seen = _record_solves(monkeypatch)
+        grid = Grid1D(mx=20, mt=20, t0=1e-4)
+        if equation == "diffusion":
+            f = solve_diffusion(manufactured_diffusion(ORDER, N=3), grid)
+        else:
+            f = solve_burgers(ORDER, grid, N=3)
+        meta = f.meta
+        assert meta["nlu"] == seen["calls"] >= meta["steps"]
+        assert meta["nfev"] == seen["calls"] + 2
+
+    def test_small_t0_costs_no_more_steps(self):
+        # Near t = 0 the Jacobian's entries scale like 1/t and 1/a(t); with
+        # an exact solve per step, accuracy alone sets the step count there.
+        fields = {t0: solve_burgers(ORDER, Grid1D(mx=40, mt=20, t0=t0), N=3)
+                  for t0 in (1e-4, 1e-6)}
+        assert fields[1e-6].meta["steps"] <= 2 * fields[1e-4].meta["steps"]
+        errs = [field_error(f, burgers_exact) for f in fields.values()]
+        assert errs[1] == pytest.approx(errs[0], rel=1e-4)
 
 
 class TestStepper:

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import varcaputo.expansion as expansion
 from varcaputo.expansion import (
@@ -17,7 +18,7 @@ from varcaputo.expansion import (
     error_bound,
     moments,
 )
-from varcaputo.order import OrderFunction, affine_order, constant_order
+from varcaputo.order import OrderFunction, _difference, affine_order, constant_order
 from varcaputo.reference import (
     Kind,
     QuadratureError,
@@ -236,6 +237,139 @@ class TestMoments:
             moments(x, Side.LEFT, 0.5, ExpansionParams(1, 6), p_max=4)
 
 
+    def test_numeric_derivative_passes_identity(self):
+        # x = sin 200t by its values only: x' is a difference with an error of
+        # about 2.5e-6 relative near b, which the W_0 identity allows for a
+        # numeric x' (-79.6519 against -79.6521 by quadrature, type III).
+        x = ScalarFunction(value=lambda t: np.sin(200.0 * t), a=0.0, b=1.0)
+        t = 1.0 - 1e-9
+        for kind in Kind:
+            ref = caputo_quadrature(kind, x, ORDER_A, t, Side.RIGHT)
+            for N in (2, 8):
+                res = approximate(kind, x, ORDER_A, t, Side.RIGHT, ExpansionParams(1, N))
+                assert abs(res.value - ref) <= res.error_bound
+
+    def test_numeric_derivative_still_catches_missed_moment(self):
+        x = ScalarFunction(value=lambda t: t**1e-12, a=0.0, b=1.0)
+        with pytest.raises(QuadratureError, match="W_0"):
+            approximate(Kind.TYPE_III, x, ORDER_A, 0.5, Side.LEFT)
+        with pytest.raises(QuadratureError, match="W_0"):
+            moments(x, Side.LEFT, 0.5, ExpansionParams(1, 6), p_max=6)
+
+    def test_analytic_derivative_allowance_unchanged(self):
+        # The same difference of sin 200t, declared as the analytic x', gets
+        # no allowance for a difference: the identity misses by 2.4e-13
+        # against 4e-14 and the pass raises.
+        value = lambda t: np.sin(200.0 * t)
+        x = ScalarFunction(value=value, a=0.0, b=1.0, derivatives=(_difference(value, 1, 0.0, 1.0),))
+        with pytest.raises(QuadratureError, match="W_0"):
+            approximate(Kind.TYPE_III, x, ORDER_A, 1.0 - 1e-9, Side.RIGHT)
+
+
+#: The sweep of the moment-pass oracle: (gamma, side, t, count).
+MOMENT_SWEEP = [
+    (g, side, t, count)
+    for g in (0.5, 0.8, 1.0, 1.5, 2.0, 3.5, 7.0)
+    for side in Side
+    for t in (1e-9, 1e-6, 1e-3, 0.3, 0.7, 1.0 - 1e-3, 1.0 - 1e-6)
+    for count in (1, 2, 3, 5, 9, 17, 33, 65, 129)
+]
+
+
+def _reference_pass(dx, end, step, count, tol):
+    """The moment pass written out for each row k on its own: s^k x' on the
+    panels' nodes, QUADPACK's qk21 sums and error estimate per panel, W_k and
+    its estimate summed over panels, and the indices whose estimate misses
+    max(tol, 1e-12 |W_k|)."""
+    s = expansion._GK_NODES.reshape(-1, 21)
+    wk, wg = expansion._GK_RULE.T
+    half = expansion._GK_HALF
+    fx = dx(end + s * step)
+    w, fallback = np.zeros(count), set()
+    with np.errstate(all="ignore"):
+        for k in range(count):
+            f = s**k * fx
+            kronrod, gauss = f @ wk, f @ wg
+            abserr = np.abs(kronrod - gauss)
+            resabs = np.abs(f) @ wk
+            resasc = np.abs(f - 0.5 * kronrod[:, None]) @ wk
+            est = np.where(resasc > 0.0, resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5),
+                           abserr)
+            w[k] = half @ kronrod
+            if not half @ np.maximum(50.0 * np.finfo(float).eps * resabs, est) <= max(tol, 1e-12 * abs(w[k])):
+                fallback.add(k)
+    return w, fallback
+
+
+class TestMomentPass:
+    def test_matches_per_row_reference(self, monkeypatch):
+        # One batched product against the shared power table gives each W_k
+        # of the per-row qk21 reference to 1e-14, and exactly the rows whose
+        # qk21 estimate misses the tolerance go to QUADPACK, singular
+        # x' (gamma < 1) and nan rows included.
+        adaptive_quad = expansion._adaptive_quad
+        fell_back = []
+
+        def spy(fn, lo, hi, tol, what):
+            fell_back.append(int(what.rsplit("=", 1)[1]))
+            try:
+                return adaptive_quad(fn, lo, hi, tol, what=what)
+            except QuadratureError:
+                return math.nan
+
+        monkeypatch.setattr(expansion, "_adaptive_quad", spy)
+        compared = 0
+        for g, side, t, count in MOMENT_SWEEP:
+            x = power_function(g, 0.0, 1.0, side)
+            sgn, end, dist = (1.0, 0.0, t) if side is Side.LEFT else (-1.0, 1.0, 1.0 - t)
+            ref, ref_fallback = _reference_pass(x.deriv(1), end, sgn * dist, count, 1e-8)
+            fell_back.clear()
+            try:
+                w = expansion._scaled_moments(x, t, end, sgn * dist, count, 1e-8)
+            except QuadratureError:
+                w = None
+            assert set(fell_back) == ref_fallback, (g, side, t, count)
+            if w is not None:
+                kept = [k for k in range(count) if k not in ref_fallback]
+                np.testing.assert_allclose(w[kept], ref[kept], rtol=1e-14, atol=0.0)
+                compared += len(kept)
+        assert compared > 10_000
+
+    def test_table_growth_keeps_rows(self, monkeypatch):
+        # Growing the shared table to a larger count leaves the rows of a
+        # smaller one, and so its W, bit for bit; the table is read-only.
+        monkeypatch.setattr(expansion, "_POWERS", expansion._POWERS[:, :0])
+        x = power_function(3.5, 0.0, 1.0, Side.RIGHT)
+        before = expansion._scaled_moments(x, 0.4, 1.0, -0.6, 3, 1e-8)
+        assert expansion._POWERS.shape[1] == 3
+        expansion._scaled_moments(x, 0.4, 1.0, -0.6, 129, 1e-8)
+        assert expansion._POWERS.shape[1] == 129
+        after = expansion._scaled_moments(x, 0.4, 1.0, -0.6, 3, 1e-8)
+        assert expansion._POWERS.shape[1] == 129
+        assert before.tobytes() == after.tobytes()
+        assert not expansion._POWERS.flags.writeable
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(
+        st.one_of(
+            st.just(0.0),
+            st.floats(-1e300, 1e300, allow_subnormal=False),
+            st.floats(-1e-250, 1e-250, allow_subnormal=False),
+            st.floats(-1.0, 1.0, allow_subnormal=False).map(lambda v: v * 1e200),
+        ),
+        min_size=21, max_size=21,
+    ))
+    def test_bound_covers_qk21_estimate(self, values):
+        # max(50 eps resabs, 200 |K21 - G10|) bounds QUADPACK's estimate on a
+        # panel, so a row it clears would pass the full test as well.
+        panel = np.array(values)
+        wk, wg = expansion._GK_RULE.T
+        with np.errstate(all="ignore"):
+            bound = max(50.0 * np.finfo(float).eps * (np.abs(panel) @ wk), 200.0 * abs(panel @ wk - panel @ wg))
+            estimate = expansion._qk21_estimate(panel)
+        assert estimate <= bound
+
+
 class TestErrorBound:
     def test_frozen_type3(self):
         L = DerivativeBound(values={1: 2.0, 2: 2.0}, estimated=False)
@@ -433,6 +567,36 @@ class TestApproximation:
         ref = power_closed_form(kind, side, 2.0, ORDER_A, t)
         assert math.isfinite(res.value) and math.isfinite(res.error_bound)
         assert abs(res.value - ref) <= res.error_bound
+
+    def test_certificate_covers_rounding(self):
+        # x = t or 1 - t has x'' = 0, so the truncation bound of type III is
+        # 0 and the rounding of the sum (1e-16 to 1e-15 here) is all the
+        # error; the certificate holds against mpmath on all 120 calls.
+        c1, c0 = 0.5, 0.3
+        order = affine_order(c1, c0, (0.0, 1.0))
+
+        def exact(kind, side, t):
+            # The closed form for x = d, d the distance to the endpoint.
+            with mpmath.workdps(30):
+                t = mpmath.mpf(t)
+                d, alpha = (t if side is Side.LEFT else 1 - t), c1 * t + c0
+                value = d ** (1 - alpha) / mpmath.gamma(2 - alpha)
+                if kind is not Kind.TYPE_III:
+                    bracket = mpmath.log(d) - mpmath.digamma(3 - alpha)
+                    if kind is Kind.TYPE_I:
+                        bracket += mpmath.digamma(1 - alpha)
+                    corr = c1 * d ** (2 - alpha) / mpmath.gamma(3 - alpha) * bracket
+                    value += -corr if side is Side.LEFT else corr
+                return float(value)
+
+        for kind in Kind:
+            for side in Side:
+                x = power_function(1.0, 0.0, 1.0, side)
+                for t in (0.07, 0.3, 0.5, 0.71, 0.93):
+                    want = exact(kind, side, t)
+                    for N in (2, 6, 17, 40):
+                        res = approximate(kind, x, order, t, side, ExpansionParams(1, N))
+                        assert abs(res.value - want) <= res.error_bound, (kind, side, t, N)
 
     def test_value_only_certificate(self):
         # x = t^4 given by its values only, at n = 2: the bound takes x''' on

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
 from scipy.integrate import DenseOutput, OdeSolver, solve_ivp
 from scipy.linalg import get_lapack_funcs
 
@@ -118,10 +117,11 @@ class DiffusionProblem:
 class Field2D:
     """Space-time solution field u[ix, it] plus the marched moment fields.
 
-    ``v[p-1, ix, it]`` holds V_p = t^p W_p.  ``dense``, ``rhs`` and ``jac``
-    expose the solver's continuous solution, the ODE right-hand side and its
-    Jacobian for verification; they act on the scaled interior state
-    (u, W_1..W_N), and the first m = mx - 1 entries of ``rhs`` are u_t.
+    ``v[p-1, ix, it]`` holds V_p = t^p W_p.  ``dense`` and ``rhs`` expose
+    the solver's continuous solution and the ODE right-hand side for
+    verification; they act on the scaled interior state (u, W_1..W_N), and
+    the first m = mx - 1 entries of ``rhs`` are u_t.  The system is affine,
+    so ``rhs`` also gives its Jacobian: J y = rhs(t, y) - rhs(t, 0).
     ``meta`` records the stepper and its counts: ``steps`` accepted steps,
     ``nfev`` RHS calls (two at start-up, then one per step attempt),
     ``njev`` assemblies of the t-dependent terms a(t), B_p/A and the source
@@ -136,7 +136,6 @@ class Field2D:
     meta: dict = field(default_factory=dict)
     dense: object = None
     rhs: Callable | None = None
-    jac: Callable | None = None
 
 
 def diffusion_exact(x, t):
@@ -366,34 +365,27 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
     LU of L's bandwidth (at most 4 each side), whatever N is.
 
     a, b_p and c(t) are kept for the last t, which the step's solve and any
-    ``rhs``/``jac`` call at the same t reuse.  ``jac`` is the sparse analytic
-    Jacobian, kept as an independent check of the solve.  An order whose
-    domain does not cover [t0, 1] raises ``DomainError``, then an N < 1
-    ``ValueError``, both before any step.
+    ``rhs`` call at the same t reuse.  An order whose domain does not cover
+    [t0, 1] raises ``DomainError``, then an N < 1 ``ValueError``, both
+    before any step.
     """
     if not (order.a <= grid.t0 and order.b >= 1.0):
         raise DomainError(f"order domain [{order.a}, {order.b}] does not cover [{grid.t0}, 1]")
     params = ExpansionParams(1, N)
     L = D[:, 1:-1]
     m = grid.mx - 1
-    n = (N + 1) * m
     p = np.arange(1, N + 1)
     l_rows, l_cols = np.nonzero(L)
-    l_vals = L[l_rows, l_cols]
-    top_rows = np.concatenate([l_rows, np.tile(np.arange(m), N)])
-    top_cols = np.concatenate([l_cols, np.arange(m, n)])
-    rows = np.concatenate([(top_rows + m * np.arange(N + 1)[:, None]).ravel(), np.arange(m, n)])
-    cols = np.concatenate([np.tile(top_cols, N + 1), np.arange(m, n)])
     # L in LAPACK's gbsv layout: A[i, j] at ab[kl + ku + i - j, j], with kl
     # rows of fill-in space on top.
     kl, ku = int(np.max(l_rows - l_cols)), int(np.max(l_cols - l_rows))
     band = np.zeros((2 * kl + ku + 1, m))
-    band[kl + ku + l_rows - l_cols, l_cols] = l_vals
+    band[kl + ku + l_rows - l_cols, l_cols] = L[l_rows, l_cols]
     (gbsv,) = get_lapack_funcs(("gbsv",), (band,))
 
     @functools.lru_cache(maxsize=1)
     def terms(t: float) -> tuple[float, np.ndarray, np.ndarray]:
-        """a, B_p/A and c(t); rhs, jac and solve treat the arrays as read-only."""
+        """a, B_p/A and c(t); rhs and solve treat the arrays as read-only."""
         alpha = order.alpha(t)
         head, tail = coefficients_left(alpha, params)
         a1 = float(head[0])
@@ -405,12 +397,6 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
         w = y[m:].reshape(N, m)
         u_t = (c + L @ y[:m]) / a_coef - b @ w
         return np.concatenate([u_t, ((u_t - p[:, None] * w) / t).ravel()])
-
-    def jac(t: float, y: np.ndarray) -> sparse.csc_matrix:
-        a_coef, b, _ = terms(t)
-        top = np.concatenate([l_vals / a_coef, np.repeat(-b, m)])
-        data = np.concatenate([top, np.tile(top / t, N), np.repeat(-p / t, m)])
-        return sparse.csc_matrix((data, (rows, cols)), shape=(n, n))
 
     def solve(t: float, c: float, r: np.ndarray) -> np.ndarray:
         a_coef, b, _ = terms(t)
@@ -442,7 +428,7 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
     meta = {"t0": grid.t0, "N": N, "mx": grid.mx, "mt": grid.mt, **meta, "stepper": "BDF",
             "steps": len(sol.sol.ts) - 1, "nfev": sol.nfev,
             "njev": terms.cache_info().misses, "nlu": sol.nlu}
-    return Field2D(grid.x_nodes, ts, u, v, meta, sol.sol, rhs, jac)
+    return Field2D(grid.x_nodes, ts, u, v, meta, sol.sol, rhs)
 
 
 def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
@@ -481,9 +467,8 @@ def solve_burgers(order: OrderFunction, grid: Grid1D, N: int) -> Field2D:
 
 
 def field_error(fieldv: Field2D, exact: Callable[[np.ndarray, float], np.ndarray]) -> float:
-    """Max-norm grid error of the field against an exact solution."""
+    """Max-norm grid error of the field against an exact solution; nan if
+    the field or ``exact`` has a nan anywhere."""
     xs = fieldv.x_nodes
-    err = 0.0
-    for j, t in enumerate(fieldv.t_nodes):
-        err = max(err, float(np.max(np.abs(fieldv.u[:, j] - exact(xs, float(t))))))
-    return err
+    return float(np.max([np.max(np.abs(fieldv.u[:, j] - exact(xs, float(t))))
+                         for j, t in enumerate(fieldv.t_nodes)]))

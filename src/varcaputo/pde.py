@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import DenseOutput, OdeSolver, solve_ivp
+from scipy.integrate import DenseOutput, OdeSolution, OdeSolver
 from scipy.linalg import get_lapack_funcs
 
 from .expansion import ExpansionParams, coefficients_left
@@ -123,7 +123,7 @@ class Field2D:
     the first m = mx - 1 entries of ``rhs`` are u_t.  The system is affine,
     so ``rhs`` also gives its Jacobian: J y = rhs(t, y) - rhs(t, 0).
     ``meta`` records the stepper and its counts: ``steps`` accepted steps,
-    ``nfev`` RHS calls (two at start-up, then one per step attempt),
+    ``nfev`` RHS calls (the two at start-up; the steps call none),
     ``njev`` assemblies of the t-dependent terms a(t), B_p/A and the source
     (redone whenever the stepper moves to a new t), and ``nlu`` banded m x m
     factorisations (one per step attempt).
@@ -174,21 +174,24 @@ def _derivative_matrix(mx: int, hx: float, deriv: int) -> np.ndarray:
 
     One rule gives every row: the weights are the Vandermonde solve over the
     row's window, which is 5 nodes centred on the row's node, or, one node
-    from a boundary, min(6, mx+1) nodes flush with that boundary.  Fourth
-    order keeps the spatial error well below the fractional-expansion
-    truncation error on the coarse grids used here.
+    from a boundary, min(6, mx+1) nodes flush with that boundary.  The
+    interior rows share one window of offsets, so three solves give every
+    row.  Fourth order keeps the spatial error well below the
+    fractional-expansion truncation error on the coarse grids used here.
     """
+
+    def weights(offsets: np.ndarray) -> np.ndarray:
+        vander = np.vander(offsets * hx, offsets.size, increasing=True).T
+        taylor = np.zeros(offsets.size)
+        taylor[deriv] = math.factorial(deriv)
+        return np.linalg.solve(vander, taylor)
+
     D = np.zeros((mx - 1, mx + 1))
     width = min(6, mx + 1)
-    for row, i in enumerate(range(1, mx)):
-        if 2 <= i <= mx - 2:
-            nodes = np.arange(i - 2, i + 3)
-        else:
-            nodes = np.arange(width) if i == 1 else np.arange(mx + 1 - width, mx + 1)
-        vander = np.vander((nodes - i) * hx, nodes.size, increasing=True).T
-        taylor = np.zeros(nodes.size)
-        taylor[deriv] = math.factorial(deriv)
-        D[row, nodes] = np.linalg.solve(vander, taylor)
+    rows = np.arange(1, mx - 2)[:, None]
+    D[rows, rows + np.arange(-1, 4)] = weights(np.arange(-2, 3))
+    D[0, :width] = weights(np.arange(width) - 1)
+    D[-1, mx + 1 - width:] = weights(np.arange(2 - width, 2))
     return D
 
 
@@ -206,7 +209,7 @@ _MIN_FACTOR, _MAX_FACTOR, _SAFETY = 0.2, 10.0, 0.9
 
 
 def _rms(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x)) / math.sqrt(x.size)
+    return math.sqrt(float(x.dot(x))) / math.sqrt(x.size)
 
 
 def _compute_r(order: int, factor: float) -> np.ndarray:
@@ -230,12 +233,11 @@ class _NdfDense(DenseOutput):
 
     def __init__(self, t_old: float, t: float, h: float, order: int, D: np.ndarray):
         super().__init__(t_old, t)
-        self.t_shift = t - h * np.arange(order)
-        self.denom = h * (1 + np.arange(order))
-        self.D = D
+        self.h, self.order, self.D = h, order, D
 
     def _call_impl(self, t: np.ndarray) -> np.ndarray:
-        x = (np.atleast_1d(t) - self.t_shift[:, None]) / self.denom[:, None]
+        k = np.arange(self.order)[:, None]
+        x = (np.atleast_1d(t) - (self.t - self.h * k)) / (self.h * (1 + k))
         y = self.D[0][:, None] + self.D[1:].T @ np.cumprod(x, axis=0)
         return y if t.ndim else y[:, 0]
 
@@ -245,13 +247,13 @@ class _LinearBDF(OdeSolver):
     error norm, step-size and order selection and difference rescaling) for
     a system y' = f(t, y) affine in y, forward in t.
 
-    For such a system the implicit equation of a step, d = c f(t_new,
-    y_predict + d) - psi, is the linear system (I - c J(t_new)) d = c
-    f(t_new, y_predict) - psi, so each step attempt makes one call of f and
-    one call of ``solve(t_new, c, r)``, which returns d; there is no Newton
-    iteration to fail.  ``nlu`` counts those solves.  The first step comes
-    from Hairer and Wanner's rule (Solving ODEs I, II.4), at one extra call
-    of f.
+    For such a system, f = J(t) y + F(t), the implicit equation of a step,
+    y_new = y_predict - psi + c f(t_new, y_new), is the linear system (I - c
+    J(t_new)) y_new = r + c F(t_new) with r = y_predict - psi, so each step
+    attempt is one call of ``solve(t_new, c, r)``, which returns y_new, and
+    no call of f; there is no Newton iteration to fail.  ``nlu`` counts
+    those solves.  f is called twice, at start-up: at y0 and in Hairer and
+    Wanner's rule for the first step (Solving ODEs I, II.4).
     """
 
     def __init__(self, fun, t0, y0, t_bound, solve, rtol, atol, vectorized=False):
@@ -277,7 +279,7 @@ class _LinearBDF(OdeSolver):
 
     def _step_impl(self):
         t, D, order = self.t, self.D, self.order
-        min_step = 10.0 * (np.nextafter(t, np.inf) - t)
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h = self.h_abs
         if h < min_step:
             _change_d(D, order, min_step / h)
@@ -295,9 +297,9 @@ class _LinearBDF(OdeSolver):
             y_predict = D[: order + 1].sum(axis=0)
             psi = _GAMMA[1 : order + 1] @ D[1 : order + 1] / _ALPHA[order]
             c = h / _ALPHA[order]
-            d = self.solve(t_new, c, c * self.fun(t_new, y_predict) - psi)
+            y_new = self.solve(t_new, c, y_predict - psi)
             self.nlu += 1
-            y_new = y_predict + d
+            d = y_new - y_predict
             scale = self.atol + self.rtol * np.abs(y_new)
             error_norm = _rms(_ERROR_CONST[order] * d / scale)
             if error_norm <= 1.0:
@@ -351,18 +353,20 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
     row block is that row divided by t, minus (p/t) I on its own diagonal
     block.
 
-    Each step attempt of ``_LinearBDF`` solves (I - cJ(t)) d = r.  With g =
-    L d_u / a - sum_p b_p d_p, the u rows read d_u - c g = r_u and the W_p
-    rows d_p (1 + cp/t) = r_p + (c/t) g, so d_p = q_p (r_p + (c/t) g) with
-    q_p = 1/(1 + cp/t).  Putting d_p into g gives g beta = L d_u / a - rho,
-    with beta = 1 + (c/t) sum_p b_p q_p and rho = sum_p b_p q_p r_p, and the
-    u rows become one banded m x m system,
+    Each step attempt of ``_LinearBDF`` solves y - c f(t, y) = r for the new
+    state y.  With g = u_t = (c(t) + L y_u)/a - sum_p b_p y_p, the u rows
+    read y_u - c g = r_u and the W_p rows y_p (1 + cp/t) = r_p + (c/t) g, so
+    y_p = q_p (r_p + (c/t) g) with q_p = 1/(1 + cp/t).  Putting y_p into g
+    gives g beta = (c(t) + L y_u)/a - rho, with beta = 1 + (c/t) sum_p b_p
+    q_p and rho = sum_p b_p q_p r_p, and the u rows become one banded m x m
+    system,
 
-        (I - c/(a beta) L) d_u = r_u - (c/beta) rho,
+        (I - c/(a beta) L) y_u = r_u + (c/beta) (c(t)/a - rho),
 
-    after which g = (L d_u / a - rho)/beta gives every d_p.  At n = 1 every
-    B_p and A is positive, so beta >= 1.  A step costs O(N m) and one banded
-    LU of L's bandwidth (at most 4 each side), whatever N is.
+    after which g = ((c(t) + L y_u)/a - rho)/beta gives every y_p.  At n = 1
+    every B_p and A is positive, so beta >= 1.  A step costs O(N m) and one
+    banded LU of L's bandwidth (at most 4 each side), whatever N is.  The
+    steps' interpolants give the columns at the time nodes and ``dense``.
 
     a, b_p and c(t) are kept for the last t, which the step's solve and any
     ``rhs`` call at the same t reuse.  An order whose domain does not cover
@@ -399,7 +403,7 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
         return np.concatenate([u_t, ((u_t - p[:, None] * w) / t).ravel()])
 
     def solve(t: float, c: float, r: np.ndarray) -> np.ndarray:
-        a_coef, b, _ = terms(t)
+        a_coef, b, k = terms(t)
         q = 1.0 / (1.0 + (c / t) * p)
         bq = b * q
         beta = 1.0 + (c / t) * float(np.sum(bq))
@@ -407,28 +411,34 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
         rho = bq @ r_w
         ab = band * (-c / (a_coef * beta))
         ab[kl + ku] += 1.0
-        _, _, d_u, info = gbsv(kl, ku, ab, r[:m] - (c / beta) * rho,
+        _, _, y_u, info = gbsv(kl, ku, ab, r[:m] + (c / beta) * (k / a_coef - rho),
                                overwrite_ab=True, overwrite_b=True)
         if info != 0:
             raise SolverError(f"singular step matrix at t = {t} (LAPACK gbsv info {info})")
-        g = (L @ d_u / a_coef - rho) / beta
-        return np.concatenate([d_u, (q[:, None] * (r_w + (c / t) * g)).ravel()])
+        g = ((k + L @ y_u) / a_coef - rho) / beta
+        return np.concatenate([y_u, (q[:, None] * (r_w + (c / t) * g)).ravel()])
 
-    ts = grid.t_nodes
     y0 = np.concatenate([u0_interior, np.zeros(N * m)])
-    sol = solve_ivp(rhs, (grid.t0, 1.0), y0, method=_LinearBDF, t_eval=ts, dense_output=True,
-                    solve=solve, rtol=_RTOL, atol=_ATOL)
-    if not sol.success:
-        raise SolverError(f"time stepping failed: {sol.message}")
+    stepper = _LinearBDF(rhs, grid.t0, y0, 1.0, solve=solve, rtol=_RTOL, atol=_ATOL)
+    step_ts, pieces = [grid.t0], []
+    while stepper.status == "running":
+        message = stepper.step()
+        if stepper.status == "failed":
+            raise SolverError(f"time stepping failed at t = {stepper.t}: {message}")
+        pieces.append(stepper.dense_output())
+        step_ts.append(stepper.t)
+    dense = OdeSolution(step_ts, pieces)
+    ts = grid.t_nodes
+    y = dense(ts)
     u = np.zeros((grid.mx + 1, len(ts)))
-    u[1:-1, :] = sol.y[:m, :]
+    u[1:-1, :] = y[:m, :]
     u[0, :], u[-1, :] = boundary(ts)
     v = np.zeros((N, grid.mx + 1, len(ts)))
-    v[:, 1:-1, :] = sol.y[m:, :].reshape(N, m, len(ts)) * ts ** p[:, None, None]
+    v[:, 1:-1, :] = y[m:, :].reshape(N, m, len(ts)) * ts ** p[:, None, None]
     meta = {"t0": grid.t0, "N": N, "mx": grid.mx, "mt": grid.mt, **meta, "stepper": "BDF",
-            "steps": len(sol.sol.ts) - 1, "nfev": sol.nfev,
-            "njev": terms.cache_info().misses, "nlu": sol.nlu}
-    return Field2D(grid.x_nodes, ts, u, v, meta, sol.sol, rhs)
+            "steps": len(pieces), "nfev": stepper.nfev,
+            "njev": terms.cache_info().misses, "nlu": stepper.nlu}
+    return Field2D(grid.x_nodes, ts, u, v, meta, dense, rhs)
 
 
 def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:

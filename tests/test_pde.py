@@ -1,3 +1,8 @@
+import math
+import re
+import time
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,6 +14,8 @@ from varcaputo.pde import (
     DiffusionProblem,
     Field2D,
     Grid1D,
+    SolverError,
+    _derivative_matrix,
     burgers_exact,
     diffusion_exact,
     field_error,
@@ -45,6 +52,30 @@ class TestGrid:
     def test_numpy_integer_sizes_accepted(self):
         g = Grid1D(mx=np.int64(8), mt=np.int32(10))
         assert len(g.x_nodes) == 9 and len(g.t_nodes) == 11
+
+
+def _derivative_matrix_by_rows(mx: int, hx: float, deriv: int) -> np.ndarray:
+    """One Vandermonde solve per row, over that row's own window."""
+    D = np.zeros((mx - 1, mx + 1))
+    width = min(6, mx + 1)
+    for row, i in enumerate(range(1, mx)):
+        if 2 <= i <= mx - 2:
+            nodes = np.arange(i - 2, i + 3)
+        else:
+            nodes = np.arange(width) if i == 1 else np.arange(mx + 1 - width, mx + 1)
+        vander = np.vander((nodes - i) * hx, nodes.size, increasing=True).T
+        taylor = np.zeros(nodes.size)
+        taylor[deriv] = math.factorial(deriv)
+        D[row, nodes] = np.linalg.solve(vander, taylor)
+    return D
+
+
+class TestDerivativeMatrix:
+    @pytest.mark.parametrize("deriv", [1, 2])
+    def test_matches_per_row_reference(self, deriv):
+        for mx in [*range(4, 13), 20, 40, 80, 160]:
+            got = _derivative_matrix(mx, 1.0 / mx, deriv)
+            assert np.array_equal(got, _derivative_matrix_by_rows(mx, 1.0 / mx, deriv)), mx
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +182,7 @@ def _record_solves(monkeypatch) -> dict:
     hands it and count the calls the stepper makes of it."""
     import varcaputo.pde as pde
 
-    real, seen = pde.solve_ivp, {"calls": 0}
+    real, seen = pde._LinearBDF, {"calls": 0}
 
     def spy(*args, solve, **kwargs):
         def counted(*call):
@@ -161,8 +192,17 @@ def _record_solves(monkeypatch) -> dict:
         seen["solve"] = solve
         return real(*args, solve=counted, **kwargs)
 
-    monkeypatch.setattr(pde, "solve_ivp", spy)
+    monkeypatch.setattr(pde, "_LinearBDF", spy)
     return seen
+
+
+def _never_step(monkeypatch) -> None:
+    import varcaputo.pde as pde
+
+    def stepper(*args, **kwargs):
+        raise AssertionError("the time stepper ran")
+
+    monkeypatch.setattr(pde, "_LinearBDF", stepper)
 
 
 class TestStructuredSolve:
@@ -170,10 +210,11 @@ class TestStructuredSolve:
     @pytest.mark.parametrize("N", [1, 6, 12, 48])
     def test_solve_against_jacobian_oracle(self, equation, N, monkeypatch):
         # The solve eliminates the W_p rows and factorises one banded m x m
-        # matrix.  Its oracle is the right-hand side the steps call: the
-        # system is affine, so J e_j = (rhs(t, s e_j) - rhs(t, 0)) / s.  A
-        # large s keeps the constant c(t) (Burgers' boundary values) from
-        # cancelling digits, and a power of two makes the division exact.
+        # matrix, and returns the y with y - c rhs(t, y) = r.  Its oracle is
+        # the right-hand side itself: the system is affine, rhs(t, y) = J y +
+        # F with F = rhs(t, 0) and J e_j = (rhs(t, s e_j) - F) / s.  A large
+        # s keeps the constant F (Burgers' boundary values) from cancelling
+        # digits, and a power of two makes the division exact.
         seen = _record_solves(monkeypatch)
         grid = Grid1D(mx=12, mt=4, t0=1e-4)
         if equation == "diffusion":
@@ -190,14 +231,14 @@ class TestStructuredSolve:
             for ratio in np.logspace(-3, 3, 7):  # c/t
                 c = ratio * t
                 r = rng.standard_normal(n)
-                d = seen["solve"](t, c, r)
-                scale = np.abs(r) + np.abs(d) + c * (np.abs(J) @ np.abs(d))
-                assert np.all(np.abs(d - c * (J @ d) - r) <= 16 * eps * scale)
+                y = seen["solve"](t, c, r)
+                scale = np.abs(r) + np.abs(y) + c * (np.abs(J) @ np.abs(y))
+                assert np.all(np.abs(y - c * (J @ y) - c * base - r) <= 16 * eps * scale)
 
     @pytest.mark.parametrize("equation", ["diffusion", "burgers"])
-    def test_one_rhs_call_and_one_solve_per_attempt(self, equation, monkeypatch):
+    def test_no_rhs_call_per_attempt(self, equation, monkeypatch):
         # Start-up takes two RHS calls (y0, and the initial-step probe); every
-        # step attempt after that takes one RHS call and one solve.
+        # step attempt after that is one solve, with the forcing inside it.
         seen = _record_solves(monkeypatch)
         grid = Grid1D(mx=20, mt=20, t0=1e-4)
         if equation == "diffusion":
@@ -206,7 +247,7 @@ class TestStructuredSolve:
             f = solve_burgers(ORDER, grid, N=3)
         meta = f.meta
         assert meta["nlu"] == seen["calls"] >= meta["steps"]
-        assert meta["nfev"] == seen["calls"] + 2
+        assert meta["nfev"] == 2
 
     def test_small_t0_costs_no_more_steps(self):
         # Near t = 0 the Jacobian's entries scale like 1/t and 1/a(t); with
@@ -238,12 +279,7 @@ class TestStepper:
 
     @pytest.mark.parametrize("equation", ["diffusion", "burgers"])
     def test_zero_N_rejected_before_stepping(self, equation, monkeypatch):
-        import varcaputo.pde as pde
-
-        def stepper(*args, **kwargs):
-            raise AssertionError("the time stepper ran")
-
-        monkeypatch.setattr(pde, "solve_ivp", stepper)
+        _never_step(monkeypatch)
         grid = Grid1D(mx=8, mt=4)
         with pytest.raises(ValueError, match="N >= n >= 1"):
             if equation == "diffusion":
@@ -258,18 +294,32 @@ class TestStepper:
         (1.0, 0.3, (0.0, 0.5)),   # alpha(1) = 1.3 once past the domain
     ])
     def test_order_domain_must_cover_time_range(self, equation, c1, c0, domain, monkeypatch):
-        import varcaputo.pde as pde
-
-        def stepper(*args, **kwargs):
-            raise AssertionError("the time stepper ran")
-
-        monkeypatch.setattr(pde, "solve_ivp", stepper)
+        _never_step(monkeypatch)
         order, grid = affine_order(c1, c0, domain), Grid1D(mx=10, mt=10)
         with pytest.raises(DomainError, match="does not cover"):
             if equation == "diffusion":
                 solve_diffusion(manufactured_diffusion(order, N=3), grid)
             else:
                 solve_burgers(order, grid, N=3)
+
+
+    def test_failed_step_names_its_t(self):
+        # A source that turns nan at t = 0.5 stops the steps just short of
+        # it; the error says where, and the nan raises no warning on the way.
+        problem = manufactured_diffusion(ORDER, N=3)
+
+        def f(x, t):
+            return np.full_like(x, np.nan) if t >= 0.5 else problem.f(x, t)
+
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="step size") as info:
+                solve_diffusion(DiffusionProblem(ORDER, 3, f, problem.g), Grid1D(mx=12, mt=20))
+        assert time.perf_counter() - start < 5.0
+        found = re.search(r"at t = (\S+):", str(info.value))
+        assert found, str(info.value)
+        assert 0.5 - 1e-6 < float(found.group(1)) < 0.5
 
 
 class TestFieldError:

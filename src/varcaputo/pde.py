@@ -201,8 +201,13 @@ def _derivative_matrix(mx: int, hx: float, deriv: int) -> np.ndarray:
 _MAX_ORDER = 5
 _KAPPA = np.array([0.0, -0.1850, -1 / 9, -0.0823, -0.0415, 0.0])
 _GAMMA = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, _MAX_ORDER + 1))])
-_ALPHA = (1.0 - _KAPPA) * _GAMMA
-_ERROR_CONST = _KAPPA * _GAMMA + 1.0 / np.arange(1, _MAX_ORDER + 2)
+_ALPHA = ((1.0 - _KAPPA) * _GAMMA).tolist()
+_ERROR_CONST = (_KAPPA * _GAMMA + 1.0 / np.arange(1, _MAX_ORDER + 2)).tolist()
+#: Per order k: the rows whose product with D[:k+1] is (y_predict, r), and
+#: the upper-triangular ones whose product with D[:k+2] is its suffix sums.
+_PREDICT = [None] + [np.stack([np.ones(k + 1), 1.0 - _GAMMA[: k + 1] / _ALPHA[k]])
+                     for k in range(1, _MAX_ORDER + 1)]
+_SUFFIX = [np.triu(np.ones((k + 1, k + 2))) for k in range(_MAX_ORDER + 1)]
 #: SciPy's step-factor limits, and its safety factor 0.9 (2k + 1)/(2k + i)
 #: for a Newton iteration capped at k = 4 that converges in i = 1 step.
 _MIN_FACTOR, _MAX_FACTOR, _SAFETY = 0.2, 10.0, 0.9
@@ -222,9 +227,12 @@ def _compute_r(order: int, factor: float) -> np.ndarray:
     return np.cumprod(M, axis=0)
 
 
+_U = [_compute_r(k, 1.0) for k in range(_MAX_ORDER + 1)]
+
+
 def _change_d(D: np.ndarray, order: int, factor: float) -> None:
     """Rescale the differences D[:order+1] in place to the new step."""
-    RU = _compute_r(order, factor) @ _compute_r(order, 1.0)
+    RU = _compute_r(order, factor) @ _U[order]
     D[: order + 1] = RU.T @ D[: order + 1]
 
 
@@ -254,6 +262,11 @@ class _LinearBDF(OdeSolver):
     no call of f; there is no Newton iteration to fail.  ``nlu`` counts
     those solves.  f is called twice, at start-up: at y0 and in Hairer and
     Wanner's rule for the first step (Solving ODEs I, II.4).
+
+    The vectors are short, so a step is bound by its count of NumPy calls:
+    y_predict and r are one product of D[:k+1] with the rows (1, ..., 1) and
+    (1 - gamma_j/alpha_k)_j, the new differences D[i] = sum_{j>=i} D[j] one
+    product with upper-triangular ones, and the rescaling reuses U = R(k, 1).
     """
 
     def __init__(self, fun, t0, y0, t_bound, solve, rtol, atol, vectorized=False):
@@ -294,14 +307,13 @@ class _LinearBDF(OdeSolver):
                 _change_d(D, order, (t_new - t) / h)
                 self.n_equal_steps = 0
             h = t_new - t
-            y_predict = D[: order + 1].sum(axis=0)
-            psi = _GAMMA[1 : order + 1] @ D[1 : order + 1] / _ALPHA[order]
-            c = h / _ALPHA[order]
-            y_new = self.solve(t_new, c, y_predict - psi)
+            y_predict, r = _PREDICT[order] @ D[: order + 1]
+            y_new = self.solve(t_new, h / _ALPHA[order], r)
             self.nlu += 1
             d = y_new - y_predict
-            scale = self.atol + self.rtol * np.abs(y_new)
-            error_norm = _rms(_ERROR_CONST[order] * d / scale)
+            scale = np.abs(y_new) * self.rtol
+            scale += self.atol
+            error_norm = _ERROR_CONST[order] * _rms(d / scale)
             if error_norm <= 1.0:
                 break
             # A non-finite d fails the test above and shrinks h by _MIN_FACTOR.
@@ -315,20 +327,20 @@ class _LinearBDF(OdeSolver):
         # d is the (order+1)-th difference of the new step; update the rest.
         D[order + 2] = d - D[order + 1]
         D[order + 1] = d
-        for i in reversed(range(order + 1)):
-            D[i] += D[i + 1]
+        D[: order + 1] = _SUFFIX[order] @ D[: order + 2]
         if self.n_equal_steps < order + 1:
             return True, None
 
-        error_norms = np.array([
-            _rms(_ERROR_CONST[order - 1] * D[order] / scale) if order > 1 else np.inf,
+        norms = (
+            _ERROR_CONST[order - 1] * _rms(D[order] / scale) if order > 1 else math.inf,
             error_norm,
-            _rms(_ERROR_CONST[order + 1] * D[order + 2] / scale) if order < _MAX_ORDER else np.inf,
-        ])
-        with np.errstate(divide="ignore"):
-            factors = error_norms ** (-1.0 / np.arange(order, order + 3))
-        self.order = order + int(np.argmax(factors)) - 1
-        factor = min(_MAX_FACTOR, _SAFETY * float(np.max(factors)))
+            _ERROR_CONST[order + 1] * _rms(D[order + 2] / scale) if order < _MAX_ORDER else math.inf,
+        )
+        # A zero norm allows any step, as NumPy's 0.0 ** -x = inf says; Python raises.
+        factors = [e ** (-1.0 / q) if e else math.inf for q, e in enumerate(norms, order)]
+        best = max(range(3), key=factors.__getitem__)
+        self.order = order + best - 1
+        factor = min(_MAX_FACTOR, _SAFETY * factors[best])
         self.h_abs *= factor
         _change_d(D, self.order, factor)
         self.n_equal_steps = 0
@@ -386,6 +398,8 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
     band = np.zeros((2 * kl + ku + 1, m))
     band[kl + ku + l_rows - l_cols, l_cols] = L[l_rows, l_cols]
     (gbsv,) = get_lapack_funcs(("gbsv",), (band,))
+    ab = np.empty_like(band, order="F")
+    d_left, d_right = D[:, 0].copy(), D[:, -1].copy()
 
     @functools.lru_cache(maxsize=1)
     def terms(t: float) -> tuple[float, np.ndarray, np.ndarray]:
@@ -394,7 +408,10 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
         head, tail = coefficients_left(alpha, params)
         a1 = float(head[0])
         left, right = boundary(t)
-        return a1 * t ** (1.0 - alpha), tail / a1, source(t) + D[:, 0] * left + D[:, -1] * right
+        c = source(t)
+        if left or right:
+            c = c + d_left * left + d_right * right
+        return a1 * t ** (1.0 - alpha), tail / a1, c
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         a_coef, b, c = terms(t)
@@ -406,17 +423,20 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
         a_coef, b, k = terms(t)
         q = 1.0 / (1.0 + (c / t) * p)
         bq = b * q
-        beta = 1.0 + (c / t) * float(np.sum(bq))
+        beta = 1.0 + (c / t) * float(bq.sum())
         r_w = r[m:].reshape(N, m)
         rho = bq @ r_w
-        ab = band * (-c / (a_coef * beta))
+        np.multiply(band, -c / (a_coef * beta), out=ab)
         ab[kl + ku] += 1.0
         _, _, y_u, info = gbsv(kl, ku, ab, r[:m] + (c / beta) * (k / a_coef - rho),
                                overwrite_ab=True, overwrite_b=True)
         if info != 0:
             raise SolverError(f"singular step matrix at t = {t} (LAPACK gbsv info {info})")
-        g = ((k + L @ y_u) / a_coef - rho) / beta
-        return np.concatenate([y_u, (q[:, None] * (r_w + (c / t) * g)).ravel()])
+        y = np.empty(r.shape)
+        y[:m] = y_u
+        ct_g = ((k + L @ y_u) / a_coef - rho) * (c / t / beta)
+        np.multiply(q[:, None], r_w + ct_g, out=y[m:].reshape(N, m))
+        return y
 
     y0 = np.concatenate([u0_interior, np.zeros(N * m)])
     stepper = _LinearBDF(rhs, grid.t0, y0, 1.0, solve=solve, rtol=_RTOL, atol=_ATOL)

@@ -15,6 +15,11 @@ from varcaputo.pde import (
     Field2D,
     Grid1D,
     SolverError,
+    _ALPHA,
+    _GAMMA,
+    _PREDICT,
+    _SUFFIX,
+    _change_d,
     _derivative_matrix,
     burgers_exact,
     diffusion_exact,
@@ -302,6 +307,69 @@ class TestStepper:
             else:
                 solve_burgers(order, grid, N=3)
 
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_difference_algebra(self, k):
+        # The rescaling caches U = R(k, 1), which leaves SciPy's product as
+        # it is; the predictor and the difference update are one product
+        # each, against the sums and the loop they replace.
+        from scipy.integrate._ivp.bdf import change_D
+
+        rng = np.random.default_rng(k)
+        eps = np.finfo(float).eps
+        for factor in (0.2, 0.5, 1.7, 10.0):
+            D = rng.standard_normal((8, 7))
+            want = D.copy()
+            change_D(want, k, factor)
+            _change_d(D, k, factor)
+            assert np.array_equal(D, want)
+        D = rng.standard_normal((8, 7))
+        y_predict, r = _PREDICT[k] @ D[: k + 1]
+        want = D[: k + 1].sum(0)
+        size = np.abs(D[: k + 1]).sum(0)
+        assert np.all(np.abs(y_predict - want) <= 8 * eps * size)
+        want -= _GAMMA[1 : k + 1] @ D[1 : k + 1] / _ALPHA[k]
+        size += _GAMMA[1 : k + 1] @ np.abs(D[1 : k + 1]) / _ALPHA[k]
+        assert np.all(np.abs(r - want) <= 8 * eps * size)
+        want = D[: k + 2].copy()
+        for i in reversed(range(k + 1)):
+            want[i] += want[i + 1]
+        got = _SUFFIX[k] @ D[: k + 2]
+        assert np.all(np.abs(got - want[: k + 1]) <= 8 * eps * (_SUFFIX[k] @ np.abs(D[: k + 2])))
+
+    @pytest.mark.parametrize("N", [1, 3, 12])
+    def test_zero_data_gives_zero_field(self, N):
+        # Every error norm is 0: each step is accepted and the order choice
+        # sees three zero-or-infinite norms, where 0.0 ** -x must read as an
+        # infinite step factor (Python's float power raises instead).
+        def zero(x, t=None):
+            return np.zeros_like(x)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = solve_diffusion(DiffusionProblem(ORDER, N, zero, zero), Grid1D(mx=12, mt=20))
+        assert np.array_equal(f.u, np.zeros_like(f.u))
+        assert np.array_equal(f.v, np.zeros_like(f.v))
+        assert f.meta["steps"] == 13
+
+    @pytest.mark.parametrize("equation, mx, N, steps, nlu", [
+        # The bench's pde-mol solves and acceptance criteria 7 and 8.
+        ("diffusion", 20, 3, 194, 195),
+        ("diffusion", 20, 12, 188, 188),
+        ("diffusion", 40, 3, 193, 194),
+        ("burgers", 20, 3, 207, 208),
+        ("burgers", 20, 6, 204, 205),
+        ("burgers", 20, 12, 200, 201),
+    ])
+    def test_step_counts_pinned(self, equation, mx, N, steps, nlu):
+        # A faster step must take the same steps: same formulas, same
+        # error control, same order and step-size choice.
+        grid = Grid1D(mx=mx, mt=200, t0=1e-4)
+        if equation == "diffusion":
+            f = solve_diffusion(manufactured_diffusion(ORDER, N=N), grid)
+        else:
+            f = solve_burgers(ORDER, grid, N=N)
+        assert (f.meta["steps"], f.meta["nlu"]) == (steps, nlu)
 
     def test_failed_step_names_its_t(self):
         # A source that turns nan at t = 0.5 stops the steps just short of

@@ -7,8 +7,8 @@ PDEs rewritten through the expansion.
 
 The package exports each module's ``__all__``, typed errors included.
 Importing it loads no SciPy: QUADPACK is imported by the first adaptive
-quadrature, and ``pde`` (SciPy's ODE driver and LAPACK) by the first access
-to it or to one of its exports.
+quadrature, and ``pde`` (SciPy's ``OdeSolution`` and LAPACK) by the first
+access to it or to one of its exports.
 """
 
 import importlib

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import DenseOutput, OdeSolution, OdeSolver
+from scipy.integrate import OdeSolution
 from scipy.linalg import get_lapack_funcs
 
 from .expansion import ExpansionParams, coefficients_left
@@ -236,24 +236,23 @@ def _change_d(D: np.ndarray, order: int, factor: float) -> None:
     D[: order + 1] = RU.T @ D[: order + 1]
 
 
-class _NdfDense(DenseOutput):
-    """The interpolating polynomial of one step, from its differences."""
+class _NdfDense:
+    """One step's interpolating polynomial, from its differences, at a 0-d or 1-d array t."""
 
-    def __init__(self, t_old: float, t: float, h: float, order: int, D: np.ndarray):
-        super().__init__(t_old, t)
-        self.h, self.order, self.D = h, order, D
+    def __init__(self, t: float, h: float, order: int, D: np.ndarray):
+        self.t, self.h, self.order, self.D = t, h, order, D
 
-    def _call_impl(self, t: np.ndarray) -> np.ndarray:
+    def __call__(self, t: np.ndarray) -> np.ndarray:
         k = np.arange(self.order)[:, None]
         x = (np.atleast_1d(t) - (self.t - self.h * k)) / (self.h * (1 + k))
         y = self.D[0][:, None] + self.D[1:].T @ np.cumprod(x, axis=0)
         return y if t.ndim else y[:, 0]
 
 
-class _LinearBDF(OdeSolver):
+class _LinearBDF:
     """SciPy's variable-order NDF stepper (orders 1..5, its constants, RMS
     error norm, step-size and order selection and difference rescaling) for
-    a system y' = f(t, y) affine in y, forward in t.
+    a system y' = f(t, y) affine in y, from t0 forward to t = 1.
 
     For such a system, f = J(t) y + F(t), the implicit equation of a step,
     y_new = y_predict - psi + c f(t_new, y_new), is the linear system (I - c
@@ -261,7 +260,8 @@ class _LinearBDF(OdeSolver):
     attempt is one call of ``solve(t_new, c, r)``, which returns y_new, and
     no call of f; there is no Newton iteration to fail.  ``nlu`` counts
     those solves.  f is called twice, at start-up: at y0 and in Hairer and
-    Wanner's rule for the first step (Solving ODEs I, II.4).
+    Wanner's rule for the first step (Solving ODEs I, II.4); ``nfev`` counts
+    them.
 
     The vectors are short, so a step is bound by its count of NumPy calls:
     y_predict and r are one product of D[:k+1] with the rows (1, ..., 1) and
@@ -269,28 +269,27 @@ class _LinearBDF(OdeSolver):
     product with upper-triangular ones, and the rescaling reuses U = R(k, 1).
     """
 
-    def __init__(self, fun, t0, y0, t_bound, solve, rtol, atol, vectorized=False):
-        super().__init__(fun, t0, y0, t_bound, vectorized)
-        self.solve, self.rtol, self.atol = solve, rtol, atol
-        f = self.fun(self.t, self.y)
-        self.h_abs = self._initial_step(f)
-        self.D = np.zeros((_MAX_ORDER + 3, self.n))
-        self.D[0], self.D[1] = self.y, f * self.h_abs
-        self.order = 1
-        self.n_equal_steps = 0
-
-    def _initial_step(self, f0: np.ndarray) -> float:
-        span = self.t_bound - self.t
-        scale = self.atol + self.rtol * np.abs(self.y)
-        d0, d1 = _rms(self.y / scale), _rms(f0 / scale)
-        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-        f1 = self.fun(self.t + h0, self.y + h0 * f0)
+    def __init__(self, fun: Callable, t0: float, y0: np.ndarray, solve: Callable):
+        self.t, self.solve, self.nlu = t0, solve, 0
+        # Hairer and Wanner's first step, from f at y0 and at one probe.
+        f0 = fun(t0, y0)
+        scale = _ATOL + _RTOL * np.abs(y0)
+        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 1.0 - t0)
+        f1 = fun(t0 + h0, y0 + h0 * f0)
+        self.nfev = 2  # the two calls of fun above
         d2 = _rms((f1 - f0) / scale) / h0
         big = max(d1, d2)
         h1 = max(1e-6, 1e-3 * h0) if big <= 1e-15 else math.sqrt(0.01 / big)
-        return min(100.0 * h0, h1, span)
+        self.h_abs = min(100.0 * h0, h1, 1.0 - t0)
+        self.D = np.zeros((_MAX_ORDER + 3, y0.size))
+        self.D[0], self.D[1] = y0, f0 * self.h_abs
+        self.order, self.n_equal_steps = 1, 0
 
-    def _step_impl(self):
+    def step(self) -> _NdfDense:
+        """Take one step and return its interpolant, built from the step
+        size, order and differences chosen for the next step.  Raise
+        ``SolverError`` if the step size falls below 10 ulp of t."""
         t, D, order = self.t, self.D, self.order
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h = self.h_abs
@@ -300,10 +299,11 @@ class _LinearBDF(OdeSolver):
             h = min_step
         while True:
             if h < min_step:
-                return False, self.TOO_SMALL_STEP
+                raise SolverError(f"time stepping failed at t = {t}: Required step size "
+                                  "is less than spacing between numbers.")
             t_new = t + h
-            if t_new > self.t_bound:
-                t_new = self.t_bound
+            if t_new > 1.0:
+                t_new = 1.0
                 _change_d(D, order, (t_new - t) / h)
                 self.n_equal_steps = 0
             h = t_new - t
@@ -311,8 +311,8 @@ class _LinearBDF(OdeSolver):
             y_new = self.solve(t_new, h / _ALPHA[order], r)
             self.nlu += 1
             d = y_new - y_predict
-            scale = np.abs(y_new) * self.rtol
-            scale += self.atol
+            scale = np.abs(y_new) * _RTOL
+            scale += _ATOL
             error_norm = _ERROR_CONST[order] * _rms(d / scale)
             if error_norm <= 1.0:
                 break
@@ -323,32 +323,27 @@ class _LinearBDF(OdeSolver):
             self.n_equal_steps = 0
 
         self.n_equal_steps += 1
-        self.t, self.y, self.h_abs = t_new, y_new, h
+        self.t, self.h_abs = t_new, h
         # d is the (order+1)-th difference of the new step; update the rest.
         D[order + 2] = d - D[order + 1]
         D[order + 1] = d
         D[: order + 1] = _SUFFIX[order] @ D[: order + 2]
-        if self.n_equal_steps < order + 1:
-            return True, None
-
-        norms = (
-            _ERROR_CONST[order - 1] * _rms(D[order] / scale) if order > 1 else math.inf,
-            error_norm,
-            _ERROR_CONST[order + 1] * _rms(D[order + 2] / scale) if order < _MAX_ORDER else math.inf,
-        )
-        # A zero norm allows any step, as NumPy's 0.0 ** -x = inf says; Python raises.
-        factors = [e ** (-1.0 / q) if e else math.inf for q, e in enumerate(norms, order)]
-        best = max(range(3), key=factors.__getitem__)
-        self.order = order + best - 1
-        factor = min(_MAX_FACTOR, _SAFETY * factors[best])
-        self.h_abs *= factor
-        _change_d(D, self.order, factor)
-        self.n_equal_steps = 0
-        return True, None
-
-    def _dense_output_impl(self):
-        return _NdfDense(self.t_old, self.t, self.h_abs, self.order,
-                         self.D[: self.order + 1].copy())
+        if self.n_equal_steps >= order + 1:
+            norms = (
+                _ERROR_CONST[order - 1] * _rms(D[order] / scale) if order > 1 else math.inf,
+                error_norm,
+                _ERROR_CONST[order + 1] * _rms(D[order + 2] / scale)
+                if order < _MAX_ORDER else math.inf,
+            )
+            # A zero norm allows any step, as NumPy's 0.0 ** -x = inf says; Python raises.
+            factors = [e ** (-1.0 / q) if e else math.inf for q, e in enumerate(norms, order)]
+            best = max(range(3), key=factors.__getitem__)
+            self.order = order + best - 1
+            factor = min(_MAX_FACTOR, _SAFETY * factors[best])
+            self.h_abs *= factor
+            _change_d(D, self.order, factor)
+            self.n_equal_steps = 0
+        return _NdfDense(t_new, self.h_abs, self.order, D[: self.order + 1].copy())
 
 
 def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Callable,
@@ -380,14 +375,17 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
     banded LU of L's bandwidth (at most 4 each side), whatever N is.  The
     steps' interpolants give the columns at the time nodes and ``dense``.
 
-    a, b_p and c(t) are kept for the last t, which the step's solve and any
-    ``rhs`` call at the same t reuse.  An order whose domain does not cover
-    [t0, 1] raises ``DomainError``, then an N < 1 ``ValueError``, both
-    before any step.
+    a, b_p and c(t) are kept for the last t.  Each step attempt and each
+    start-up call is at a new t (``njev`` = ``nlu`` + ``nfev``), so the memo
+    serves only repeated ``rhs`` calls at one t after the solve.  An order
+    whose domain does not cover [t0, 1] raises ``DomainError``, then an N < 1
+    or a non-finite initial profile ``ValueError``, all before any step.
     """
     if not (order.a <= grid.t0 and order.b >= 1.0):
         raise DomainError(f"order domain [{order.a}, {order.b}] does not cover [{grid.t0}, 1]")
     params = ExpansionParams(1, N)
+    if not np.isfinite(u0_interior).all():
+        raise ValueError("the initial profile must be finite at every interior node")
     L = D[:, 1:-1]
     m = grid.mx - 1
     p = np.arange(1, N + 1)
@@ -439,13 +437,10 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
         return y
 
     y0 = np.concatenate([u0_interior, np.zeros(N * m)])
-    stepper = _LinearBDF(rhs, grid.t0, y0, 1.0, solve=solve, rtol=_RTOL, atol=_ATOL)
+    stepper = _LinearBDF(rhs, grid.t0, y0, solve=solve)
     step_ts, pieces = [grid.t0], []
-    while stepper.status == "running":
-        message = stepper.step()
-        if stepper.status == "failed":
-            raise SolverError(f"time stepping failed at t = {stepper.t}: {message}")
-        pieces.append(stepper.dense_output())
+    while stepper.t < 1.0:
+        pieces.append(stepper.step())
         step_ts.append(stepper.t)
     dense = OdeSolution(step_ts, pieces)
     ts = grid.t_nodes
@@ -469,10 +464,10 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
     W_p, each one banded linear solve.
     """
     x_int = grid.x_nodes[1:-1]
+    u0 = np.broadcast_to(np.asarray(problem.g(x_int), dtype=float), x_int.shape)
     D2 = _derivative_matrix(grid.mx, grid.hx, 2)
     return _march(problem.order, problem.N, grid, D2, lambda t: problem.f(x_int, t),
-                  lambda t: (0.0, 0.0), np.asarray(problem.g(x_int), dtype=float),
-                  {"equation": "diffusion"})
+                  lambda t: (0.0, 0.0), u0, {"equation": "diffusion"})
 
 
 def solve_burgers(order: OrderFunction, grid: Grid1D, N: int) -> Field2D:

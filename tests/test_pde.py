@@ -123,9 +123,9 @@ class TestDiffusion:
             assert got == pytest.approx(ref, abs=10.0 * 1e-7, rel=1e-5)
 
     def test_t_terms_computed_once_per_t(self):
-        # Each step attempt's RHS call and its structured solve share one t;
-        # the core keeps that t's terms instead of calling the source again,
-        # and meta["njev"] counts those assemblies.
+        # Each start-up RHS call and each step attempt's structured solve is
+        # at a new t, so the source is called once per t, and meta["njev"]
+        # counts those assemblies.
         problem = manufactured_diffusion(ORDER, N=4)
         ts = []
 
@@ -184,18 +184,22 @@ class TestBurgers:
 
 def _record_solves(monkeypatch) -> dict:
     """Run the real stepper, but keep the structured solve that the core
-    hands it and count the calls the stepper makes of it."""
+    hands it and count the calls the stepper makes of it and of f."""
     import varcaputo.pde as pde
 
-    real, seen = pde._LinearBDF, {"calls": 0}
+    real, seen = pde._LinearBDF, {"calls": 0, "fun_calls": 0}
 
-    def spy(*args, solve, **kwargs):
+    def spy(fun, *args, solve, **kwargs):
         def counted(*call):
             seen["calls"] += 1
             return solve(*call)
 
+        def counted_fun(*call):
+            seen["fun_calls"] += 1
+            return fun(*call)
+
         seen["solve"] = solve
-        return real(*args, solve=counted, **kwargs)
+        return real(counted_fun, *args, solve=counted, **kwargs)
 
     monkeypatch.setattr(pde, "_LinearBDF", spy)
     return seen
@@ -252,7 +256,7 @@ class TestStructuredSolve:
             f = solve_burgers(ORDER, grid, N=3)
         meta = f.meta
         assert meta["nlu"] == seen["calls"] >= meta["steps"]
-        assert meta["nfev"] == 2
+        assert meta["nfev"] == seen["fun_calls"] == 2
 
     def test_small_t0_costs_no_more_steps(self):
         # Near t = 0 the Jacobian's entries scale like 1/t and 1/a(t); with
@@ -266,11 +270,18 @@ class TestStructuredSolve:
 
 class TestStepper:
     def test_meta_records_stepper_counts(self, diffusion_field, fieldv):
+        # bench/layers.py reads dense.ts and calls dense at a float and at an
+        # array of t; the time-node columns come from the same interpolants.
         for f in (diffusion_field, fieldv):
             assert f.meta["stepper"] == "BDF"
             assert f.meta["steps"] == len(f.dense.ts) - 1
             for key in ("steps", "nfev", "njev", "nlu"):
                 assert f.meta[key] > 0
+            m = len(f.x_nodes) - 2
+            n = (f.meta["N"] + 1) * m
+            assert f.dense(0.5).shape == (n,)
+            assert f.dense(np.array([0.3, 0.7])).shape == (n, 2)
+            assert np.array_equal(f.dense(f.t_nodes)[:m], f.u[1:-1])
 
     def test_steps_do_not_grow_with_mx(self):
         # An explicit stepper needs ~mx^2 more steps; an implicit one is set
@@ -336,6 +347,40 @@ class TestStepper:
             want[i] += want[i + 1]
         got = _SUFFIX[k] @ D[: k + 2]
         assert np.all(np.abs(got - want[: k + 1]) <= 8 * eps * (_SUFFIX[k] @ np.abs(D[: k + 2])))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial_profile_rejected_before_stepping(self, bad):
+        # The profile is outside input: a nan in it must not reach the
+        # stepper, whose first RHS call would call the source.
+        ts = []
+
+        def f(x, t):
+            ts.append(t)
+            return np.zeros_like(x)
+
+        def g(x):
+            u0 = np.zeros_like(x)
+            u0[3] = bad
+            return u0
+
+        with pytest.raises(ValueError, match="finite"):
+            solve_diffusion(DiffusionProblem(ORDER, 3, f, g), Grid1D(mx=12, mt=20))
+        assert ts == []
+
+    def test_constant_initial_profile_broadcast(self):
+        zero = lambda x, t=None: np.zeros_like(x)
+        f = solve_diffusion(DiffusionProblem(ORDER, 3, zero, lambda x: 0.0), Grid1D(mx=12, mt=20))
+        assert np.array_equal(f.u, np.zeros_like(f.u))
+        assert np.array_equal(f.v, np.zeros_like(f.v))
+
+    def test_initial_profile_of_wrong_length_rejected_before_stepping(self, monkeypatch):
+        # g is called at the mx - 1 interior nodes; values on all mx + 1
+        # nodes do not broadcast to them.
+        _never_step(monkeypatch)
+        problem = DiffusionProblem(ORDER, 3, lambda x, t: np.zeros_like(x),
+                                   lambda x: np.zeros(len(x) + 2))
+        with pytest.raises(ValueError, match="broadcast"):
+            solve_diffusion(problem, Grid1D(mx=10, mt=20))
 
     @pytest.mark.parametrize("N", [1, 3, 12])
     def test_zero_data_gives_zero_field(self, N):

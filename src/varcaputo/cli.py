@@ -30,17 +30,10 @@ import numpy as np
 
 from .expansion import ExpansionParams, approximate
 from .order import OrderFunction, affine_order, constant_order
-from .pde import (
-    Grid1D,
-    burgers_exact,
-    diffusion_exact,
-    field_error,
-    manufactured_diffusion,
-    solve_burgers,
-    solve_diffusion,
-)
-from .reference import (Kind, ScalarFunction, Side, caputo_quadrature, power_closed_form,
-                        power_function)
+from .pde import (DEFAULT_T0, Grid1D, burgers_exact, diffusion_exact, field_error,
+                  manufactured_diffusion, solve_burgers, solve_diffusion)
+from .reference import (DEFAULT_TOL, Kind, ScalarFunction, Side, caputo_quadrature,
+                        power_closed_form, power_function)
 from .special import PoleError
 
 EXIT_OK = 0
@@ -238,14 +231,14 @@ _FLAGS = {
     "--side": dict(choices=("left", "right"), default="left"),
     "--n": dict(type=int, default=1, help="highest classical derivative"),
     "--N": dict(type=int, default=6, help="series truncation"),
-    "--tol": dict(type=float, default=1e-8),
+    "--tol": dict(type=float, default=DEFAULT_TOL),
     "--out": dict(default=None, help="output path ('-' = stdout)"),
     "--t": dict(type=float, action="append", help="evaluation point (repeatable)"),
     "--gamma-exp": dict(type=float, default=2.0, help="power-function exponent"),
     "--points": dict(type=int),
     "--mx": dict(type=int, default=20),
     "--mt": dict(type=int, default=200),
-    "--t0": dict(type=float, default=1e-4),
+    "--t0": dict(type=float, default=DEFAULT_T0),
 }
 
 

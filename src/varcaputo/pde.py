@@ -16,11 +16,13 @@ diagonal in W_p, so that solve reduces to one banded m x m system (m =
 mx - 1).  A step costs O(N m), and the step count is set by accuracy, not by
 the mx^2 stability limit of an explicit stepper nor by the 1/t growth of the
 Jacobian near t0.  Diffusion and Burgers are two configurations of the core:
-a space operator, a source, boundary values and an initial profile.
+a space operator, a source, boundary values and an initial profile.  The
+moments stay in the solver's continuous solution, ``Field2D.dense``.
 
 The u_t coefficient A t^(1-alpha) vanishes at t = 0, so integration starts
 at a small t0 > 0 with u taken from the initial condition; the offset's
-effect is O(t0^2) for the manufactured solutions used here.
+effect is O(t0^2) for the manufactured solutions used here, whose sources
+take the derivative of t^2 from ``power_closed_form`` and its alpha check.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -37,7 +39,8 @@ from scipy.linalg import get_lapack_funcs
 
 from .expansion import ExpansionParams, coefficients_left
 from .order import OrderFunction
-from .special import DomainError, gamma
+from .reference import Kind, Side, power_closed_form
+from .special import DomainError
 
 __all__ = [
     "Grid1D",
@@ -87,10 +90,6 @@ class Grid1D:
             raise DegenerateCoefficientError(f"t0 must lie in (0,1), got {self.t0}")
 
     @property
-    def hx(self) -> float:
-        return 1.0 / self.mx
-
-    @property
     def x_nodes(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.mx + 1)
 
@@ -115,12 +114,12 @@ class DiffusionProblem:
 
 @dataclass
 class Field2D:
-    """Space-time solution field u[ix, it] plus the marched moment fields.
+    """Space-time solution field u[ix, it] with the solver's continuous solution.
 
-    ``v[p-1, ix, it]`` holds V_p = t^p W_p.  ``dense`` and ``rhs`` expose
-    the solver's continuous solution and the ODE right-hand side for
-    verification; they act on the scaled interior state (u, W_1..W_N), and
-    the first m = mx - 1 entries of ``rhs`` are u_t.  The system is affine,
+    ``dense`` and ``rhs`` expose the solver's continuous solution and the
+    ODE right-hand side; they act on the scaled interior state (u, W_1..W_N),
+    and the first m = mx - 1 entries of ``rhs`` are u_t.  V_p = t^p W_p,
+    with W_1..W_N in ``dense(t)[m:]`` reshaped to (N, m).  The system is affine,
     so ``rhs`` also gives its Jacobian: J y = rhs(t, y) - rhs(t, 0).
     ``meta`` records the stepper and its counts: ``steps`` accepted steps,
     ``nfev`` RHS calls (the two at start-up; the steps call none),
@@ -132,7 +131,6 @@ class Field2D:
     x_nodes: np.ndarray
     t_nodes: np.ndarray
     u: np.ndarray
-    v: np.ndarray
     meta: dict = field(default_factory=dict)
     dense: object = None
     rhs: Callable | None = None
@@ -151,16 +149,15 @@ def burgers_exact(x, t):
 def manufactured_diffusion(order: OrderFunction, N: int = 6) -> DiffusionProblem:
     """Diffusion problem whose exact solution is t^2 sin(2 pi x).
 
-    The source combines the exact fractional derivative of t^2 with the
-    spatial Laplacian: f = (2 t^(2-alpha)/Gamma(3-alpha) + 4 pi^2 t^2)
-    * sin(2 pi x); the initial profile is identically zero.
+    The source combines the exact fractional derivative of t^2 from t = 0,
+    ``power_closed_form``'s 2 t^(2-alpha)/Gamma(3-alpha), with the spatial
+    Laplacian 4 pi^2 t^2, times sin(2 pi x); the initial profile is zero.
     """
+    origin = replace(order, a=0.0)  # the time origin is t = 0, whatever order.a is
 
     def f(x: np.ndarray, t: float) -> np.ndarray:
-        alpha = order.alpha(t)
-        return (
-            2.0 / gamma(3.0 - alpha) * t ** (2.0 - alpha) + 4.0 * math.pi**2 * t**2
-        ) * np.sin(2.0 * np.pi * np.asarray(x))
+        dt2 = power_closed_form(Kind.TYPE_III, Side.LEFT, 2.0, origin, t)
+        return (dt2 + 4.0 * math.pi**2 * t**2) * np.sin(2.0 * np.pi * np.asarray(x))
 
     def g(x: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -168,9 +165,9 @@ def manufactured_diffusion(order: OrderFunction, N: int = 6) -> DiffusionProblem
     return DiffusionProblem(order=order, N=N, f=f, g=g)
 
 
-def _derivative_matrix(mx: int, hx: float, deriv: int) -> np.ndarray:
+def _derivative_matrix(mx: int, deriv: int) -> np.ndarray:
     """Finite-difference weights for the requested derivative at the interior
-    nodes, fourth-order accurate, acting on the full node vector.
+    nodes (step 1/mx), fourth-order accurate, acting on the full node vector.
 
     One rule gives every row: the weights are the Vandermonde solve over the
     row's window, which is 5 nodes centred on the row's node, or, one node
@@ -181,7 +178,7 @@ def _derivative_matrix(mx: int, hx: float, deriv: int) -> np.ndarray:
     """
 
     def weights(offsets: np.ndarray) -> np.ndarray:
-        vander = np.vander(offsets * hx, offsets.size, increasing=True).T
+        vander = np.vander(offsets * (1.0 / mx), offsets.size, increasing=True).T
         taylor = np.zeros(offsets.size)
         taylor[deriv] = math.factorial(deriv)
         return np.linalg.solve(vander, taylor)
@@ -378,8 +375,9 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
     a, b_p and c(t) are kept for the last t.  Each step attempt and each
     start-up call is at a new t (``njev`` = ``nlu`` + ``nfev``), so the memo
     serves only repeated ``rhs`` calls at one t after the solve.  An order
-    whose domain does not cover [t0, 1] raises ``DomainError``, then an N < 1
-    or a non-finite initial profile ``ValueError``, all before any step.
+    whose domain does not cover [t0, 1] raises ``DomainError``, then an N < 1,
+    a non-finite initial profile or a source of shape other than () or (m,)
+    (at the first start-up call) ``ValueError``, all before any step.
     """
     if not (order.a <= grid.t0 and order.b >= 1.0):
         raise DomainError(f"order domain [{order.a}, {order.b}] does not cover [{grid.t0}, 1]")
@@ -407,6 +405,9 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
         a1 = float(head[0])
         left, right = boundary(t)
         c = source(t)
+        if np.shape(c) not in ((), (m,)):
+            raise ValueError(f"the source gave shape {np.shape(c)}, not () or ({m},) "
+                             f"for the {m} interior nodes")
         if left or right:
             c = c + d_left * left + d_right * right
         return a1 * t ** (1.0 - alpha), tail / a1, c
@@ -444,16 +445,13 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
         step_ts.append(stepper.t)
     dense = OdeSolution(step_ts, pieces)
     ts = grid.t_nodes
-    y = dense(ts)
     u = np.zeros((grid.mx + 1, len(ts)))
-    u[1:-1, :] = y[:m, :]
+    u[1:-1, :] = dense(ts)[:m]
     u[0, :], u[-1, :] = boundary(ts)
-    v = np.zeros((N, grid.mx + 1, len(ts)))
-    v[:, 1:-1, :] = y[m:, :].reshape(N, m, len(ts)) * ts ** p[:, None, None]
     meta = {"t0": grid.t0, "N": N, "mx": grid.mx, "mt": grid.mt, **meta, "stepper": "BDF",
             "steps": len(pieces), "nfev": stepper.nfev,
             "njev": terms.cache_info().misses, "nlu": stepper.nlu}
-    return Field2D(grid.x_nodes, ts, u, v, meta, dense, rhs)
+    return Field2D(grid.x_nodes, ts, u, meta, dense, rhs)
 
 
 def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
@@ -465,7 +463,7 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
     """
     x_int = grid.x_nodes[1:-1]
     u0 = np.broadcast_to(np.asarray(problem.g(x_int), dtype=float), x_int.shape)
-    D2 = _derivative_matrix(grid.mx, grid.hx, 2)
+    D2 = _derivative_matrix(grid.mx, 2)
     return _march(problem.order, problem.N, grid, D2, lambda t: problem.f(x_int, t),
                   lambda t: (0.0, 0.0), u0, {"equation": "diffusion"})
 
@@ -480,12 +478,12 @@ def solve_burgers(order: OrderFunction, grid: Grid1D, N: int) -> Field2D:
     same implicit core as in ``solve_diffusion``.
     """
     x_int = grid.x_nodes[1:-1]
+    origin = replace(order, a=0.0)  # as in ``manufactured_diffusion``
 
     def source(t: float) -> np.ndarray:
-        alpha = order.alpha(t)
-        return 2.0 * t ** (2.0 - alpha) / gamma(3.0 - alpha) + 2.0 * x_int - 2.0
+        return power_closed_form(Kind.TYPE_III, Side.LEFT, 2.0, origin, t) + 2.0 * x_int - 2.0
 
-    D = _derivative_matrix(grid.mx, grid.hx, 2) - _derivative_matrix(grid.mx, grid.hx, 1)
+    D = _derivative_matrix(grid.mx, 2) - _derivative_matrix(grid.mx, 1)
     meta = {"equation": "burgers", "lateral_bc": "dirichlet-from-exact-solution (solver choice)"}
     return _march(order, N, grid, D, source, lambda t: (t**2, 1.0 + t**2),
                   x_int**2 + grid.t0**2, meta)

@@ -250,7 +250,8 @@ def power_closed_form(
     * dist^(gamma-alpha); types I and II add an alpha'-weighted term carrying
     ln(dist) - Psi(gamma-alpha+2), with Psi(1-alpha) appearing for type I
     only.  The correction enters with the sign -sgn of the signed frame:
-    minus on the left, plus on the right.
+    minus on the left, plus on the right.  An alpha(t) outside (0, 1) raises
+    ``DomainError``, as in ``caputo_quadrature``.
     """
     if gamma_exp <= 0:
         raise DomainError(f"power exponent must be positive, got {gamma_exp}")
@@ -258,6 +259,8 @@ def power_closed_form(
     if dist == 0.0:
         return 0.0
     alpha = order.alpha(t)
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0,1), got alpha({t}) = {alpha}")
     base = gamma_ratio(gamma_exp + 1.0, gamma_exp - alpha + 1.0) * dist ** (gamma_exp - alpha)
     if kind is Kind.TYPE_III:
         return base

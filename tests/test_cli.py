@@ -23,6 +23,8 @@ from varcaputo.cli import (
     main,
     parse_order,
 )
+from varcaputo.pde import DEFAULT_T0
+from varcaputo.reference import DEFAULT_TOL
 
 
 def _read_csv(path):
@@ -337,6 +339,16 @@ class TestFlags:
             main(argv)
         assert exc.value.code == EXIT_CONFIG
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag, default", [
+        (["eval"], "tol", DEFAULT_TOL),
+        (["convergence"], "tol", DEFAULT_TOL),
+        (["figures", "--out", "figs"], "tol", DEFAULT_TOL),
+        (["pde-diffusion"], "t0", DEFAULT_T0),
+        (["pde-burgers"], "t0", DEFAULT_T0),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_defaults_are_the_library_constants(self, argv, flag, default):
+        assert getattr(build_parser().parse_args(argv), flag) == default
 
 
 #: Inputs of the ``eval`` sweep: admissible, degenerate and malformed values.

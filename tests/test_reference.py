@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from varcaputo.expansion import ExpansionParams, approximate
 from varcaputo.order import affine_order, constant_order, order_from_callables
 from varcaputo.reference import (
     DomainError,
@@ -197,8 +198,8 @@ class TestStructuralProperties:
     @pytest.mark.parametrize("kind", list(Kind))
     def test_alpha_outside_unit_interval_rejected(self, kind):
         # alpha is 0.5 on every point of the 101-point admission grid, so the
-        # order is admitted, yet alpha(5e-4) = 1.1: the quadrature rejects it
-        # there, as approximate does through coefficients_left.
+        # order is admitted, yet alpha(5e-4) = 1.1: every route rejects it
+        # there, approximate through coefficients_left.
         order = order_from_callables(
             lambda t: 0.5 + 0.6 * np.sin(1000.0 * np.pi * t),
             lambda t: 600.0 * np.pi * np.cos(1000.0 * np.pi * t),
@@ -206,6 +207,10 @@ class TestStructuralProperties:
         x = power_function(2.0, 0.0, 1.0, Side.LEFT)
         with pytest.raises(DomainError, match="alpha must lie in"):
             caputo_quadrature(kind, x, order, 5e-4)
+        with pytest.raises(DomainError, match="alpha must lie in"):
+            power_closed_form(kind, Side.LEFT, 2.0, order, 5e-4)
+        with pytest.raises(DomainError, match="alpha must lie in"):
+            approximate(kind, x, order, 5e-4, Side.LEFT, ExpansionParams(1, 6))
 
 
 def _fd(func, t, h=1e-6):

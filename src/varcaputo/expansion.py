@@ -46,6 +46,7 @@ from .reference import (
     Side,
     SingularityError,
     _adaptive_quad,
+    _admit,
     _frame,
     _log_bracket,
 )
@@ -241,21 +242,13 @@ def _power_table(count: int) -> np.ndarray:
     """s_j^k for k = 0..count-1 on the fixed nodes, shaped (panel, k, node).
 
     A view of one shared, read-only table that is built on first use and
-    rebuilt, never mutated, when a larger count is asked for.  Rows are
-    filled by doubling, rows m..2m-1 being rows 0..m-1 times s^m with m a
-    power of two, so row k has the same bits whatever size the table has.
+    rebuilt, never mutated, when a larger count is asked for.  Each entry is
+    one power s_j ** k, so row k has the same bits at any table size.
     """
     global _POWERS
     if _POWERS.shape[1] < count:
-        rows = np.empty((count, _GK_NODES.size))
-        rows[0] = 1.0
         with np.errstate(under="ignore"):
-            filled, s_m = 1, _GK_NODES
-            while filled < count:
-                m = min(filled, count - filled)
-                np.multiply(rows[:m], s_m, out=rows[filled : filled + m])
-                filled += m
-                s_m = s_m * s_m
+            rows = _GK_NODES ** np.arange(count)[:, None]
         table = np.ascontiguousarray(rows.reshape(count, *_GK_SCALED.shape[:2]).transpose(1, 0, 2))
         table.flags.writeable = False
         _POWERS = table
@@ -437,20 +430,14 @@ def approximate(
     for type III and alpha'(t) for types I and II; where it is 0 the alpha'
     weights, their extra moments and the bound's x' maximum are skipped
     outright, so with alpha' = 0 the three kinds produce bitwise-equal
-    values.  A t outside [x.a, x.b] or the order's [a, b] raises
-    ``SingularityError``, and a tol that is not positive and finite
-    ``ValueError``.  A moment pass that fails the W_0 identity of
+    values.  t and tol are admitted on [x.a, x.b] by ``reference._admit``,
+    which raises its errors.  A moment pass that fails the W_0 identity of
     ``_scaled_moments`` raises ``QuadratureError``.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    _frame(order.a, order.b, t, side)  # alpha is admitted on its domain only
-    sgn, end, dist = _frame(x.a, x.b, t, side)
-    if dist == 0.0:
+    if (admitted := _admit(kind, order, t, side, x.a, x.b, tol)) is None:
         return ApproxResult(0.0, 0.0, "analytic")
+    sgn, end, dist, alpha, ap = admitted
     n, N = params.n, params.N
-    alpha = order.alpha(t)
-    ap = 0.0 if kind is Kind.TYPE_III else order.alpha_prime(t)
 
     # Weights sgn^p A_p dist^(p-alpha) on x^(p)(t) and c on W_0..W_(c.size-1);
     # the right side is the left one reflected, which changes only sgn.

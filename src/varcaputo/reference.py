@@ -11,8 +11,8 @@ Every route works in the signed frame (sgn, end, dist) of ``_frame``: the
 left operators integrate from end = a with sgn = +1, the right ones from
 end = b with sgn = -1, and dist = sgn (t - end).  The right-sided operator of
 x under alpha is the left-sided one of x(a+b-s) under alpha(a+b-s), so a side
-changes only that endpoint and sign; a t outside [a, b] raises
-``SingularityError``.
+changes only that endpoint and sign.  Every point route, ``approximate``
+included, takes the frame, alpha(t) and alpha'(t) from the one ``_admit``.
 
 The type III kernel |t-tau|^(-alpha) is weakly singular; the substitution
 u = |t-tau|^(1-alpha) turns it into a bounded integrand, after which ordinary
@@ -206,21 +206,13 @@ def caputo_quadrature(
     with c = 1/(1-alpha) or Psi(2-alpha) from ``_log_bracket`` and ln s
     clamped at s -> 0; type II's own term, an integral of x, takes this form
     after an integration by parts.  The kinds differ only in alpha' and c.
-    Each integral gets tol when it runs alone and tol/2 when both run.  A t
-    outside [x.a, x.b] or the order's [a, b] raises ``SingularityError``, and
-    an alpha(t) outside (0, 1) ``DomainError``.
+    Each integral gets tol when it runs alone and tol/2 when both run.  t and
+    tol are admitted on [x.a, x.b] by ``_admit``, which raises its errors.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    _frame(order.a, order.b, t, side)  # alpha is admitted on its domain only
-    sgn, _, dist = _frame(x.a, x.b, t, side)
-    if dist == 0.0:
+    if (admitted := _admit(kind, order, t, side, x.a, x.b, tol)) is None:
         return 0.0
-    alpha = order.alpha(t)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0,1), got alpha({t}) = {alpha}")
+    sgn, _, dist, alpha, ap = admitted
     oma = 1.0 - alpha
-    ap = 0.0 if kind is Kind.TYPE_III else order.alpha_prime(t)
     tol_each = tol if ap == 0.0 else tol / 2.0
     dx = x.deriv(1)
     value = sgn * _adaptive_quad(
@@ -250,17 +242,14 @@ def power_closed_form(
     * dist^(gamma-alpha); types I and II add an alpha'-weighted term carrying
     ln(dist) - Psi(gamma-alpha+2), with Psi(1-alpha) appearing for type I
     only.  The correction enters with the sign -sgn of the signed frame:
-    minus on the left, plus on the right.  An alpha(t) outside (0, 1) raises
-    ``DomainError``, as in ``caputo_quadrature``.
+    minus on the left, plus on the right.  t is admitted on the order's
+    [a, b] by ``_admit``, which raises its errors.
     """
     if gamma_exp <= 0:
         raise DomainError(f"power exponent must be positive, got {gamma_exp}")
-    sgn, _, dist = _frame(order.a, order.b, t, side)
-    if dist == 0.0:
+    if (admitted := _admit(kind, order, t, side, order.a, order.b)) is None:
         return 0.0
-    alpha = order.alpha(t)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0,1), got alpha({t}) = {alpha}")
+    sgn, _, dist, alpha, ap = admitted
     base = gamma_ratio(gamma_exp + 1.0, gamma_exp - alpha + 1.0) * dist ** (gamma_exp - alpha)
     if kind is Kind.TYPE_III:
         return base
@@ -268,7 +257,7 @@ def power_closed_form(
     if kind is Kind.TYPE_I:
         bracket += digamma(1.0 - alpha)
     corr = (
-        order.alpha_prime(t)
+        ap
         * gamma_ratio(gamma_exp + 1.0, gamma_exp - alpha + 2.0)
         * dist ** (gamma_exp - alpha + 1.0)
         * bracket
@@ -289,19 +278,18 @@ def rl_from_caputo(
 
     The boundary corrections differ between types only in the bracket:
     1/(1-alpha) for type I, Psi(2-alpha) for type II.  Type III has no
-    Riemann-Liouville counterpart here.
+    Riemann-Liouville counterpart here and raises ``DomainError``.  t is
+    admitted on the order's [a, b] by ``_admit``, which raises its errors
+    (an alpha(t) outside (0, 1) ``DomainError``) whatever the boundary value.
     """
     if kind is Kind.TYPE_III:
         raise DomainError("RL conversion is defined for types I and II only")
-    sgn, _, dist = _frame(order.a, order.b, t, side)
+    admitted = _admit(kind, order, t, side, order.a, order.b)
     if boundary_value == 0.0:
         return caputo_value
-    if dist == 0.0:
-        raise SingularityError(
-            "RL correction diverges at the endpoint for nonzero boundary value"
-        )
-    alpha = order.alpha(t)
-    ap = order.alpha_prime(t)
+    if admitted is None:
+        raise SingularityError("RL correction diverges at the endpoint for nonzero boundary value")
+    sgn, _, dist, alpha, ap = admitted
     static = boundary_value / gamma(1.0 - alpha) * dist ** (-alpha)
     moving = (
         boundary_value * ap / gamma(2.0 - alpha) * dist ** (1.0 - alpha)
@@ -322,6 +310,27 @@ def _frame(a: float, b: float, t: float, side: Side) -> tuple[float, float, floa
         raise SingularityError(f"t = {t} outside [{a}, {b}]")
     sgn, end = (1.0, a) if side is Side.LEFT else (-1.0, b)
     return sgn, end, abs(t - end)
+
+
+def _admit(kind: Kind, order: OrderFunction, t: float, side: Side, a: float, b: float,
+           tol: float = DEFAULT_TOL) -> tuple[float, float, float, float, float] | None:
+    """(sgn, end, dist, alpha(t), alpha'(t)) of a point route at t on [a, b],
+    x's range (the order's where there is no x), or None at dist = 0, before
+    alpha is evaluated; alpha' is 0 for type III, with no ``alpha_prime``
+    call.  A tol that is not positive and finite raises ``ValueError``, a t
+    outside the order's domain or [a, b] ``SingularityError``, and an
+    alpha(t) outside (0, 1) ``DomainError``, naming t and alpha(t).
+    """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _frame(order.a, order.b, t, side)
+    sgn, end, dist = _frame(a, b, t, side)
+    if dist == 0.0:
+        return None
+    alpha = order.alpha(t)
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0,1), got alpha({t}) = {alpha}")
+    return sgn, end, dist, alpha, 0.0 if kind is Kind.TYPE_III else order.alpha_prime(t)
 
 
 def _log_bracket(kind: Kind, alpha: float, dist: float) -> float:

@@ -338,6 +338,9 @@ class TestMomentPass:
     def test_table_growth_keeps_rows(self, monkeypatch):
         # Growing the shared table to a larger count leaves the rows of a
         # smaller one, and so its W, bit for bit; the table is read-only.
+        # Row k is the elementwise power s ** k of the nodes, with k passed as
+        # an array: NumPy's ``s ** 2`` with a scalar 2 squares instead, which
+        # may differ in the last bit where ``pow`` is vectorised.
         monkeypatch.setattr(expansion, "_POWERS", expansion._POWERS[:, :0])
         x = power_function(3.5, 0.0, 1.0, Side.RIGHT)
         before = expansion._scaled_moments(x, 0.4, 1.0, -0.6, 3, 1e-8)
@@ -348,6 +351,10 @@ class TestMomentPass:
         assert expansion._POWERS.shape[1] == 129
         assert before.tobytes() == after.tobytes()
         assert not expansion._POWERS.flags.writeable
+        nodes = expansion._GK_NODES
+        rows = expansion._POWERS.transpose(1, 0, 2).reshape(129, nodes.size)
+        for k, row in enumerate(rows):
+            assert row.tobytes() == (nodes ** np.full_like(nodes, k)).tobytes(), k
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.lists(

@@ -198,19 +198,25 @@ class TestStructuralProperties:
     @pytest.mark.parametrize("kind", list(Kind))
     def test_alpha_outside_unit_interval_rejected(self, kind):
         # alpha is 0.5 on every point of the 101-point admission grid, so the
-        # order is admitted, yet alpha(5e-4) = 1.1: every route rejects it
-        # there, approximate through coefficients_left.
+        # order is admitted, yet alpha(5e-4) = 1.1: every point route rejects
+        # it there with the same text, naming t and alpha(t), the RL
+        # conversion (types I and II only) included.
         order = order_from_callables(
             lambda t: 0.5 + 0.6 * np.sin(1000.0 * np.pi * t),
             lambda t: 600.0 * np.pi * np.cos(1000.0 * np.pi * t),
         )
         x = power_function(2.0, 0.0, 1.0, Side.LEFT)
-        with pytest.raises(DomainError, match="alpha must lie in"):
-            caputo_quadrature(kind, x, order, 5e-4)
-        with pytest.raises(DomainError, match="alpha must lie in"):
-            power_closed_form(kind, Side.LEFT, 2.0, order, 5e-4)
-        with pytest.raises(DomainError, match="alpha must lie in"):
-            approximate(kind, x, order, 5e-4, Side.LEFT, ExpansionParams(1, 6))
+        routes = [
+            lambda: caputo_quadrature(kind, x, order, 5e-4),
+            lambda: power_closed_form(kind, Side.LEFT, 2.0, order, 5e-4),
+            lambda: approximate(kind, x, order, 5e-4, Side.LEFT, ExpansionParams(1, 6)),
+        ]
+        if kind is not Kind.TYPE_III:
+            routes.append(lambda: rl_from_caputo(kind, Side.LEFT, 0.0, 1.0, order, 5e-4))
+        text = r"alpha must lie in \(0,1\), got alpha\(0.0005\) = 1.1$"
+        for route in routes:
+            with pytest.raises(DomainError, match=text):
+                route()
 
 
 def _fd(func, t, h=1e-6):

@@ -57,8 +57,7 @@ __all__ = [
 ]
 
 DEFAULT_T0 = 1e-4
-_RTOL = 1e-8
-_ATOL = 1e-10
+_TOL = 1e-8
 
 
 class DegenerateCoefficientError(ValueError):
@@ -121,7 +120,9 @@ class Field2D:
     and the first m = mx - 1 entries of ``rhs`` are u_t.  V_p = t^p W_p,
     with W_1..W_N in ``dense(t)[m:]`` reshaped to (N, m).  The system is affine,
     so ``rhs`` also gives its Jacobian: J y = rhs(t, y) - rhs(t, 0).
-    ``meta`` records the stepper and its counts: ``steps`` accepted steps,
+    ``meta`` records the stepper, its tolerance ``tol`` (an error weight
+    tol (1 + |y|), so absolute for a solution far below 1; see
+    ``_LinearBDF``) and its counts: ``steps`` accepted steps,
     ``nfev`` RHS calls (the two at start-up; the steps call none),
     ``njev`` assemblies of the t-dependent terms a(t), B_p/A and the source
     (redone whenever the stepper moves to a new t), and ``nlu`` banded m x m
@@ -260,6 +261,14 @@ class _LinearBDF:
     Wanner's rule for the first step (Solving ODEs I, II.4); ``nfev`` counts
     them.
 
+    A step's error is weighed against _TOL (1 + |y|) per entry, at the unit
+    scale of the PDEs (posed on [0, 1]^2 with O(1) data).  A 1e-10 floor
+    spent over half the steps in [t0, 10 t0], where the moments start at 0,
+    on accuracy below the O(t0^2) error of starting at t0.  The limit: for
+    a solution much smaller than 1 the control is absolute, not relative
+    (the diffusion problem scaled by 1e-2 puts the stepper at 8e-3 of the
+    kernel error at mx = 40, N = 12, scaled by 1e-4 at 0.5): rescale it.
+
     The vectors are short, so a step is bound by its count of NumPy calls:
     y_predict and r are one product of D[:k+1] with the rows (1, ..., 1) and
     (1 - gamma_j/alpha_k)_j, the new differences D[i] = sum_{j>=i} D[j] one
@@ -270,7 +279,7 @@ class _LinearBDF:
         self.t, self.solve, self.nlu = t0, solve, 0
         # Hairer and Wanner's first step, from f at y0 and at one probe.
         f0 = fun(t0, y0)
-        scale = _ATOL + _RTOL * np.abs(y0)
+        scale = _TOL + _TOL * np.abs(y0)
         d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
         h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 1.0 - t0)
         f1 = fun(t0 + h0, y0 + h0 * f0)
@@ -308,8 +317,8 @@ class _LinearBDF:
             y_new = self.solve(t_new, h / _ALPHA[order], r)
             self.nlu += 1
             d = y_new - y_predict
-            scale = np.abs(y_new) * _RTOL
-            scale += _ATOL
+            scale = np.abs(y_new) * _TOL
+            scale += _TOL
             error_norm = _ERROR_CONST[order] * _rms(d / scale)
             if error_norm <= 1.0:
                 break
@@ -449,7 +458,7 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
     u[1:-1, :] = dense(ts)[:m]
     u[0, :], u[-1, :] = boundary(ts)
     meta = {"t0": grid.t0, "N": N, "mx": grid.mx, "mt": grid.mt, **meta, "stepper": "BDF",
-            "steps": len(pieces), "nfev": stepper.nfev,
+            "tol": _TOL, "steps": len(pieces), "nfev": stepper.nfev,
             "njev": terms.cache_info().misses, "nlu": stepper.nlu}
     return Field2D(grid.x_nodes, ts, u, meta, dense, rhs)
 

@@ -23,7 +23,7 @@ from varcaputo.cli import (
     main,
     parse_order,
 )
-from varcaputo.pde import DEFAULT_T0
+from varcaputo.pde import DEFAULT_T0, _TOL
 from varcaputo.reference import DEFAULT_TOL
 
 
@@ -215,7 +215,7 @@ class TestPde:
         max_err = max(float(r["abs_err"]) for r in rows)
         declared = float(meta[0].split("max_err=")[1])
         assert max_err == pytest.approx(declared, rel=1e-12)
-        for key in ("stepper=BDF", "steps=", "nfev=", "njev=", "nlu="):
+        for key in ("stepper=BDF", f" tol={_TOL} ", "steps=", "nfev=", "njev=", "nlu="):
             assert key in meta[0]
 
     def test_degenerate_t0_is_config_error(self, tmp_path):
@@ -236,6 +236,7 @@ class TestPde:
         assert rc == EXIT_OK
         meta, rows = _read_csv(out)
         assert "lateral_bc=" in meta[0]
+        assert f" tol={_TOL} " in meta[0]
 
 
 class TestExitCodeOrdering:

@@ -17,7 +17,9 @@ geometrically towards the endpoint s = 0, evaluates x' once and yields every
 W_k with QUADPACK's qk21 error estimate; a W_k whose estimate misses the
 tolerance (an endpoint-singular x', say) is recomputed by adaptive QUADPACK
 quadrature alone.  The pass is one batched product of a shared power table
-s_j^k on the fixed nodes with the weighted x' values.  The table does not
+s_j^k on the fixed nodes with three weighted columns of x' (Kronrod and
+Gauss weights times x', Kronrod weights times |x'|); the array x' returns
+is used without a copy and only read.  The table does not
 depend on x, t or alpha: it is built on first use, rebuilt when a larger
 count is asked for, and read-only.  The tolerance test takes two steps: a
 cheap upper bound on the qk21 estimate clears most W_k, and only the rest
@@ -114,9 +116,10 @@ def _gauss_kronrod_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 #: [1/2, 1], where s^k concentrates for the high moments (k up to 2N).
 _PANEL_EDGES = np.concatenate([[0.0], 2.0 ** np.arange(-10, 0), np.linspace(0.5, 1.0, 8)[1:]])
 _GK_NODES, _GK_RULE, _GK_HALF = _gauss_kronrod_panels(_PANEL_EDGES)
-#: The Kronrod and Gauss weights of each panel, scaled by its half-length:
-#: shape (panel, node, 2).
-_GK_SCALED = _GK_HALF[:, None, None] * _GK_RULE
+#: The Kronrod, Gauss and Kronrod weights of each panel, scaled by its
+#: half-length: shape (panel, node, 3), C-contiguous, as the moment pass's
+#: batched product sums in an order that depends on the layout.
+_GK_WEIGHTS = np.ascontiguousarray(_GK_HALF[:, None, None] * _GK_RULE[:, [0, 1, 0]])
 #: The shared power table of ``_power_table``, empty until its first use.
 _POWERS = np.empty((_GK_HALF.size, 0, _GK_RULE.shape[0]))
 _EPS = np.finfo(float).eps
@@ -213,14 +216,16 @@ def coefficients_right(alpha_val: float, params: ExpansionParams) -> tuple[np.nd
 
 
 def _sample(fn, ts: np.ndarray) -> np.ndarray:
-    """fn on the points ts as a float array of their shape.  A callable that
-    returns one constant is broadcast, and one that takes only floats (it
-    raises TypeError or ValueError on an array) is called point by point."""
+    """fn on the points ts as a float array of their shape: fn's own array,
+    without a copy (so callers treat it as read-only), a broadcast constant,
+    or, for a callable that takes only floats (it raises TypeError or
+    ValueError on an array), the values of one call per point."""
     try:
         values = fn(ts)
     except (TypeError, ValueError):
         values = [fn(float(t)) for t in ts]
-    return np.broadcast_to(np.asarray(values, dtype=float), ts.shape)
+    values = np.asarray(values, dtype=float)
+    return values if values.shape == ts.shape else np.broadcast_to(values, ts.shape)
 
 
 def _qk21_estimate(panels: np.ndarray) -> np.ndarray:
@@ -249,7 +254,7 @@ def _power_table(count: int) -> np.ndarray:
     if _POWERS.shape[1] < count:
         with np.errstate(under="ignore"):
             rows = _GK_NODES ** np.arange(count)[:, None]
-        table = np.ascontiguousarray(rows.reshape(count, *_GK_SCALED.shape[:2]).transpose(1, 0, 2))
+        table = np.ascontiguousarray(rows.reshape(count, *_GK_WEIGHTS.shape[:2]).transpose(1, 0, 2))
         table.flags.writeable = False
         _POWERS = table
     return _POWERS[:, :count]
@@ -261,16 +266,18 @@ def _scaled_moments(x: ScalarFunction, t: float, end: float, step: float, count:
     step = sgn dist = t - end in the signed frame: (a, dist) on the left,
     (b, -dist) on the right.
 
-    x' is sampled once on the fixed nodes, and one batched product of the
-    shared power table s_j^k (``_power_table``) with the panel-scaled
-    Kronrod weights times x', the Gauss weights times x' and the Kronrod
-    weights times |x'| gives, per panel and k, the Kronrod sum (summed over
-    panels, W_k), the Gauss sum and resabs.  W_k is kept when its qk21 error
-    estimate, summed over panels, is at most max(tol, 1e-12 |W_k|), and
-    recomputed by adaptive quadrature otherwise.  The test takes two steps:
-    max(50 eps resabs, 200 |K21 - G10|) bounds the qk21 estimate of a panel,
-    so a W_k whose summed bound meets the tolerance passes; only the other
-    rows (nan rows included) take the full estimate, with its resasc pass.
+    x' is sampled once on the fixed nodes by ``_sample``, whose array is
+    only read.  One product of x' with ``_GK_WEIGHTS`` and |.| of the third
+    column in place give the columns K x', G x' and K |x'| (the Kronrod
+    weights K are positive).  One batched product of the shared power table
+    s_j^k (``_power_table``) with them gives, per panel and k, the Kronrod
+    sum (summed over panels, W_k), the Gauss sum and resabs.  W_k is kept
+    when its qk21 error estimate, summed over panels, is at most
+    max(tol, 1e-12 |W_k|), and recomputed by adaptive quadrature otherwise.
+    The test takes two steps: max(50 eps resabs, 200 |K21 - G10|) bounds the
+    qk21 estimate of a panel, so a W_k whose summed bound meets the
+    tolerance passes; only the other rows (nan rows included) take the full
+    estimate, with its resasc pass.
 
     The result is checked against the exact identity
     sgn dist W_0 = x(t) - x(end) (two calls of x): a gap above
@@ -283,30 +290,31 @@ def _scaled_moments(x: ScalarFunction, t: float, end: float, step: float, count:
     """
     dx = x.deriv(1)
     powers = _power_table(count)
-    f = _sample(dx, end + _GK_NODES * step).reshape(_GK_SCALED.shape[:2])
+    f = _sample(dx, end + _GK_NODES * step).reshape(_GK_WEIGHTS.shape[:2])
     with np.errstate(all="ignore"):  # an inf in x' gives nan rows, which fall back
-        v = np.empty(f.shape + (3,))
-        np.multiply(_GK_SCALED, f[..., None], out=v[..., :2])
-        np.multiply(_GK_SCALED[..., 0], np.abs(f), out=v[..., 2])
+        v = _GK_WEIGHTS * f[..., None]
+        np.abs(v[..., 2], out=v[..., 2])
         sums = powers @ v
         kronrod = sums[..., 0]
         w = kronrod.sum(axis=0)
         limit = np.maximum(tol, 1e-12 * np.abs(w))
         bound = np.maximum(50.0 * _EPS * sums[..., 2], 200.0 * np.abs(kronrod - sums[..., 1]))
-        # Negated so that a nan bound or estimate also falls back.
-        rows = np.flatnonzero(~(bound.sum(axis=0) <= limit))
-        if rows.size:
+        clear = bound.sum(axis=0) <= limit
+        rows = []
+        if not clear.all():
+            # Negated so that a nan bound or estimate also falls back.
+            rows = np.flatnonzero(~clear)
             err = _GK_HALF @ _qk21_estimate(powers[:, rows] * f[:, None])
             rows = rows[~(err <= limit[rows])]
     for k in map(int, rows):
         w[k] = _adaptive_quad(
             lambda s: s**k * dx(end + s * step), 0.0, 1.0, tol, what=f"scaled moment k={k}"
         )
-    xt, xe = float(x.value(t)), float(x.value(end))
-    gap = abs(step * w[0] - (xt - xe))
+    w0, xt, xe = float(w[0]), float(x.value(t)), float(x.value(end))
+    gap = abs(step * w0 - (xt - xe))
     slack = _EPS + (0.0 if x.derivatives else _DIFFERENCE_SLACK * abs(step))
-    if not gap <= 100.0 * (abs(step) * max(tol, 1e-12 * abs(w[0])) + slack * (abs(xt) + abs(xe))):
-        raise QuadratureError(f"scaled moment W_0 = {w[0]:.3e} misses x(t) - x(end) by {gap:.3e} "
+    if not gap <= 100.0 * (abs(step) * max(tol, 1e-12 * abs(w0)) + slack * (abs(xt) + abs(xe))):
+        raise QuadratureError(f"scaled moment W_0 = {w0:.3e} misses x(t) - x(end) by {gap:.3e} "
                               f"over dist {abs(step):.3e}")
     return w
 
@@ -471,4 +479,4 @@ def _alpha_prime_weights(kind: Kind, alpha: float, ap: float, dist: float, N: in
     c = np.zeros(2 * N + 1)
     c[: N + 1] = _log_bracket(kind, alpha, dist) * sb
     c[1:] += np.convolve(sb, 1.0 / np.arange(1, N + 1))
-    return ap * dist ** (2.0 - alpha) / gamma(2.0 - alpha) * c
+    return np.multiply(c, ap * dist ** (2.0 - alpha) / gamma(2.0 - alpha), out=c)

@@ -157,6 +157,8 @@ def power_function(gamma_exp: float, a: float, b: float, side: Side = Side.LEFT)
         def dfn(t):
             dist = (t - a) if left else (b - t)
             if isinstance(dist, ndarray):
+                if dist.all():  # no node on the end: nothing to replace
+                    return scale * dist**exponent
                 with np.errstate(divide="ignore"):  # 0 ** negative, replaced by at_end
                     return np.where(dist == 0.0, at_end, scale * dist**exponent)
             if dist == 0.0:

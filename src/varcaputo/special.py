@@ -113,10 +113,14 @@ def digamma(x: float) -> float:
 
 def _signed_binomials(nu: float, count: int) -> np.ndarray:
     """(-1)^k C(nu, k) for k = 0..count-1, from 1 by the recurrence
-    (-1)^(k+1) C(nu, k+1) = (-1)^k C(nu, k) (k - nu) / (k + 1)."""
+    (-1)^(k+1) C(nu, k+1) = (-1)^k C(nu, k) (k - nu) / (k + 1), as the
+    running product of the factors in one preallocated row."""
     k = np.arange(count - 1.0)
-    # The ufunc form of np.cumprod, without its dispatch cost on short rows.
-    return np.multiply.accumulate(np.concatenate(([1.0], (k - nu) / (k + 1.0))))
+    row = np.empty(count)
+    row[0] = 1.0
+    np.divide(k - nu, k + 1.0, out=row[1:])
+    # The ufunc form of np.cumprod, in place, without its dispatch cost on short rows.
+    return np.multiply.accumulate(row, out=row)
 
 
 def signed_binomial(nu: float, p: int) -> float:

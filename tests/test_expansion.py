@@ -31,7 +31,7 @@ from varcaputo.reference import (
     power_function,
     rl_from_caputo,
 )
-from varcaputo.special import DomainError, gamma, signed_binomial
+from varcaputo.special import DomainError, _signed_binomials, gamma, signed_binomial
 
 ORDER_A = affine_order(0.5, 0.49, (0.0, 1.0))  # (50t + 49)/100
 ORDER_B = affine_order(0.1, 0.5, (0.0, 1.0))   # (t + 5)/10
@@ -301,7 +301,58 @@ def _reference_pass(dx, end, step, count, tol):
     return w, fallback
 
 
+class TestSample:
+    TS = np.linspace(0.1, 0.9, 7)
+
+    def test_array_of_sample_shape_returned_as_is(self):
+        values = 2.0 * self.TS
+        got = expansion._sample(lambda ts: values, self.TS)
+        assert got is values
+        assert got.tobytes() == (2.0 * self.TS).tobytes()
+
+    def test_constant_is_broadcast(self):
+        got = expansion._sample(lambda ts: 3.0, self.TS)
+        assert got.shape == self.TS.shape and np.all(got == 3.0)
+
+    def test_float_only_callable_sampled_point_by_point(self):
+        got = expansion._sample(math.sin, self.TS)  # math.sin raises TypeError on an array
+        assert got.tobytes() == np.array([math.sin(t) for t in self.TS]).tobytes()
+
+    def test_moment_pass_reads_a_read_only_derivative(self):
+        # _sample hands x''s own array to the moment pass, which must not
+        # write into it: a read-only array gives the same W bit for bit.
+        def read_only(ts):
+            out = np.asarray(-3.5 * (1.0 - ts) ** 2.5)
+            out.flags.writeable = False
+            return out
+
+        x = power_function(3.5, 0.0, 1.0, Side.RIGHT)
+        frozen = ScalarFunction(value=x.value, a=0.0, b=1.0, derivatives=(read_only,))
+        for count in (3, 65):
+            want = expansion._scaled_moments(x, 0.4, 1.0, -0.6, count, 1e-8)
+            got = expansion._scaled_moments(frozen, 0.4, 1.0, -0.6, count, 1e-8)
+            assert got.tobytes() == want.tobytes()
+
+
 class TestMomentPass:
+    def test_weighted_columns_match_two_product_form(self):
+        # The three weighted columns come from one product and an in-place
+        # |.|; they must equal K x', G x' and K |x'| written out, and so must
+        # every W, bit for bit (the batched product's sums depend on the
+        # columns' memory layout too).
+        for g, side, t in [(3.5, Side.RIGHT, 0.4), (2.0, Side.LEFT, 0.6), (7.0, Side.LEFT, 0.3)]:
+            x = power_function(g, 0.0, 1.0, side)
+            end, step = (0.0, t) if side is Side.LEFT else (1.0, t - 1.0)
+            scaled = expansion._GK_HALF[:, None, None] * expansion._GK_RULE
+            f = x.deriv(1)(end + expansion._GK_NODES * step).reshape(scaled.shape[:2])
+            v = np.empty(f.shape + (3,))
+            np.multiply(scaled, f[..., None], out=v[..., :2])
+            np.multiply(scaled[..., 0], np.abs(f), out=v[..., 2])
+            for count in (2, 17, 65):
+                want = (expansion._power_table(count) @ v)[..., 0].sum(axis=0)
+                got = expansion._scaled_moments(x, t, end, step, count, 1e-8)
+                assert got.tobytes() == want.tobytes(), (g, side, count)
+
     def test_matches_per_row_reference(self, monkeypatch):
         # One batched product against the shared power table gives each W_k
         # of the per-row qk21 reference to 1e-14, and exactly the rows whose
@@ -654,6 +705,21 @@ class TestApproximation:
                 weights = expansion._alpha_prime_weights(kind, alpha, 0.4, dist, N)
                 got = math.fsum((weights * w).tolist())
                 assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("kind", [Kind.TYPE_I, Kind.TYPE_II])
+    @pytest.mark.parametrize("N", [1, 2, 8, 32])
+    def test_weights_match_zeros_convolve_form(self, kind, N):
+        # The weights scaled in place, bit for bit against the bracket row
+        # and the convolution added into zeros, then scaled as a new array.
+        for alpha in (0.05, 0.37, 0.93):
+            for dist in (1e-6, 0.3, 1.0):
+                sb = _signed_binomials(1.0 - alpha, N + 1)
+                c = np.zeros(2 * N + 1)
+                c[: N + 1] = _log_bracket(kind, alpha, dist) * sb
+                c[1:] += np.convolve(sb, 1.0 / np.arange(1, N + 1))
+                want = 0.4 * dist ** (2.0 - alpha) / gamma(2.0 - alpha) * c
+                got = expansion._alpha_prime_weights(kind, alpha, 0.4, dist, N)
+                assert got.tobytes() == want.tobytes(), (alpha, dist)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("route", ["approximate", "moments", "caputo_quadrature"])

@@ -61,6 +61,30 @@ class TestPowerFunction:
         sign = -1.0 if side is Side.RIGHT and m % 2 else 1.0
         assert [x.deriv(m)(float(t)) for t in ts] == [sign * math.factorial(m)] * 3
 
+    @pytest.mark.parametrize("gamma_exp", [0.5, 1.0, 2.0, 3.5])
+    @pytest.mark.parametrize("side", list(Side))
+    def test_array_path_matches_float_path(self, gamma_exp, side):
+        # Arrays with nodes on the operator's end take the end branch, and
+        # arrays without take the plain power; every entry equals the float
+        # path bit for bit, with at_end (0, the constant or inf) at the end
+        # and no RuntimeWarning from 0 ** negative.
+        x = power_function(gamma_exp, 0.0, 1.0, side)
+        end = 0.0 if side is Side.LEFT else 1.0
+        with_end = np.array([end, 0.25, end, 0.5, 1.0 - end, end])
+        inside = np.array([0.25, 0.5, 0.75, 1.0 - end])
+        for p in range(5):
+            fn = x.value if p == 0 else x.deriv(p)
+            factor = math.prod(gamma_exp - j for j in range(p))
+            scale = factor if side is Side.LEFT else (-1.0) ** p * factor
+            want_end = 0.0 if p < gamma_exp else (scale if p == gamma_exp or factor == 0.0 else math.inf)
+            for ts in (with_end, inside):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = fn(ts)
+                want = np.array([fn(float(t)) for t in ts])
+                assert got.tobytes() == want.tobytes(), (p, ts)
+            assert all(v == want_end for v in fn(with_end)[with_end == end]), p
+
     def test_zero_exponent_rejected(self):
         with pytest.raises(DomainError):
             power_function(0.0, 0.0, 1.0)

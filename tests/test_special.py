@@ -8,6 +8,7 @@ from scipy import special as scipy_special
 from varcaputo.special import (
     DomainError,
     PoleError,
+    _signed_binomials,
     digamma,
     gamma,
     gamma_ratio,
@@ -106,6 +107,16 @@ class TestSignedBinomial:
             got = signed_binomial(nu, p)
             assert math.isfinite(got)
             assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 301])
+    @pytest.mark.parametrize("nu", [-0.37, 0.5, 1.7, -2.0])
+    def test_row_matches_recurrence(self, nu, count):
+        # The preallocated row, bit for bit: 1, then each entry the last
+        # times (k - nu) / (k + 1).
+        want = [1.0]
+        for k in range(count - 1):
+            want.append(want[-1] * ((k - nu) / (k + 1.0)))
+        assert _signed_binomials(nu, count).tobytes() == np.array(want).tobytes()
 
     def test_integer_nu(self):
         assert signed_binomial(3.0, 2) == 3.0

@@ -102,7 +102,8 @@ class DiffusionProblem:
     """Time-fractional diffusion problem with source f and initial profile g.
 
     Homogeneous Dirichlet conditions u(0,t) = u(1,t) = 0 are built in, so g
-    must vanish at both ends.
+    must vanish at both ends.  f and g are called at the interior nodes and
+    may return one value for all of them.
     """
 
     order: OrderFunction
@@ -121,7 +122,8 @@ class Field2D:
     with W_1..W_N in ``dense(t)[m:]`` reshaped to (N, m).  ``tol`` controls
     u only: ``dense(t)[m:]`` is carried by the stepper but not
     error-controlled.  The system is affine, so ``rhs`` also gives its
-    Jacobian: J y = rhs(t, y) - rhs(t, 0).
+    Jacobian: J y = rhs(t, y) - rhs(t, 0).  ``u`` and ``dense`` share one
+    evaluator, so u[1:-1] equals dense(t_nodes)[:m] bit for bit.
     ``meta`` records the stepper, its tolerance ``tol`` (an error weight
     tol (1 + |u|) on u, so absolute for a solution far below 1; see
     ``_LinearBDF``) and its counts: ``steps`` accepted steps,
@@ -208,6 +210,8 @@ _ERROR_CONST = (_KAPPA * _GAMMA + 1.0 / np.arange(1, _MAX_ORDER + 2)).tolist()
 _PREDICT = [None] + [np.stack([np.ones(k + 1), 1.0 - _GAMMA[: k + 1] / _ALPHA[k]])
                      for k in range(1, _MAX_ORDER + 1)]
 _SUFFIX = [np.triu(np.ones((k + 1, k + 2))) for k in range(_MAX_ORDER + 1)]
+#: Per order k: the column 1..k that ``_compute_r`` builds R(k, factor) from.
+_INDEX = [np.arange(1.0, k + 1)[:, None] for k in range(_MAX_ORDER + 1)]
 #: SciPy's step-factor limits, and its safety factor 0.9 (2k + 1)/(2k + i)
 #: for a Newton iteration capped at k = 4 that converges in i = 1 step.
 _MIN_FACTOR, _MAX_FACTOR, _SAFETY = 0.2, 10.0, 0.9
@@ -219,12 +223,12 @@ def _rms(x: np.ndarray) -> float:
 
 def _compute_r(order: int, factor: float) -> np.ndarray:
     """The matrix that maps backward differences to a step ``factor`` times
-    the old one."""
-    i = np.arange(1, order + 1)[:, None]
+    the old one, with SciPy's arithmetic."""
+    i = _INDEX[order]
     M = np.zeros((order + 1, order + 1))
     M[1:, 1:] = (i - 1 - factor * i.T) / i
     M[0] = 1.0
-    return np.cumprod(M, axis=0)
+    return np.multiply.accumulate(M, axis=0, out=M)
 
 
 _U = [_compute_r(k, 1.0) for k in range(_MAX_ORDER + 1)]
@@ -236,16 +240,29 @@ def _change_d(D: np.ndarray, order: int, factor: float) -> None:
     D[: order + 1] = RU.T @ D[: order + 1]
 
 
+def _interpolate(t: np.ndarray, t_s, h, C: np.ndarray) -> np.ndarray:
+    """The NDF interpolant y = C_0 + sum_k P_k C_(k+1), P_k = x_0 ... x_k,
+    x_k = (t - (t_s - h k)) / (h (1 + k)), at each t[i]: t_s, h and C (1 or
+    t.size, K + 1, n) give one piece or one per t, a lower order padded by
+    zero rows.  The sum runs in a fixed order by elementwise ufuncs, so a
+    value does not depend on what else is evaluated with it; (t.size, n)."""
+    k = np.arange(C.shape[1] - 1)
+    P = np.multiply.accumulate((t[:, None] - (t_s - h * k)) / (h * (1 + k)), axis=1)
+    y = C[:, 0] + P[:, :1] * C[:, 1]
+    for j in range(1, k.size):
+        y += P[:, j, None] * C[:, j + 1]
+    return y
+
+
 class _NdfDense:
-    """One step's interpolating polynomial, from its differences, at a 0-d or 1-d array t."""
+    """One step's interpolating polynomial, from its differences, at a 0-d or
+    1-d array t, by ``_interpolate``, which also gives ``_march``'s u."""
 
     def __init__(self, t: float, h: float, order: int, D: np.ndarray):
         self.t, self.h, self.order, self.D = t, h, order, D
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
-        k = np.arange(self.order)[:, None]
-        x = (np.atleast_1d(t) - (self.t - self.h * k)) / (self.h * (1 + k))
-        y = self.D[0][:, None] + self.D[1:].T @ np.cumprod(x, axis=0)
+        y = _interpolate(np.atleast_1d(t), self.t, self.h, self.D[None]).T
         return y if t.ndim else y[:, 0]
 
 
@@ -385,15 +402,17 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
 
     after which g = ((c(t) + L y_u)/a - rho)/beta gives every y_p.  At n = 1
     every B_p and A is positive, so beta >= 1.  A step costs O(N m) and one
-    banded LU of L's bandwidth (at most 4 each side), whatever N is.  The
-    steps' interpolants give the columns at the time nodes and ``dense``.
+    banded LU of L's bandwidth (at most 4 each side), whatever N is.
 
     a, b_p and c(t) are kept for the last t.  Each step attempt and each
     start-up call is at a new t (``njev`` = ``nlu`` + ``nfev``), so the memo
     serves only repeated ``rhs`` calls at one t after the solve.  An order
     whose domain does not cover [t0, 1] raises ``DomainError``, then an N < 1,
     a non-finite initial profile or a source of shape other than () or (m,)
-    (at the first start-up call) ``ValueError``, all before any step.
+    (at the first start-up call) ``ValueError``, all before any step.  The
+    steps' interpolants form ``dense``, and u at all time nodes is one
+    ``_interpolate`` call on their u rows, each node on the piece ``dense``
+    takes (the earlier one on a step boundary): u[1:-1] is dense(t_nodes)[:m].
     """
     if not (order.a <= grid.t0 and order.b >= 1.0):
         raise DomainError(f"order domain [{order.a}, {order.b}] does not cover [{grid.t0}, 1]")
@@ -461,8 +480,13 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
         step_ts.append(stepper.t)
     dense = OdeSolution(step_ts, pieces)
     ts = grid.t_nodes
+    idx = np.clip(np.searchsorted(step_ts, ts, side="left") - 1, 0, len(pieces) - 1)
+    C = np.zeros((len(pieces), max(q.order for q in pieces) + 1, m))
+    for q, c in zip(pieces, C):
+        c[: q.order + 1] = q.D[:, :m]
+    t_s, h = np.array([(q.t, q.h) for q in pieces])[idx].T
     u = np.zeros((grid.mx + 1, len(ts)))
-    u[1:-1, :] = dense(ts)[:m]
+    u[1:-1] = _interpolate(ts, t_s[:, None], h[:, None], C[idx]).T
     u[0, :], u[-1, :] = boundary(ts)
     meta = {"t0": grid.t0, "N": N, "mx": grid.mx, "mt": grid.mt, **meta, "stepper": "BDF",
             "tol": _TOL, "steps": len(pieces), "nfev": stepper.nfev,

@@ -16,10 +16,13 @@ from varcaputo.pde import (
     SolverError,
     _ALPHA,
     _GAMMA,
+    _MAX_ORDER,
     _PREDICT,
     _SUFFIX,
     _TOL,
+    _NdfDense,
     _change_d,
+    _compute_r,
     _derivative_matrix,
     burgers_exact,
     diffusion_exact,
@@ -501,6 +504,77 @@ class TestStepper:
         found = re.search(r"at t = (\S+):", str(info.value))
         assert found, str(info.value)
         assert 0.5 - 1e-6 < float(found.group(1)) < 0.5
+
+
+class TestInterpolant:
+    """``u`` and ``dense`` share one evaluator, ``_interpolate``."""
+
+    @pytest.mark.parametrize("equation, mx, N", [
+        ("diffusion", 20, 3), ("diffusion", 20, 12), ("diffusion", 40, 3), ("burgers", 20, 6),
+    ])
+    def test_matches_matrix_form(self, equation, mx, N):
+        # The interpolant as one matrix product, D_0 + D_1:^T cumprod(x),
+        # on the bench's pde-mol solves: the elementwise sum in a fixed
+        # order agrees with it to rounding, at points across each step.
+        eps = np.finfo(float).eps
+        f = _solve(equation, Grid1D(mx=mx, mt=200, t0=1e-4), N)
+        ts = np.asarray(f.dense.ts)
+        for q, t_lo, t_hi in zip(f.dense.interpolants, ts[:-1], ts[1:]):
+            t = np.linspace(t_lo, t_hi, 5)
+            k = np.arange(q.order)[:, None]
+            P = np.cumprod((t - (q.t - q.h * k)) / (q.h * (1 + k)), axis=0)
+            want = q.D[0][:, None] + q.D[1:].T @ P
+            size = np.abs(q.D[0])[:, None] + np.abs(q.D[1:]).T @ np.abs(P)
+            assert np.all(np.abs(q(t) - want) <= 4 * eps * size)
+
+    def test_nodes_take_the_earlier_piece(self, monkeypatch):
+        # Hand-built pieces of orders 1..4 whose boundaries fall on time
+        # nodes: a node on a boundary takes the earlier piece, t0 the first
+        # and t = 1 the last, bit for bit as that piece gives it alone.
+        import varcaputo.pde as pde
+
+        grid = Grid1D(mx=8, mt=10, t0=0.1)
+        nodes = grid.t_nodes
+        bounds = nodes[[0, 3, 4, 7, 10]]
+        rng = np.random.default_rng(7)
+        n = (3 + 1) * (grid.mx - 1)
+        pieces = [_NdfDense(t, 0.9 * (t - t_old), order, rng.standard_normal((order + 1, n)))
+                  for order, t_old, t in zip([2, 4, 1, 3], bounds[:-1], bounds[1:])]
+
+        class Replay:
+            def __init__(self, fun, t0, y0, *, solve, m):
+                self.t, self.nfev, self.nlu, self.left = t0, 0, 0, iter(pieces)
+
+            def step(self):
+                piece = next(self.left)
+                self.t = piece.t
+                return piece
+
+        monkeypatch.setattr(pde, "_LinearBDF", Replay)
+        f = _solve("diffusion", grid, 3)
+        m = grid.mx - 1
+        for j, piece in enumerate([0, 0, 0, 0, 1, 2, 2, 2, 3, 3, 3]):
+            want = pieces[piece](np.asarray(nodes[j]))[:m]
+            assert f.u[1:-1, j].tobytes() == want.tobytes(), j
+        assert np.array_equal(f.dense(nodes)[:m], f.u[1:-1])
+
+    @pytest.mark.parametrize("equation, mt", [("diffusion", 4), ("burgers", 2000)])
+    def test_columns_equal_dense(self, equation, mt):
+        # mt = 4 leaves most steps without a node; mt = 2000 puts many in each.
+        f = _solve(equation, Grid1D(mx=8, mt=mt), 6)
+        m = len(f.x_nodes) - 2
+        assert f.meta["steps"] > mt if mt == 4 else f.meta["steps"] < mt
+        assert np.array_equal(f.dense(f.t_nodes)[:m], f.u[1:-1])
+
+    @pytest.mark.parametrize("k", range(_MAX_ORDER + 1))
+    def test_compute_r_matches_scipy(self, k):
+        from scipy.integrate._ivp.bdf import compute_R
+
+        t = 0.5
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        ratio = min_step / math.nextafter(min_step, 0.0)  # h just below 10 ulp of t
+        for factor in (0.2, 0.5, 1.0, 1.7, 10.0, ratio):
+            assert _compute_r(k, factor).tobytes() == compute_R(k, factor).tobytes()
 
 
 class TestFieldError:

@@ -13,8 +13,9 @@ Each subcommand takes exactly the flags its handler reads:
 
 Output is CSV only (header row, 17 significant digits, '.' decimal);
 metadata lines are prefixed with '#'.  ``--out`` absent or '-' writes to
-stdout.  Exit codes: 0 success (also when the reader of stdout closes the
-pipe early), 2 config or output-path error, 3 numerical failure.
+stdout, except for ``figures``, which needs a directory and exits 2
+without one.  Exit codes: 0 success (also when the reader of stdout closes
+the pipe early), 2 config or output-path error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def _fmt(x: float) -> str:
     return _FMT % x
 
 
-def parse_order(spec: str, domain: tuple[float, float] = (0.0, 1.0)) -> OrderFunction:
+def parse_order(spec: str) -> OrderFunction:
     """Parse an order spec: preset name or 'c1,c0' affine coefficients.  A bad
     spec raises ``ConfigError``, an order outside (0, 1) ``AdmissibilityError``."""
     if spec in ORDER_PRESETS:
@@ -73,7 +74,7 @@ def parse_order(spec: str, domain: tuple[float, float] = (0.0, 1.0)) -> OrderFun
             c1, c0 = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise ConfigError(f"bad order coefficients {spec!r}") from exc
-    return affine_order(c1, c0, domain)
+    return affine_order(c1, c0)
 
 
 @contextlib.contextmanager
@@ -176,8 +177,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
     constant orders 0.1 and 0.6)."""
     order = parse_order(args.order)
     ts = _t_grid(order, args.points)
-    if args.out is None:
-        raise ConfigError("figures requires --out <directory>")
+    if args.out is None or args.out == "-":
+        raise ConfigError("figures requires --out <directory>, not stdout")
     os.makedirs(args.out, exist_ok=True)
     consts = [constant_order(c, (order.a, order.b)) for c in (0.1, 0.6)]
     header = ["t", "variable_closed", "variable_quad", "const_alpha_0.1", "const_alpha_0.6"]
@@ -232,7 +233,7 @@ _FLAGS = {
     "--n": dict(type=int, default=1, help="highest classical derivative"),
     "--N": dict(type=int, default=6, help="series truncation"),
     "--tol": dict(type=float, default=DEFAULT_TOL),
-    "--out": dict(default=None, help="output path ('-' = stdout)"),
+    "--out": dict(default=None, help="output path ('-' = stdout); for figures a directory"),
     "--t": dict(type=float, action="append", help="evaluation point (repeatable)"),
     "--gamma-exp": dict(type=float, default=2.0, help="power-function exponent"),
     "--points": dict(type=int),

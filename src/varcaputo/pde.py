@@ -27,7 +27,6 @@ take the derivative of t^2 from ``power_closed_form`` and its alpha check.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -127,10 +126,8 @@ class Field2D:
     ``meta`` records the stepper, its tolerance ``tol`` (an error weight
     tol (1 + |u|) on u, so absolute for a solution far below 1; see
     ``_LinearBDF``) and its counts: ``steps`` accepted steps,
-    ``nfev`` RHS calls (the two at start-up; the steps call none),
-    ``njev`` assemblies of the t-dependent terms a(t), B_p/A and the source
-    (redone whenever the stepper moves to a new t), and ``nlu`` banded m x m
-    factorisations (one per step attempt).
+    ``nfev`` RHS calls (the two at start-up; the steps call none) and
+    ``nlu`` banded m x m factorisations (one per step attempt).
     """
 
     x_nodes: np.ndarray
@@ -404,15 +401,15 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
     every B_p and A is positive, so beta >= 1.  A step costs O(N m) and one
     banded LU of L's bandwidth (at most 4 each side), whatever N is.
 
-    a, b_p and c(t) are kept for the last t.  Each step attempt and each
-    start-up call is at a new t (``njev`` = ``nlu`` + ``nfev``), so the memo
-    serves only repeated ``rhs`` calls at one t after the solve.  An order
-    whose domain does not cover [t0, 1] raises ``DomainError``, then an N < 1,
-    a non-finite initial profile or a source of shape other than () or (m,)
-    (at the first start-up call) ``ValueError``, all before any step.  The
-    steps' interpolants form ``dense``, and u at all time nodes is one
-    ``_interpolate`` call on their u rows, each node on the piece ``dense``
-    takes (the earlier one on a step boundary): u[1:-1] is dense(t_nodes)[:m].
+    ``rhs`` and ``solve`` assemble a, b_p and c(t) at each call, which is
+    once per t: each step attempt and each start-up call is at a new t.
+    An order whose domain does not cover [t0, 1] raises ``DomainError``,
+    then an N < 1, a non-finite initial profile or a source of shape other
+    than () or (m,) (at the first start-up call) ``ValueError``, all before
+    any step.  The steps' interpolants form ``dense``, and u at all time
+    nodes is one ``_interpolate`` call on their u rows, each node on the
+    piece ``dense`` takes (the earlier one on a step boundary): u[1:-1] is
+    dense(t_nodes)[:m].
     """
     if not (order.a <= grid.t0 and order.b >= 1.0):
         raise DomainError(f"order domain [{order.a}, {order.b}] does not cover [{grid.t0}, 1]")
@@ -432,9 +429,8 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
     ab = np.empty_like(band, order="F")
     d_left, d_right = D[:, 0].copy(), D[:, -1].copy()
 
-    @functools.lru_cache(maxsize=1)
     def terms(t: float) -> tuple[float, np.ndarray, np.ndarray]:
-        """a, B_p/A and c(t); rhs and solve treat the arrays as read-only."""
+        """a, B_p/A and c(t)."""
         alpha = order.alpha(t)
         head, tail = coefficients_left(alpha, params)
         a1 = float(head[0])
@@ -489,8 +485,7 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
     u[1:-1] = _interpolate(ts, t_s[:, None], h[:, None], C[idx]).T
     u[0, :], u[-1, :] = boundary(ts)
     meta = {"t0": grid.t0, "N": N, "mx": grid.mx, "mt": grid.mt, **meta, "stepper": "BDF",
-            "tol": _TOL, "steps": len(pieces), "nfev": stepper.nfev,
-            "njev": terms.cache_info().misses, "nlu": stepper.nlu}
+            "tol": _TOL, "steps": len(pieces), "nfev": stepper.nfev, "nlu": stepper.nlu}
     return Field2D(grid.x_nodes, ts, u, meta, dense, rhs)
 
 

@@ -2,8 +2,8 @@
 
 Closed-form oracles and singular-quadrature evaluators for the six
 variable-order Caputo operators, integer-order expansion approximations with
-certified error bounds, and method-of-lines solvers for two time-fractional
-PDEs rewritten through the expansion.
+certified error bounds, and one method-of-lines solve for time-fractional
+PDEs rewritten through the expansion (diffusion and linear Burgers).
 
 The package exports each module's ``__all__``, typed errors included.
 Importing it loads no SciPy: QUADPACK is imported by the first adaptive
@@ -21,8 +21,8 @@ from .special import *
 
 #: ``pde.__all__``, so that ``__all__`` is whole before ``pde`` is imported.
 _PDE_EXPORTS = ("Grid1D", "DiffusionProblem", "Field2D", "DegenerateCoefficientError",
-                "SolverError", "manufactured_diffusion", "diffusion_exact", "burgers_exact",
-                "solve_diffusion", "solve_burgers", "field_error")
+                "SolverError", "manufactured_diffusion", "manufactured_burgers", "diffusion_exact",
+                "burgers_exact", "solve_diffusion", "solve_burgers", "field_error")
 
 __all__ = [
     *special.__all__,

@@ -32,7 +32,7 @@ import numpy as np
 from .expansion import ExpansionParams, approximate
 from .order import OrderFunction, affine_order, constant_order
 from .pde import (DEFAULT_T0, Grid1D, burgers_exact, diffusion_exact, field_error,
-                  manufactured_diffusion, solve_burgers, solve_diffusion)
+                  manufactured_burgers, manufactured_diffusion, solve_diffusion)
 from .reference import (DEFAULT_TOL, Kind, ScalarFunction, Side, caputo_quadrature,
                         power_closed_form, power_function)
 from .special import PoleError
@@ -196,20 +196,19 @@ def cmd_figures(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-#: PDE subcommands: the solver, called as solve(order, grid, N), and the
-#: exact solution its field is compared with.
+#: PDE subcommands: the manufactured problem's constructor, called as
+#: make(order, N, t0), and the exact solution its field is compared with.
+#: The diffusion problem's zero initial profile does not depend on t0.
 _PDE_RUNS = {
-    "pde-diffusion": (
-        lambda order, grid, N: solve_diffusion(manufactured_diffusion(order, N), grid),
-        diffusion_exact,
-    ),
-    "pde-burgers": (solve_burgers, burgers_exact),
+    "pde-diffusion": (lambda order, N, t0: manufactured_diffusion(order, N), diffusion_exact),
+    "pde-burgers": (manufactured_burgers, burgers_exact),
 }
 
 
 def cmd_pde(args: argparse.Namespace) -> int:
-    solve, exact = _PDE_RUNS[args.subcommand]
-    fieldv = solve(parse_order(args.order), Grid1D(args.mx, args.mt, args.t0), args.N)
+    make, exact = _PDE_RUNS[args.subcommand]
+    order, grid = parse_order(args.order), Grid1D(args.mx, args.mt, args.t0)
+    fieldv = solve_diffusion(make(order, args.N, grid.t0), grid)
 
     def rows() -> Iterator[list[float]]:
         for j, t in enumerate(fieldv.t_nodes):

@@ -1,22 +1,22 @@
-"""Method-of-lines solvers for two variable-order time-fractional PDEs.
+"""Method-of-lines solve of variable-order time-fractional PDEs.
 
-The fractional time derivative (type III, left, n = 1) is replaced by its
-integer-order expansion
+One problem type, ``DiffusionProblem`` (D^alpha u = u_xx + w u_x + f with
+Dirichlet values: diffusion at w = 0, linear Burgers at w = -1), and one
+solve, ``solve_diffusion``.  The fractional time derivative (type III,
+left, n = 1) is replaced by its expansion
 
     A(t) t^(1-alpha) u_t + sum_p B_p(t) t^(1-p-alpha) V_p,
     dV_p/dt = t^(p-1) u_t,   V_p(x, t0) = 0.
 
-After fourth-order finite differences in space each problem is a linear ODE
-system.  One core, ``_march``, states it and integrates it in the scaled
-moments W_p = V_p / t^p, which keep the weights O(1) (the raw weights
-t^(1-p-alpha) reach ~1e44 near t0), by the implicit NDF formulas of SciPy's
-BDF in ``_LinearBDF``.  The system is affine in the state, so each step is
-one linear solve with no Newton iteration, and every W_p row block is
-diagonal in W_p, so that solve reduces to one banded m x m system (m =
-mx - 1).  A step costs O(N m), and the step count is set by accuracy, not by
-the mx^2 stability limit of an explicit stepper nor by the 1/t growth of the
-Jacobian near t0.  Diffusion and Burgers are two configurations of the core:
-a space operator, a source, boundary values and an initial profile.  The
+After fourth-order finite differences in space the problem is a linear ODE
+system, integrated in the scaled moments W_p = V_p / t^p, which keep the
+weights O(1) (the raw weights t^(1-p-alpha) reach ~1e44 near t0), by the
+implicit NDF formulas of SciPy's BDF in ``_LinearBDF``.  The system is
+affine in the state, so each step is one linear solve with no Newton
+iteration, and every W_p row block is diagonal in W_p, so that solve
+reduces to one banded m x m system (m = mx - 1).  A step costs O(N m), and
+the step count is set by accuracy, not by the mx^2 stability limit of an
+explicit stepper nor by the 1/t growth of the Jacobian near t0.  The
 moments stay in the solver's continuous solution, ``Field2D.dense``.
 
 The u_t coefficient A t^(1-alpha) vanishes at t = 0, so integration starts
@@ -48,6 +48,7 @@ __all__ = [
     "DegenerateCoefficientError",
     "SolverError",
     "manufactured_diffusion",
+    "manufactured_burgers",
     "diffusion_exact",
     "burgers_exact",
     "solve_diffusion",
@@ -98,17 +99,20 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class DiffusionProblem:
-    """Time-fractional diffusion problem with source f and initial profile g.
-
-    Homogeneous Dirichlet conditions u(0,t) = u(1,t) = 0 are built in, so g
-    must vanish at both ends.  f and g are called at the interior nodes and
-    may return one value for all of them.
-    """
+    """D^alpha u = u_xx + ux_weight u_x + f(x, t), its expansion's N, initial
+    profile g and Dirichlet values boundary(t) = (u(0, t), u(1, t)); f and g
+    are called at the interior nodes and may return one value for all of
+    them, ``boundary`` at each t of the solve and, before any step, with the
+    array of time nodes.  ``meta`` holds labels for ``Field2D.meta``.  The
+    defaults give diffusion with zero boundary values."""
 
     order: OrderFunction
     N: int
     f: Callable[[np.ndarray, float], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
+    boundary: Callable = lambda t: (0.0, 0.0)
+    ux_weight: float = 0.0
+    meta: dict = field(default_factory=lambda: {"equation": "diffusion"}, hash=False)
 
 
 @dataclass
@@ -123,11 +127,11 @@ class Field2D:
     error-controlled.  The system is affine, so ``rhs`` also gives its
     Jacobian: J y = rhs(t, y) - rhs(t, 0).  ``u`` and ``dense`` share one
     evaluator, so u[1:-1] equals dense(t_nodes)[:m] bit for bit.
-    ``meta`` records the stepper, its tolerance ``tol`` (an error weight
-    tol (1 + |u|) on u, so absolute for a solution far below 1; see
-    ``_LinearBDF``) and its counts: ``steps`` accepted steps,
-    ``nfev`` RHS calls (the two at start-up; the steps call none) and
-    ``nlu`` banded m x m factorisations (one per step attempt).
+    ``meta`` records the grid, the problem's labels, the stepper, its
+    tolerance ``tol`` (an error weight tol (1 + |u|) on u, so absolute for
+    a solution far below 1; see ``_LinearBDF``) and its counts: ``steps``
+    accepted steps, ``nfev`` RHS calls (the two at start-up; the steps call
+    none) and ``nlu`` banded m x m factorisations (one per step attempt).
     """
 
     x_nodes: np.ndarray
@@ -165,6 +169,22 @@ def manufactured_diffusion(order: OrderFunction, N: int = 6) -> DiffusionProblem
         return np.zeros_like(np.asarray(x, dtype=float))
 
     return DiffusionProblem(order=order, N=N, f=f, g=g)
+
+
+def manufactured_burgers(order: OrderFunction, N: int, t0: float = DEFAULT_T0) -> DiffusionProblem:
+    """Linear Burgers problem (u_x weight -1) whose exact solution is x^2 +
+    t^2: the source D^alpha t^2 + 2x - 2, D^alpha t^2 as in
+    ``manufactured_diffusion``, the initial profile x^2 + t0^2 at the solve's
+    start t0, and lateral values pinned to the exact solution, recorded in
+    ``meta`` as a choice: the problem statement fixes only u(x, 0) = x^2."""
+    origin = replace(order, a=0.0)  # as in ``manufactured_diffusion``
+
+    def f(x: np.ndarray, t: float) -> np.ndarray:
+        return power_closed_form(Kind.TYPE_III, Side.LEFT, 2.0, origin, t) + 2.0 * x - 2.0
+
+    meta = {"equation": "burgers", "lateral_bc": "dirichlet-from-exact-solution (solver choice)"}
+    return DiffusionProblem(order, N, f, lambda x: x**2 + t0**2,
+                            lambda t: (t**2, 1.0 + t**2), -1.0, meta)
 
 
 def _derivative_matrix(mx: int, deriv: int) -> np.ndarray:
@@ -253,7 +273,7 @@ def _interpolate(t: np.ndarray, t_s, h, C: np.ndarray) -> np.ndarray:
 
 class _NdfDense:
     """One step's interpolating polynomial, from its differences, at a 0-d or
-    1-d array t, by ``_interpolate``, which also gives ``_march``'s u."""
+    1-d array t, by ``_interpolate``, which also gives ``solve_diffusion``'s u."""
 
     def __init__(self, t: float, h: float, order: int, D: np.ndarray):
         self.t, self.h, self.order, self.D = t, h, order, D
@@ -373,19 +393,19 @@ class _LinearBDF:
         return _NdfDense(t_new, self.h_abs, self.order, D[: self.order + 1].copy())
 
 
-def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Callable,
-           boundary: Callable, u0_interior: np.ndarray, meta: dict) -> Field2D:
-    """Integrate by the NDF formulas the linear system of the operator D
-    (acting on the full node vector) in the interior state (u, W_1..W_N):
+def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
+    """March the problem on the grid from its initial profile: by the NDF
+    formulas, the linear system in the interior state (u, W_1..W_N)
 
         u_t  = (c(t) + L u) / a(t) - sum_p b_p(t) W_p,
         W_p' = (u_t - p W_p) / t,   W_p(t0) = 0,
 
-    with L the interior block of D, a = A t^(1-alpha), b_p = B_p/A, and c(t)
-    = source(t) plus the Dirichlet values ``boundary(t)`` through D's
-    boundary columns.  The Jacobian's u-row block is [L/a, -b_p I]; each W_p
-    row block is that row divided by t, minus (p/t) I on its own diagonal
-    block.
+    with L the interior block of the fourth-order operator D = D2 + w D1 (w
+    the u_x weight) on the full node vector, a = A t^(1-alpha), b_p = B_p/A,
+    and c(t) = f(x, t) at the interior nodes plus the Dirichlet values
+    ``boundary(t)`` through D's boundary columns.  The Jacobian's u-row
+    block is [L/a, -b_p I]; each W_p row block is that row divided by t,
+    minus (p/t) I on its own diagonal block.
 
     Each step attempt of ``_LinearBDF`` solves y - c f(t, y) = r for the new
     state y.  With g = u_t = (c(t) + L y_u)/a - sum_p b_p y_p, the u rows
@@ -401,21 +421,32 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
     every B_p and A is positive, so beta >= 1.  A step costs O(N m) and one
     banded LU of L's bandwidth (at most 4 each side), whatever N is.
 
-    ``rhs`` and ``solve`` assemble a, b_p and c(t) at each call, which is
-    once per t: each step attempt and each start-up call is at a new t.
-    An order whose domain does not cover [t0, 1] raises ``DomainError``,
-    then an N < 1, a non-finite initial profile or a source of shape other
-    than () or (m,) (at the first start-up call) ``ValueError``, all before
-    any step.  The steps' interpolants form ``dense``, and u at all time
-    nodes is one ``_interpolate`` call on their u rows, each node on the
-    piece ``dense`` takes (the earlier one on a step boundary): u[1:-1] is
-    dense(t_nodes)[:m].
+    ``rhs`` and ``solve`` assemble a, b_p and c(t) at each call, which is once
+    per t: each step attempt and each start-up call is at a new t.  Before any
+    step, in this order: a profile that does not broadcast to the interior
+    nodes raises ``ValueError``, an order whose domain does not cover [t0, 1]
+    ``DomainError``, and an N < 1, a non-finite profile or u_x weight,
+    boundary(t0) other than two finite numbers, or a source of shape other
+    than () or (m,) (at the first start-up call) ``ValueError``.  The steps'
+    interpolants form ``dense``, and u at all time nodes is one
+    ``_interpolate`` call on their u rows, each node on the piece ``dense``
+    takes (the earlier one on a step boundary): u[1:-1] is dense(t_nodes)[:m].
     """
+    x_int = grid.x_nodes[1:-1]
+    u0 = np.broadcast_to(np.asarray(problem.g(x_int), dtype=float), x_int.shape)
+    order, N, boundary, w = problem.order, problem.N, problem.boundary, problem.ux_weight
     if not (order.a <= grid.t0 and order.b >= 1.0):
         raise DomainError(f"order domain [{order.a}, {order.b}] does not cover [{grid.t0}, 1]")
     params = ExpansionParams(1, N)
-    if not np.isfinite(u0_interior).all():
+    if not np.isfinite(u0).all():
         raise ValueError("the initial profile must be finite at every interior node")
+    if not math.isfinite(w):
+        raise ValueError(f"the u_x weight must be finite, got {w}")
+    ends = np.asarray(boundary(grid.t0))
+    if ends.shape != (2,) or ends.dtype.kind not in "iuf" or not np.isfinite(ends).all():
+        raise ValueError(f"boundary(t0) must give two finite numbers, got {ends}")
+    ts, edges = grid.t_nodes, boundary(grid.t_nodes)  # the Dirichlet rows, before any step
+    D = _derivative_matrix(grid.mx, 2) + w * _derivative_matrix(grid.mx, 1)
     L = D[:, 1:-1]
     m = grid.mx - 1
     p = np.arange(1, N + 1)
@@ -435,7 +466,7 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
         head, tail = coefficients_left(alpha, params)
         a1 = float(head[0])
         left, right = boundary(t)
-        c = source(t)
+        c = problem.f(x_int, t)
         if np.shape(c) not in ((), (m,)):
             raise ValueError(f"the source gave shape {np.shape(c)}, not () or ({m},) "
                              f"for the {m} interior nodes")
@@ -468,14 +499,13 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
         np.multiply(q[:, None], r_w + ct_g, out=y[m:].reshape(N, m))
         return y
 
-    y0 = np.concatenate([u0_interior, np.zeros(N * m)])
+    y0 = np.concatenate([u0, np.zeros(N * m)])
     stepper = _LinearBDF(rhs, grid.t0, y0, solve=solve, m=m)
     step_ts, pieces = [grid.t0], []
     while stepper.t < 1.0:
         pieces.append(stepper.step())
         step_ts.append(stepper.t)
     dense = OdeSolution(step_ts, pieces)
-    ts = grid.t_nodes
     idx = np.clip(np.searchsorted(step_ts, ts, side="left") - 1, 0, len(pieces) - 1)
     C = np.zeros((len(pieces), max(q.order for q in pieces) + 1, m))
     for q, c in zip(pieces, C):
@@ -483,45 +513,15 @@ def _march(order: OrderFunction, N: int, grid: Grid1D, D: np.ndarray, source: Ca
     t_s, h = np.array([(q.t, q.h) for q in pieces])[idx].T
     u = np.zeros((grid.mx + 1, len(ts)))
     u[1:-1] = _interpolate(ts, t_s[:, None], h[:, None], C[idx]).T
-    u[0, :], u[-1, :] = boundary(ts)
-    meta = {"t0": grid.t0, "N": N, "mx": grid.mx, "mt": grid.mt, **meta, "stepper": "BDF",
+    u[0, :], u[-1, :] = edges
+    meta = {"t0": grid.t0, "N": N, "mx": grid.mx, "mt": grid.mt, **problem.meta, "stepper": "BDF",
             "tol": _TOL, "steps": len(pieces), "nfev": stepper.nfev, "nlu": stepper.nlu}
     return Field2D(grid.x_nodes, ts, u, meta, dense, rhs)
 
 
-def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
-    """March the expansion-approximated diffusion system on the grid.
-
-    Fourth-order finite differences in space with the Dirichlet rows pinned
-    to exactly zero; implicit NDF/BDF steps in time on the scaled moments
-    W_p, each one banded linear solve.
-    """
-    x_int = grid.x_nodes[1:-1]
-    u0 = np.broadcast_to(np.asarray(problem.g(x_int), dtype=float), x_int.shape)
-    D2 = _derivative_matrix(grid.mx, 2)
-    return _march(problem.order, problem.N, grid, D2, lambda t: problem.f(x_int, t),
-                  lambda t: (0.0, 0.0), u0, {"equation": "diffusion"})
-
-
 def solve_burgers(order: OrderFunction, grid: Grid1D, N: int) -> Field2D:
-    """March the expansion-approximated linear Burgers system.
-
-    The problem statement fixes only the initial condition u(x,0) = x^2;
-    lateral boundaries are pinned to the exact solution x^2 + t^2 (recorded
-    in the output metadata as this solver's choice) and enter the interior
-    equations through the boundary columns of D2 - D1.  Time stepping is the
-    same implicit core as in ``solve_diffusion``.
-    """
-    x_int = grid.x_nodes[1:-1]
-    origin = replace(order, a=0.0)  # as in ``manufactured_diffusion``
-
-    def source(t: float) -> np.ndarray:
-        return power_closed_form(Kind.TYPE_III, Side.LEFT, 2.0, origin, t) + 2.0 * x_int - 2.0
-
-    D = _derivative_matrix(grid.mx, 2) - _derivative_matrix(grid.mx, 1)
-    meta = {"equation": "burgers", "lateral_bc": "dirichlet-from-exact-solution (solver choice)"}
-    return _march(order, N, grid, D, source, lambda t: (t**2, 1.0 + t**2),
-                  x_int**2 + grid.t0**2, meta)
+    """``solve_diffusion`` of ``manufactured_burgers`` from the grid's t0."""
+    return solve_diffusion(manufactured_burgers(order, N, grid.t0), grid)
 
 
 def field_error(fieldv: Field2D, exact: Callable[[np.ndarray, float], np.ndarray]) -> float:

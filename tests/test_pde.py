@@ -2,11 +2,13 @@ import math
 import re
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from varcaputo.order import affine_order
+from varcaputo.reference import Kind, Side, power_closed_form
 from varcaputo.special import DomainError
 from varcaputo.pde import (
     DegenerateCoefficientError,
@@ -27,6 +29,7 @@ from varcaputo.pde import (
     burgers_exact,
     diffusion_exact,
     field_error,
+    manufactured_burgers,
     manufactured_diffusion,
     solve_burgers,
     solve_diffusion,
@@ -158,7 +161,7 @@ class TestDiffusion:
 
 @pytest.fixture(scope="module")
 def fieldv():
-    return solve_burgers(ORDER, Grid1D(mx=12, mt=40, t0=1e-4), N=4)
+    return _solve("burgers", Grid1D(mx=12, mt=40, t0=1e-4), 4)
 
 
 class TestBurgers:
@@ -177,23 +180,24 @@ class TestBurgers:
 
     def test_error_decreases_with_N(self):
         grid = Grid1D(mx=12, mt=40, t0=1e-4)
-        errs = [
-            field_error(solve_burgers(ORDER, grid, N=N), burgers_exact)
-            for N in (2, 6)
-        ]
+        errs = [field_error(_solve("burgers", grid, N), burgers_exact) for N in (2, 6)]
         assert errs[1] <= 1.05 * errs[0]
 
     def test_numpy_integer_N_accepted(self):
+        # solve_burgers is the one solve of the manufactured Burgers problem.
         grid = Grid1D(mx=12, mt=40, t0=1e-4)
         got = solve_burgers(ORDER, grid, np.int64(4))
-        assert np.array_equal(got.u, solve_burgers(ORDER, grid, 4).u)
+        want = _solve("burgers", grid, 4)
+        assert np.array_equal(got.u, want.u) and got.meta == want.meta
 
 
-def _solve(equation: str, grid: Grid1D, N: int) -> Field2D:
-    """The manufactured diffusion solve or the Burgers solve with ORDER."""
+def _solve(equation: str, grid: Grid1D, N: int, order=ORDER) -> Field2D:
+    """The one solve of the manufactured diffusion or Burgers problem."""
     if equation == "diffusion":
-        return solve_diffusion(manufactured_diffusion(ORDER, N=N), grid)
-    return solve_burgers(ORDER, grid, N=N)
+        problem = manufactured_diffusion(order, N=N)
+    else:
+        problem = manufactured_burgers(order, N, grid.t0)
+    return solve_diffusion(problem, grid)
 
 
 def _record_solves(monkeypatch) -> dict:
@@ -226,6 +230,109 @@ def _never_step(monkeypatch) -> None:
         raise AssertionError("the time stepper ran")
 
     monkeypatch.setattr(pde, "_LinearBDF", stepper)
+
+
+def _dt2(order):
+    """D^alpha t^2 from t = 0, as the manufactured sources take it."""
+    origin = replace(order, a=0.0)
+    return lambda t: power_closed_form(Kind.TYPE_III, Side.LEFT, 2.0, origin, t)
+
+
+class TestProblemData:
+    """The one problem type with other data, each against its own
+    manufactured solution: the errors are the expansion's, falling with N."""
+
+    def test_diffusion_with_nonzero_dirichlet_values(self):
+        # u = t^2 (sin 2 pi x + 1 + x), so u(0, t) = t^2 and u(1, t) = 2 t^2.
+        dt2, sin = _dt2(ORDER), lambda x: np.sin(2.0 * np.pi * x)
+
+        def f(x, t):
+            return dt2(t) * (sin(x) + 1.0 + x) + 4.0 * np.pi**2 * t**2 * sin(x)
+
+        def exact(x, t):
+            return t**2 * (sin(x) + 1.0 + x)
+
+        grid = Grid1D(mx=12, mt=40, t0=1e-4)
+        ts, errs = grid.t_nodes, []
+        for N in (2, 6):
+            problem = DiffusionProblem(ORDER, N, f, lambda x: 0.0, lambda t: (t**2, 2.0 * t**2))
+            got = solve_diffusion(problem, grid)
+            assert np.array_equal(got.u[0], ts**2) and np.array_equal(got.u[-1], 2.0 * ts**2)
+            errs.append(field_error(got, exact))
+        assert errs[1] <= 1e-2 and errs[1] <= 0.5 * errs[0]
+
+    def test_burgers_operator_with_other_initial_and_boundary_data(self):
+        # u = cos(pi x) + t^2 x under D^alpha u = u_xx - u_x + f.
+        dt2 = _dt2(ORDER)
+
+        def f(x, t):
+            return dt2(t) * x + np.pi**2 * np.cos(np.pi * x) - np.pi * np.sin(np.pi * x) + t**2
+
+        def exact(x, t):
+            return np.cos(np.pi * x) + t**2 * x
+
+        grid = Grid1D(mx=12, mt=40, t0=1e-4)
+        errs = []
+        for N in (2, 6):
+            problem = DiffusionProblem(ORDER, N, f, lambda x: exact(x, grid.t0),
+                                       lambda t: (1.0, t**2 - 1.0), -1.0, {"equation": "burgers"})
+            got = solve_diffusion(problem, grid)
+            assert np.max(np.abs(got.u[:, 0] - exact(got.x_nodes, grid.t0))) <= 1e-12
+            assert got.meta["equation"] == "burgers"
+            errs.append(field_error(got, exact))
+        assert errs[1] <= 3e-3 and errs[1] <= 0.5 * errs[0]
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ux_weight_rejected_before_stepping(self, weight, monkeypatch):
+        _never_step(monkeypatch)
+        problem = replace(manufactured_burgers(ORDER, 3), ux_weight=weight)
+        with pytest.raises(ValueError, match="u_x weight must be finite"):
+            solve_diffusion(problem, Grid1D(mx=10, mt=10))
+
+    @pytest.mark.parametrize("ends", [
+        (0.0, np.nan), (np.inf, 0.0), (0.0,), (0.0, 0.0, 0.0), 0.0, None,
+        (np.zeros(9), np.zeros(9)), ("0", "0"), (1j, 0.0),
+    ])
+    def test_boundary_at_t0_must_be_two_finite_numbers(self, ends, monkeypatch):
+        _never_step(monkeypatch)
+        problem = replace(manufactured_diffusion(ORDER, 3), boundary=lambda t: ends)
+        with pytest.raises(ValueError, match="two finite numbers"):
+            solve_diffusion(problem, Grid1D(mx=10, mt=10))
+
+    def test_boundary_called_on_the_time_nodes_before_stepping(self, monkeypatch):
+        # The Dirichlet rows come from one call on the array of time nodes;
+        # a boundary that takes only floats fails there, not after the steps.
+        _never_step(monkeypatch)
+        problem = replace(manufactured_diffusion(ORDER, 3), boundary=lambda t: (math.sin(t), 0.0))
+        with pytest.raises(TypeError):
+            solve_diffusion(problem, Grid1D(mx=10, mt=10))
+
+    def test_checks_run_in_order(self, monkeypatch):
+        # Each bad field is reported once every field checked before it is
+        # mended, and all of them before any step.
+        import varcaputo.pde as pde
+
+        def step(self):
+            raise AssertionError("the time stepper stepped")
+
+        monkeypatch.setattr(pde._LinearBDF, "step", step)
+        wide = lambda x, t=None: np.zeros(len(x) + 2)
+        problem = DiffusionProblem(affine_order(0.1, 0.5, (0.2, 1.0)), 0, wide, wide,
+                                   lambda t: (0.0, np.nan), np.nan)
+        for mend, error, match in [
+            ({"g": lambda x: np.full_like(x, np.nan)}, ValueError, "broadcast"),
+            ({"order": ORDER}, DomainError, "does not cover"),
+            ({"N": 3}, ValueError, "N >= n >= 1"),
+            ({"g": lambda x: 0.0}, ValueError, "initial profile must be finite"),
+            ({"ux_weight": -1.0}, ValueError, "u_x weight must be finite"),
+            ({"boundary": lambda t: (0.0, 0.0)}, ValueError, "two finite numbers"),
+            ({"f": lambda x, t: 0.0}, ValueError, "the source gave shape"),
+        ]:
+            with pytest.raises(error, match=match):
+                solve_diffusion(problem, Grid1D(mx=10, mt=10))
+            problem = replace(problem, **mend)
+        with pytest.raises(AssertionError, match="stepped"):
+            solve_diffusion(problem, Grid1D(mx=10, mt=10))
 
 
 class TestStructuredSolve:
@@ -269,8 +376,7 @@ class TestStructuredSolve:
     def test_small_t0_costs_no_more_steps(self):
         # Near t = 0 the Jacobian's entries scale like 1/t and 1/a(t); with
         # an exact solve per step, accuracy alone sets the step count there.
-        fields = {t0: solve_burgers(ORDER, Grid1D(mx=40, mt=20, t0=t0), N=3)
-                  for t0 in (1e-4, 1e-6)}
+        fields = {t0: _solve("burgers", Grid1D(mx=40, mt=20, t0=t0), 3) for t0 in (1e-4, 1e-6)}
         assert fields[1e-6].meta["steps"] <= 2 * fields[1e-4].meta["steps"]
         errs = [field_error(f, burgers_exact) for f in fields.values()]
         assert errs[1] == pytest.approx(errs[0], rel=1e-4)
@@ -319,10 +425,7 @@ class TestStepper:
         _never_step(monkeypatch)
         order, grid = affine_order(c1, c0, domain), Grid1D(mx=10, mt=10)
         with pytest.raises(DomainError, match="does not cover"):
-            if equation == "diffusion":
-                solve_diffusion(manufactured_diffusion(order, N=3), grid)
-            else:
-                solve_burgers(order, grid, N=3)
+            _solve(equation, grid, 3, order)
 
     @pytest.mark.parametrize("equation", ["diffusion", "burgers"])
     def test_sources_start_at_zero_on_any_order_domain(self, equation):
@@ -331,11 +434,7 @@ class TestStepper:
         grid = Grid1D(mx=10, mt=10)
         fields = []
         for domain in [(0.0, 1.0), (-0.5, 1.5)]:
-            order = affine_order(0.1, 0.5, domain)
-            if equation == "diffusion":
-                fields.append(solve_diffusion(manufactured_diffusion(order, N=3), grid))
-            else:
-                fields.append(solve_burgers(order, grid, N=3))
+            fields.append(_solve(equation, grid, 3, affine_order(0.1, 0.5, domain)))
         assert np.array_equal(fields[0].u, fields[1].u)
 
     @pytest.mark.parametrize("k", range(1, 6))

@@ -14,18 +14,17 @@ with k = p - n.  The expansion combines the O(1) numbers W_k with no
 dist^(-p) factors, so it neither underflows nor overflows as dist -> 0.  One
 vectorised Gauss-Kronrod (G10/K21) pass over a fixed panel set, graded
 geometrically towards the endpoint s = 0, evaluates x' once and yields every
-W_k with QUADPACK's qk21 error estimate; a W_k whose estimate misses the
-tolerance (an endpoint-singular x', say) is recomputed by adaptive QUADPACK
-quadrature alone.  The pass is one batched product of a shared power table
-s_j^k on the fixed nodes with three weighted columns of x' (Kronrod and
-Gauss weights times x', Kronrod weights times |x'|); the array x' returns
-is used without a copy and only read.  The table does not
+W_k with an upper bound on QUADPACK's qk21 error estimate; a W_k whose
+bound misses the tolerance (an endpoint-singular x', say) is recomputed by
+adaptive QUADPACK quadrature alone.  The pass is one batched product of a
+shared power table s_j^k on the fixed nodes with three weighted columns of
+x' (Kronrod and Gauss weights times x', Kronrod weights times |x'|); the
+array x' returns is used without a copy and only read.  The table does not
 depend on x, t or alpha: it is built on first use, rebuilt when a larger
-count is asked for, and read-only.  The tolerance test takes two steps: a
-cheap upper bound on the qk21 estimate clears most W_k, and only the rest
-take the full estimate.  The derivative maxima behind the bound come from
-the two ends of the range where the function declares monotone |x^(p)|, and
-are sampled in one array call per derivative order otherwise.
+count is asked for, and read-only.  The derivative maxima behind the error
+bound come from the two ends of the range where the function declares
+monotone |x^(p)|, and are sampled in one array call per derivative order
+otherwise.
 
 Coefficient arrays are recomputed on every call because alpha depends on the
 evaluation point; the power table is the only state shared between calls.
@@ -228,21 +227,6 @@ def _sample(fn, ts: np.ndarray) -> np.ndarray:
     return values if values.shape == ts.shape else np.broadcast_to(values, ts.shape)
 
 
-def _qk21_estimate(panels: np.ndarray) -> np.ndarray:
-    """QUADPACK's qk21 error estimate of each panel of ``panels`` (values of
-    the integrand on the 21 nodes in the last axis, on the reference rule
-    [-1, 1]): |K21 - G10| scaled by the panel's variation resasc, and never
-    less than 50 eps of the absolute integral resabs."""
-    sums = panels @ _GK_RULE
-    kronrod = sums[..., 0]
-    abserr = np.abs(kronrod - sums[..., 1])
-    resabs = np.abs(panels) @ _GK_RULE[:, 0]
-    dev = panels - 0.5 * kronrod[..., None]
-    resasc = np.abs(dev, out=dev) @ _GK_RULE[:, 0]
-    scaled = resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5)
-    return np.maximum(50.0 * _EPS * resabs, np.where(resasc > 0.0, scaled, abserr))
-
-
 def _power_table(count: int) -> np.ndarray:
     """s_j^k for k = 0..count-1 on the fixed nodes, shaped (panel, k, node).
 
@@ -271,13 +255,11 @@ def _scaled_moments(x: ScalarFunction, t: float, end: float, step: float, count:
     column in place give the columns K x', G x' and K |x'| (the Kronrod
     weights K are positive).  One batched product of the shared power table
     s_j^k (``_power_table``) with them gives, per panel and k, the Kronrod
-    sum (summed over panels, W_k), the Gauss sum and resabs.  W_k is kept
-    when its qk21 error estimate, summed over panels, is at most
-    max(tol, 1e-12 |W_k|), and recomputed by adaptive quadrature otherwise.
-    The test takes two steps: max(50 eps resabs, 200 |K21 - G10|) bounds the
-    qk21 estimate of a panel, so a W_k whose summed bound meets the
-    tolerance passes; only the other rows (nan rows included) take the full
-    estimate, with its resasc pass.
+    sum (summed over panels, W_k), the Gauss sum and resabs.  On a panel,
+    max(50 eps resabs, 200 |K21 - G10|) bounds QUADPACK's qk21 error
+    estimate.  W_k is kept exactly when this bound, summed over panels, is
+    at most max(tol, 1e-12 |W_k|), and recomputed by adaptive quadrature
+    otherwise, a nan bound included.
 
     The result is checked against the exact identity
     sgn dist W_0 = x(t) - x(end) (two calls of x): a gap above
@@ -289,23 +271,18 @@ def _scaled_moments(x: ScalarFunction, t: float, end: float, step: float, count:
     multiple of sqrt(eps) |x|.
     """
     dx = x.deriv(1)
-    powers = _power_table(count)
     f = _sample(dx, end + _GK_NODES * step).reshape(_GK_WEIGHTS.shape[:2])
     with np.errstate(all="ignore"):  # an inf in x' gives nan rows, which fall back
         v = _GK_WEIGHTS * f[..., None]
         np.abs(v[..., 2], out=v[..., 2])
-        sums = powers @ v
+        sums = _power_table(count) @ v
         kronrod = sums[..., 0]
         w = kronrod.sum(axis=0)
         limit = np.maximum(tol, 1e-12 * np.abs(w))
         bound = np.maximum(50.0 * _EPS * sums[..., 2], 200.0 * np.abs(kronrod - sums[..., 1]))
         clear = bound.sum(axis=0) <= limit
-        rows = []
-        if not clear.all():
-            # Negated so that a nan bound or estimate also falls back.
-            rows = np.flatnonzero(~clear)
-            err = _GK_HALF @ _qk21_estimate(powers[:, rows] * f[:, None])
-            rows = rows[~(err <= limit[rows])]
+    # Negated so that a nan bound also falls back.
+    rows = [] if clear.all() else np.flatnonzero(~clear)
     for k in map(int, rows):
         w[k] = _adaptive_quad(
             lambda s: s**k * dx(end + s * step), 0.0, 1.0, tol, what=f"scaled moment k={k}"

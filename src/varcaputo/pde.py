@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -58,6 +59,8 @@ __all__ = [
 
 DEFAULT_T0 = 1e-4
 _TOL = 1e-8
+#: The keys ``solve_diffusion`` writes into ``Field2D.meta``.
+_SOLVE_KEYS = frozenset({"t0", "N", "mx", "mt", "stepper", "tol", "steps", "nfev", "nlu"})
 
 
 class DegenerateCoefficientError(ValueError):
@@ -103,8 +106,9 @@ class DiffusionProblem:
     profile g and Dirichlet values boundary(t) = (u(0, t), u(1, t)); f and g
     are called at the interior nodes and may return one value for all of
     them, ``boundary`` at each t of the solve and, before any step, with the
-    array of time nodes.  ``meta`` holds labels for ``Field2D.meta``.  The
-    defaults give diffusion with zero boundary values."""
+    array of time nodes.  ``meta`` holds labels for ``Field2D.meta``, under
+    keys the solve does not write.  The defaults give diffusion with zero
+    boundary values."""
 
     order: OrderFunction
     N: int
@@ -182,7 +186,7 @@ def manufactured_burgers(order: OrderFunction, N: int, t0: float = DEFAULT_T0) -
     def f(x: np.ndarray, t: float) -> np.ndarray:
         return power_closed_form(Kind.TYPE_III, Side.LEFT, 2.0, origin, t) + 2.0 * x - 2.0
 
-    meta = {"equation": "burgers", "lateral_bc": "dirichlet-from-exact-solution (solver choice)"}
+    meta = {"equation": "burgers", "lateral_bc": "dirichlet-from-exact-solution"}
     return DiffusionProblem(order, N, f, lambda x: x**2 + t0**2,
                             lambda t: (t**2, 1.0 + t**2), -1.0, meta)
 
@@ -426,7 +430,8 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
     step, in this order: a profile that does not broadcast to the interior
     nodes raises ``ValueError``, an order whose domain does not cover [t0, 1]
     ``DomainError``, and an N < 1, a non-finite profile or u_x weight,
-    boundary(t0) other than two finite numbers, or a source of shape other
+    boundary(t0) other than two finite numbers, a ``meta`` that is not a
+    mapping or reuses a key the solve writes, or a source of shape other
     than () or (m,) (at the first start-up call) ``ValueError``.  The steps'
     interpolants form ``dense``, and u at all time nodes is one
     ``_interpolate`` call on their u rows, each node on the piece ``dense``
@@ -445,6 +450,9 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
     ends = np.asarray(boundary(grid.t0))
     if ends.shape != (2,) or ends.dtype.kind not in "iuf" or not np.isfinite(ends).all():
         raise ValueError(f"boundary(t0) must give two finite numbers, got {ends}")
+    if not isinstance(problem.meta, Mapping) or not _SOLVE_KEYS.isdisjoint(problem.meta):
+        raise ValueError(f"meta must be a mapping with none of the keys {sorted(_SOLVE_KEYS)}, "
+                         f"got {problem.meta!r}")
     ts, edges = grid.t_nodes, boundary(grid.t_nodes)  # the Dirichlet rows, before any step
     D = _derivative_matrix(grid.mx, 2) + w * _derivative_matrix(grid.mx, 1)
     L = D[:, 1:-1]

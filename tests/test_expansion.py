@@ -276,29 +276,44 @@ MOMENT_SWEEP = [
 ]
 
 
+def _qk21_estimate(f):
+    """QUADPACK's qk21 error estimate of each panel of f (values of the
+    integrand on the 21 nodes in the last axis, on the reference rule
+    [-1, 1]): |K21 - G10| scaled by the panel's variation resasc, and never
+    less than 50 eps of the absolute integral resabs."""
+    wk, wg = expansion._GK_RULE.T
+    kronrod = f @ wk
+    abserr = np.abs(kronrod - f @ wg)
+    resabs = np.abs(f) @ wk
+    resasc = np.abs(f - 0.5 * kronrod[..., None]) @ wk
+    est = np.where(resasc > 0.0, resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5), abserr)
+    return np.maximum(50.0 * np.finfo(float).eps * resabs, est)
+
+
 def _reference_pass(dx, end, step, count, tol):
     """The moment pass written out for each row k on its own: s^k x' on the
-    panels' nodes, QUADPACK's qk21 sums and error estimate per panel, W_k and
-    its estimate summed over panels, and the indices whose estimate misses
-    max(tol, 1e-12 |W_k|)."""
+    panels' nodes, its qk21 sums per panel, W_k summed over panels, the
+    indices whose cheap bound max(50 eps resabs, 200 |K21 - G10|), summed
+    over panels, misses max(tol, 1e-12 |W_k|), and the indices whose summed
+    qk21 estimate misses it."""
     s = expansion._GK_NODES.reshape(-1, 21)
     wk, wg = expansion._GK_RULE.T
     half = expansion._GK_HALF
     fx = dx(end + s * step)
-    w, fallback = np.zeros(count), set()
+    w, fallback, missed = np.zeros(count), set(), set()
     with np.errstate(all="ignore"):
         for k in range(count):
             f = s**k * fx
-            kronrod, gauss = f @ wk, f @ wg
-            abserr = np.abs(kronrod - gauss)
-            resabs = np.abs(f) @ wk
-            resasc = np.abs(f - 0.5 * kronrod[:, None]) @ wk
-            est = np.where(resasc > 0.0, resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5),
-                           abserr)
+            kronrod = f @ wk
+            bound = np.maximum(50.0 * np.finfo(float).eps * (np.abs(f) @ wk),
+                               200.0 * np.abs(kronrod - f @ wg))
             w[k] = half @ kronrod
-            if not half @ np.maximum(50.0 * np.finfo(float).eps * resabs, est) <= max(tol, 1e-12 * abs(w[k])):
+            limit = max(tol, 1e-12 * abs(w[k]))
+            if not half @ bound <= limit:
                 fallback.add(k)
-    return w, fallback
+            if not half @ _qk21_estimate(f) <= limit:
+                missed.add(k)
+    return w, fallback, missed
 
 
 class TestSample:
@@ -356,8 +371,9 @@ class TestMomentPass:
     def test_matches_per_row_reference(self, monkeypatch):
         # One batched product against the shared power table gives each W_k
         # of the per-row qk21 reference to 1e-14, and exactly the rows whose
-        # qk21 estimate misses the tolerance go to QUADPACK, singular
-        # x' (gamma < 1) and nan rows included.
+        # summed cheap bound misses the tolerance go to QUADPACK, singular
+        # x' (gamma < 1) and nan rows included.  Every row kept has its qk21
+        # estimate within the tolerance too.
         adaptive_quad = expansion._adaptive_quad
         fell_back = []
 
@@ -373,7 +389,8 @@ class TestMomentPass:
         for g, side, t, count in MOMENT_SWEEP:
             x = power_function(g, 0.0, 1.0, side)
             sgn, end, dist = (1.0, 0.0, t) if side is Side.LEFT else (-1.0, 1.0, 1.0 - t)
-            ref, ref_fallback = _reference_pass(x.deriv(1), end, sgn * dist, count, 1e-8)
+            ref, ref_fallback, missed = _reference_pass(x.deriv(1), end, sgn * dist, count, 1e-8)
+            assert missed <= ref_fallback, (g, side, t, count)
             fell_back.clear()
             try:
                 w = expansion._scaled_moments(x, t, end, sgn * dist, count, 1e-8)
@@ -419,12 +436,12 @@ class TestMomentPass:
     ))
     def test_bound_covers_qk21_estimate(self, values):
         # max(50 eps resabs, 200 |K21 - G10|) bounds QUADPACK's estimate on a
-        # panel, so a row it clears would pass the full test as well.
+        # panel, so a row it clears would pass the full qk21 test as well.
         panel = np.array(values)
         wk, wg = expansion._GK_RULE.T
         with np.errstate(all="ignore"):
             bound = max(50.0 * np.finfo(float).eps * (np.abs(panel) @ wk), 200.0 * abs(panel @ wk - panel @ wg))
-            estimate = expansion._qk21_estimate(panel)
+            estimate = _qk21_estimate(panel)
         assert estimate <= bound
 
 

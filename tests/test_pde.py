@@ -20,6 +20,7 @@ from varcaputo.pde import (
     _GAMMA,
     _MAX_ORDER,
     _PREDICT,
+    _SOLVE_KEYS,
     _SUFFIX,
     _TOL,
     _NdfDense,
@@ -307,6 +308,15 @@ class TestProblemData:
         with pytest.raises(TypeError):
             solve_diffusion(problem, Grid1D(mx=10, mt=10))
 
+    @pytest.mark.parametrize("meta", [None, {"N": "label", "steps": -1}])
+    def test_meta_must_be_labels_the_solve_does_not_write(self, meta, monkeypatch):
+        # The solve writes its own keys into Field2D.meta: a label under one
+        # of them, or no mapping at all, is rejected before any step.
+        _never_step(monkeypatch)
+        problem = replace(manufactured_diffusion(ORDER, 3), meta=meta)
+        with pytest.raises(ValueError, match="meta must be a mapping with none of the keys"):
+            solve_diffusion(problem, Grid1D(mx=10, mt=10))
+
     def test_checks_run_in_order(self, monkeypatch):
         # Each bad field is reported once every field checked before it is
         # mended, and all of them before any step.
@@ -318,7 +328,7 @@ class TestProblemData:
         monkeypatch.setattr(pde._LinearBDF, "step", step)
         wide = lambda x, t=None: np.zeros(len(x) + 2)
         problem = DiffusionProblem(affine_order(0.1, 0.5, (0.2, 1.0)), 0, wide, wide,
-                                   lambda t: (0.0, np.nan), np.nan)
+                                   lambda t: (0.0, np.nan), np.nan, None)
         for mend, error, match in [
             ({"g": lambda x: np.full_like(x, np.nan)}, ValueError, "broadcast"),
             ({"order": ORDER}, DomainError, "does not cover"),
@@ -326,6 +336,7 @@ class TestProblemData:
             ({"g": lambda x: 0.0}, ValueError, "initial profile must be finite"),
             ({"ux_weight": -1.0}, ValueError, "u_x weight must be finite"),
             ({"boundary": lambda t: (0.0, 0.0)}, ValueError, "two finite numbers"),
+            ({"meta": {"equation": "diffusion"}}, ValueError, "meta must be a mapping"),
             ({"f": lambda x, t: 0.0}, ValueError, "the source gave shape"),
         ]:
             with pytest.raises(error, match=match):
@@ -390,6 +401,7 @@ class TestStepper:
             assert f.meta["stepper"] == "BDF"
             assert f.meta["tol"] == _TOL
             assert f.meta["steps"] == len(f.dense.ts) - 1
+            assert f.meta.keys() - {"equation", "lateral_bc"} == _SOLVE_KEYS
             for key in ("steps", "nfev", "nlu"):
                 assert f.meta[key] > 0
             m = len(f.x_nodes) - 2

@@ -197,16 +197,19 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 #: PDE subcommands: the manufactured problem's constructor, called as
-#: make(order, N, t0), and the exact solution its field is compared with.
-#: The diffusion problem's zero initial profile does not depend on t0.
+#: make(order, N, t0), the exact solution its field is compared with, and
+#: the labels that open the CSV header.  The diffusion problem's zero
+#: initial profile does not depend on t0.
 _PDE_RUNS = {
-    "pde-diffusion": (lambda order, N, t0: manufactured_diffusion(order, N), diffusion_exact),
-    "pde-burgers": (manufactured_burgers, burgers_exact),
+    "pde-diffusion": (lambda order, N, t0: manufactured_diffusion(order, N), diffusion_exact,
+                      "equation=diffusion"),
+    "pde-burgers": (manufactured_burgers, burgers_exact,
+                    "equation=burgers lateral_bc=dirichlet-from-exact-solution"),
 }
 
 
 def cmd_pde(args: argparse.Namespace) -> int:
-    make, exact = _PDE_RUNS[args.subcommand]
+    make, exact, labels = _PDE_RUNS[args.subcommand]
     order, grid = parse_order(args.order), Grid1D(args.mx, args.mt, args.t0)
     fieldv = solve_diffusion(make(order, args.N, grid.t0), grid)
 
@@ -218,7 +221,7 @@ def cmd_pde(args: argparse.Namespace) -> int:
 
     meta = " ".join(f"{k}={v}" for k, v in fieldv.meta.items())
     with _output(args.out) as stream:
-        stream.write(f"# {meta} max_err={_fmt(field_error(fieldv, exact))}\n")
+        stream.write(f"# {labels} {meta} max_err={_fmt(field_error(fieldv, exact))}\n")
         _write_csv(stream, ["x", "t", "u", "u_exact", "abs_err"], rows())
     return EXIT_OK
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -59,8 +58,6 @@ __all__ = [
 
 DEFAULT_T0 = 1e-4
 _TOL = 1e-8
-#: The keys ``solve_diffusion`` writes into ``Field2D.meta``.
-_SOLVE_KEYS = frozenset({"t0", "N", "mx", "mt", "stepper", "tol", "steps", "nfev", "nlu"})
 
 
 class DegenerateCoefficientError(ValueError):
@@ -106,9 +103,8 @@ class DiffusionProblem:
     profile g and Dirichlet values boundary(t) = (u(0, t), u(1, t)); f and g
     are called at the interior nodes and may return one value for all of
     them, ``boundary`` at each t of the solve and, before any step, with the
-    array of time nodes.  ``meta`` holds labels for ``Field2D.meta``, under
-    keys the solve does not write.  The defaults give diffusion with zero
-    boundary values."""
+    array of time nodes.  The defaults give diffusion with zero boundary
+    values."""
 
     order: OrderFunction
     N: int
@@ -116,7 +112,6 @@ class DiffusionProblem:
     g: Callable[[np.ndarray], np.ndarray]
     boundary: Callable = lambda t: (0.0, 0.0)
     ux_weight: float = 0.0
-    meta: dict = field(default_factory=lambda: {"equation": "diffusion"}, hash=False)
 
 
 @dataclass
@@ -131,11 +126,11 @@ class Field2D:
     error-controlled.  The system is affine, so ``rhs`` also gives its
     Jacobian: J y = rhs(t, y) - rhs(t, 0).  ``u`` and ``dense`` share one
     evaluator, so u[1:-1] equals dense(t_nodes)[:m] bit for bit.
-    ``meta`` records the grid, the problem's labels, the stepper, its
-    tolerance ``tol`` (an error weight tol (1 + |u|) on u, so absolute for
-    a solution far below 1; see ``_LinearBDF``) and its counts: ``steps``
-    accepted steps, ``nfev`` RHS calls (the two at start-up; the steps call
-    none) and ``nlu`` banded m x m factorisations (one per step attempt).
+    ``meta`` records what the solve decided and counted: the grid, the
+    stepper, its tolerance ``tol`` (an error weight tol (1 + |u|) on u, so
+    absolute for a solution far below 1; see ``_LinearBDF``), ``steps``
+    accepted steps and ``nlu`` banded m x m factorisations (one per step
+    attempt).
     """
 
     x_nodes: np.ndarray
@@ -179,16 +174,15 @@ def manufactured_burgers(order: OrderFunction, N: int, t0: float = DEFAULT_T0) -
     """Linear Burgers problem (u_x weight -1) whose exact solution is x^2 +
     t^2: the source D^alpha t^2 + 2x - 2, D^alpha t^2 as in
     ``manufactured_diffusion``, the initial profile x^2 + t0^2 at the solve's
-    start t0, and lateral values pinned to the exact solution, recorded in
-    ``meta`` as a choice: the problem statement fixes only u(x, 0) = x^2."""
+    start t0, and lateral values pinned to the exact solution, a choice:
+    the problem statement fixes only u(x, 0) = x^2."""
     origin = replace(order, a=0.0)  # as in ``manufactured_diffusion``
 
     def f(x: np.ndarray, t: float) -> np.ndarray:
         return power_closed_form(Kind.TYPE_III, Side.LEFT, 2.0, origin, t) + 2.0 * x - 2.0
 
-    meta = {"equation": "burgers", "lateral_bc": "dirichlet-from-exact-solution"}
     return DiffusionProblem(order, N, f, lambda x: x**2 + t0**2,
-                            lambda t: (t**2, 1.0 + t**2), -1.0, meta)
+                            lambda t: (t**2, 1.0 + t**2), -1.0)
 
 
 def _derivative_matrix(mx: int, deriv: int) -> np.ndarray:
@@ -298,8 +292,7 @@ class _LinearBDF:
     attempt is one call of ``solve(t_new, c, r)``, which returns y_new, and
     no call of f; there is no Newton iteration to fail.  ``nlu`` counts
     those solves.  f is called twice, at start-up: at y0 and in Hairer and
-    Wanner's rule for the first step (Solving ODEs I, II.4); ``nfev`` counts
-    them.
+    Wanner's rule for the first step (Solving ODEs I, II.4).
 
     Every error norm (step acceptance, order choice, first step) covers
     only y[:m], u in the PDE core, weighed against _TOL (1 + |u|) at the
@@ -328,7 +321,6 @@ class _LinearBDF:
         d0, d1 = _rms(y0[:m] / scale), _rms(f0[:m] / scale)
         h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 1.0 - t0)
         f1 = fun(t0 + h0, y0 + h0 * f0)
-        self.nfev = 2  # the two calls of fun above
         d2 = _rms((f1[:m] - f0[:m]) / scale) / h0
         big = max(d1, d2)
         h1 = max(1e-6, 1e-3 * h0) if big <= 1e-15 else math.sqrt(0.01 / big)
@@ -430,9 +422,9 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
     step, in this order: a profile that does not broadcast to the interior
     nodes raises ``ValueError``, an order whose domain does not cover [t0, 1]
     ``DomainError``, and an N < 1, a non-finite profile or u_x weight,
-    boundary(t0) other than two finite numbers, a ``meta`` that is not a
-    mapping or reuses a key the solve writes, or a source of shape other
-    than () or (m,) (at the first start-up call) ``ValueError``.  The steps'
+    boundary(t0) other than two finite numbers, boundary(t_nodes) other
+    than two rows of shape () or (mt+1,), or a source of shape other than
+    () or (m,) (at the first start-up call) ``ValueError``.  The steps'
     interpolants form ``dense``, and u at all time nodes is one
     ``_interpolate`` call on their u rows, each node on the piece ``dense``
     takes (the earlier one on a step boundary): u[1:-1] is dense(t_nodes)[:m].
@@ -450,10 +442,11 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
     ends = np.asarray(boundary(grid.t0))
     if ends.shape != (2,) or ends.dtype.kind not in "iuf" or not np.isfinite(ends).all():
         raise ValueError(f"boundary(t0) must give two finite numbers, got {ends}")
-    if not isinstance(problem.meta, Mapping) or not _SOLVE_KEYS.isdisjoint(problem.meta):
-        raise ValueError(f"meta must be a mapping with none of the keys {sorted(_SOLVE_KEYS)}, "
-                         f"got {problem.meta!r}")
     ts, edges = grid.t_nodes, boundary(grid.t_nodes)  # the Dirichlet rows, before any step
+    shapes = [np.shape(e) for e in edges] if np.iterable(edges) else []
+    if len(shapes) != 2 or not {*shapes} <= {(), ts.shape}:
+        raise ValueError(f"boundary(t_nodes) must give two rows of shape () or {ts.shape}, "
+                         f"got {len(shapes)} rows of shapes {sorted({*shapes})}")
     D = _derivative_matrix(grid.mx, 2) + w * _derivative_matrix(grid.mx, 1)
     L = D[:, 1:-1]
     m = grid.mx - 1
@@ -522,8 +515,8 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
     u = np.zeros((grid.mx + 1, len(ts)))
     u[1:-1] = _interpolate(ts, t_s[:, None], h[:, None], C[idx]).T
     u[0, :], u[-1, :] = edges
-    meta = {"t0": grid.t0, "N": N, "mx": grid.mx, "mt": grid.mt, **problem.meta, "stepper": "BDF",
-            "tol": _TOL, "steps": len(pieces), "nfev": stepper.nfev, "nlu": stepper.nlu}
+    meta = {"t0": grid.t0, "N": N, "mx": grid.mx, "mt": grid.mt, "stepper": "BDF",
+            "tol": _TOL, "steps": len(pieces), "nlu": stepper.nlu}
     return Field2D(grid.x_nodes, ts, u, meta, dense, rhs)
 
 

@@ -217,12 +217,13 @@ class TestPde:
         )
         assert rc == EXIT_OK
         meta, rows = _read_csv(out)
+        assert meta[0].startswith("# equation=diffusion t0=")
         assert "max_err=" in meta[0]
         assert len(rows) == 11 * 21
         max_err = max(float(r["abs_err"]) for r in rows)
         declared = float(meta[0].split("max_err=")[1])
         assert max_err == pytest.approx(declared, rel=1e-12)
-        for key in ("stepper=BDF", f" tol={_TOL} ", "steps=", "nfev=", "nlu="):
+        for key in ("stepper=BDF", f" tol={_TOL} ", "steps=", "nlu="):
             assert key in meta[0]
 
     def test_degenerate_t0_is_config_error(self, tmp_path):
@@ -242,7 +243,8 @@ class TestPde:
         )
         assert rc == EXIT_OK
         meta, rows = _read_csv(out)
-        assert "lateral_bc=" in meta[0]
+        # The labels come from the CLI, which picked the problem.
+        assert meta[0].startswith("# equation=burgers lateral_bc=dirichlet-from-exact-solution t0=")
         assert f" tol={_TOL} " in meta[0]
 
 

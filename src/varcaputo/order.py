@@ -21,7 +21,6 @@ __all__ = [
     "constant_order",
     "order_from_callables",
     "order_from_alpha",
-    "check_admissible",
 ]
 
 #: Margin keeping alpha away from 0 and 1 so 1/(1-alpha) and the Gamma
@@ -35,7 +34,7 @@ _ADMISSIBILITY_GRID = 101
 
 
 class AdmissibilityError(ValueError):
-    """The order fails ``check_admissible``; the message says which test, where."""
+    """An order fails a test of ``order_from_callables``; the message says which, where."""
 
 
 @dataclass(frozen=True)
@@ -65,12 +64,30 @@ def order_from_callables(
     alpha_prime: Callable[[float], float],
     domain: tuple[float, float] = (0.0, 1.0),
 ) -> OrderFunction:
-    """The order (alpha, alpha') on domain, the one admission path of every constructor:
-    raises :class:`AdmissibilityError` naming the failed test and its first failing t."""
-    order = OrderFunction(alpha, alpha_prime, float(domain[0]), float(domain[1]))
-    if failure := _admission_failure(order):
-        raise AdmissibilityError(failure)
-    return order
+    """The order (alpha, alpha') on domain, the one admission path of every constructor.
+    It is admitted iff a < b, b - a is finite and, on a uniform grid of 101 points, alpha
+    stays in (1e-9, 1 - 1e-9) and alpha' within 1e-5 of alpha's first difference
+    (``_difference``) plus its rounding, 4 eps (1 + |t alpha'|)/h for the machine eps and
+    the stencil's step h = min(sqrt(eps), b - a), without which an exact alpha' fails on
+    short or far domains.  Otherwise it raises :class:`AdmissibilityError` naming the
+    first failed test and its first failing t."""
+    a, b = float(domain[0]), float(domain[1])
+    if not (a < b and math.isfinite(b - a)):
+        raise AdmissibilityError(f"domain [{a}, {b}] is empty or unbounded: b - a = {b - a}")
+    lo, hi = ADMISSIBILITY_MARGIN, 1.0 - ADMISSIBILITY_MARGIN
+    ts = np.linspace(a, b, _ADMISSIBILITY_GRID).tolist()
+    for t in ts:
+        if not lo < (val := alpha(t)) < hi:
+            raise AdmissibilityError(f"alpha({t}) = {val} outside ({lo}, {hi})")
+    eps = np.finfo(float).eps
+    fd, h = _difference(alpha, 1, a, b), min(math.sqrt(eps), b - a)  # h: fd's step
+    for t in ts:
+        ap, diff = alpha_prime(t), fd(t)
+        tol = _FD_TOL + 4.0 * eps * (1.0 + abs(t * ap)) / h
+        if not abs(diff - ap) <= tol:
+            raise AdmissibilityError(
+                f"alpha'({t}) = {ap} is not within {tol:.3g} of alpha's difference {diff}")
+    return OrderFunction(alpha, alpha_prime, a, b)
 
 
 def order_from_alpha(
@@ -82,41 +99,13 @@ def order_from_alpha(
     on [0, 1], ends included, for 0.3 + 0.2 sin t, against 4e-11 inside for a
     central difference of step 1e-6 that reaches past the ends.
 
-    alpha' is then the very difference ``check_admissible`` compares it
-    with, so that check cannot reject it: an alpha with unbounded alpha' at
-    an end, such as 0.3 + 0.4 sqrt(t), is accepted, with a finite alpha'(0)
-    (3276.8) where the true one is infinite.  Pass the analytic alpha' to
+    alpha' is then the very difference that ``order_from_callables`` compares
+    it with, so its alpha' test cannot reject it: an alpha with unbounded
+    alpha' at an end, such as 0.3 + 0.4 sqrt(t), is accepted, with a finite
+    alpha'(0) (3276.8) where the true one is infinite.  Pass the analytic alpha' to
     ``order_from_callables`` when it is known."""
     a, b = float(domain[0]), float(domain[1])
     return order_from_callables(alpha, _difference(alpha, 1, a, b), (a, b))
-
-
-def check_admissible(order: OrderFunction) -> bool:
-    """True iff a < b, b - a is finite and, on a uniform grid of 101 points, alpha stays in
-    (1e-9, 1 - 1e-9) and alpha' within 1e-5 of alpha's first difference (``_difference``)
-    plus its rounding, 4 eps (1 + |t alpha'|)/h for the machine eps and the stencil's step
-    h = min(sqrt(eps), b - a), without which an exact alpha' fails on short or far domains."""
-    return _admission_failure(order) is None
-
-
-def _admission_failure(order: OrderFunction) -> str | None:
-    """The first test of ``check_admissible`` that order fails, and where, or None."""
-    a, b = order.a, order.b
-    if not (a < b and math.isfinite(b - a)):
-        return f"domain [{a}, {b}] is empty or unbounded: b - a = {b - a}"
-    lo, hi = ADMISSIBILITY_MARGIN, 1.0 - ADMISSIBILITY_MARGIN
-    ts = np.linspace(a, b, _ADMISSIBILITY_GRID).tolist()
-    for t in ts:
-        if not lo < (val := order.alpha(t)) < hi:
-            return f"alpha({t}) = {val} outside ({lo}, {hi})"
-    eps = np.finfo(float).eps
-    fd, h = _difference(order.alpha, 1, a, b), min(math.sqrt(eps), b - a)  # h: fd's step
-    for t in ts:
-        ap, diff = order.alpha_prime(t), fd(t)
-        tol = _FD_TOL + 4.0 * eps * (1.0 + abs(t * ap)) / h
-        if not abs(diff - ap) <= tol:
-            return f"alpha'({t}) = {ap} is not within {tol:.3g} of alpha's difference {diff}"
-    return None
 
 
 def _difference(fn: Callable, k: int, a: float, b: float) -> Callable:

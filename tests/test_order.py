@@ -9,9 +9,7 @@ from varcaputo.expansion import approximate
 from varcaputo.order import (
     ADMISSIBILITY_MARGIN,
     AdmissibilityError,
-    OrderFunction,
     affine_order,
-    check_admissible,
     constant_order,
     order_from_alpha,
     order_from_callables,
@@ -92,12 +90,11 @@ class TestConstantOrder:
 
 class TestCallableOrders:
     def test_consistent_pair_accepted(self):
-        order = order_from_callables(
+        order_from_callables(
             lambda t: 0.3 + 0.2 * np.sin(t),
             lambda t: 0.2 * np.cos(t),
             (0.0, 1.0),
         )
-        check_admissible(order)
 
     def test_inconsistent_derivative_rejected(self):
         with pytest.raises(AdmissibilityError):
@@ -156,9 +153,7 @@ class TestCallableOrders:
     def test_exact_alpha_prime_accepted_far_from_zero(self):
         # alpha' is exact, but alpha's difference at t ~ 1e4 carries a
         # rounding of about eps |t alpha'| / h, far above 1e-5.
-        order = order_from_callables(lambda t: 0.9 * t + 0.05 - 9000, lambda t: 0.9,
-                                     (1e4, 1e4 + 1))
-        assert check_admissible(order) is True
+        order_from_callables(lambda t: 0.9 * t + 0.05 - 9000, lambda t: 0.9, (1e4, 1e4 + 1))
 
     def test_rejection_names_test_and_t(self):
         with pytest.raises(AdmissibilityError,
@@ -169,13 +164,33 @@ class TestCallableOrders:
         with pytest.raises(AdmissibilityError, match=re.escape("alpha'(0.5) = 0.7 is not within")):
             order_from_callables(lambda t: 0.5, lambda t: 0.7 if t == 0.5 else 0.0)
 
-    def test_check_admissible_is_a_bool(self):
-        good = OrderFunction(lambda t: 0.5, lambda t: 0.0, 0.0, 1.0)
-        assert check_admissible(good) is True
-        for bad in (OrderFunction(lambda t: 1.5, lambda t: 0.0, 0.0, 1.0),
-                    OrderFunction(lambda t: 0.5, lambda t: 1.0, 0.0, 1.0),
-                    OrderFunction(lambda t: 0.5, lambda t: 0.0, 1.0, 0.0)):
-            assert check_admissible(bad) is False
+    def test_builds_the_good_order_and_raises_for_each_bad_one(self):
+        good = order_from_callables(lambda t: 0.5, lambda t: 0.0, (0.0, 1.0))
+        assert (good.a, good.b, good.alpha(0.3), good.alpha_prime(0.3)) == (0.0, 1.0, 0.5, 0.0)
+        for alpha, alpha_prime, domain in ((lambda t: 1.5, lambda t: 0.0, (0.0, 1.0)),
+                                           (lambda t: 0.5, lambda t: 1.0, (0.0, 1.0)),
+                                           (lambda t: 0.5, lambda t: 0.0, (1.0, 0.0))):
+            with pytest.raises(AdmissibilityError):
+                order_from_callables(alpha, alpha_prime, domain)
+
+    def test_calls_alpha_then_alpha_prime_on_the_grid(self):
+        # The range test calls alpha on the 101-point grid first; the alpha'
+        # test then calls alpha' there, each point before alpha's difference.
+        seen = []
+
+        def alpha(t):
+            seen.append(("alpha", t))
+            return 0.3 + 0.1 * t
+
+        def alpha_prime(t):
+            seen.append(("alpha'", t))
+            return 0.1
+
+        order_from_callables(alpha, alpha_prime, (0.0, 1.0))
+        grid = np.linspace(0.0, 1.0, 101).tolist()
+        assert seen[:101] == [("alpha", t) for t in grid]
+        assert seen[101::3] == [("alpha'", t) for t in grid]  # then alpha twice, the difference
+        assert len(seen) == 101 + 3 * 101
 
     def test_range_violation_detected_on_grid(self):
         with pytest.raises(AdmissibilityError):

@@ -7,7 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from varcaputo.order import affine_order
+from scipy.special import erfcx
+
+from varcaputo.order import affine_order, constant_order
 from varcaputo.reference import Kind, Side, power_closed_form
 from varcaputo.special import DomainError
 from varcaputo.pde import (
@@ -161,6 +163,18 @@ class TestDiffusion:
             errs.append(field_error(solve_diffusion(problem, grid), diffusion_exact))
         assert errs[1] <= 1.05 * errs[0]
 
+    @pytest.mark.parametrize("t0", [1e-4, 1e-6])
+    def test_start_up_error_is_of_order_t0_to_the_alpha(self, t0):
+        # Starting from u(t0) = g costs about t0^alpha |Dg + f(., 0)| /
+        # Gamma(1 + alpha); it is O(t0^2) only where Dg + f(., 0) = 0.  Here
+        # alpha = 1/2, g = sin(pi x), f = 0, so |Dg| = pi^2, and the exact
+        # solution is E_{1/2}(-pi^2 sqrt(t)) sin(pi x) = erfcx(pi^2 sqrt(t)) sin(pi x).
+        problem = DiffusionProblem(constant_order(0.5), 12, lambda x, t: 0.0,
+                                   lambda x: np.sin(np.pi * x))
+        field = solve_diffusion(problem, Grid1D(mx=20, mt=200, t0=t0))
+        exact = lambda x, t: erfcx(np.pi**2 * math.sqrt(t)) * np.sin(np.pi * x)
+        assert field_error(field, exact) <= 1.2 * math.sqrt(t0) * np.pi**2 / math.gamma(1.5)
+
 
 @pytest.fixture(scope="module")
 def fieldv():
@@ -293,6 +307,7 @@ class TestProblemData:
     @pytest.mark.parametrize("ends", [
         (0.0, np.nan), (np.inf, 0.0), (0.0,), (0.0, 0.0, 0.0), 0.0, None,
         (np.zeros(9), np.zeros(9)), ("0", "0"), (1j, 0.0),
+        (0.0, np.zeros(3)), (0.0, np.zeros(1)),  # ragged: NumPy's asarray raises its own
     ])
     def test_boundary_at_t0_must_be_two_finite_numbers(self, ends, monkeypatch):
         _never_step(monkeypatch)

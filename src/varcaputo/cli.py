@@ -15,7 +15,8 @@ Output is CSV only (header row, 17 significant digits, '.' decimal);
 metadata lines are prefixed with '#'.  ``--out`` absent or '-' writes to
 stdout, except for ``figures``, which needs a directory and exits 2
 without one.  Exit codes: 0 success (also when the reader of stdout closes
-the pipe early), 2 config or output-path error, 3 numerical failure.
+the pipe early), 2 config or output-path error or an allocation the machine
+refuses (``MemoryError``), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -284,6 +285,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a size the machine cannot allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

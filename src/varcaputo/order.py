@@ -20,7 +20,6 @@ __all__ = [
     "affine_order",
     "constant_order",
     "order_from_callables",
-    "order_from_alpha",
 ]
 
 #: Margin keeping alpha away from 0 and 1 so 1/(1-alpha) and the Gamma
@@ -66,11 +65,11 @@ def order_from_callables(
 ) -> OrderFunction:
     """The order (alpha, alpha') on domain, the one admission path of every constructor.
     It is admitted iff a < b, b - a is finite and, on a uniform grid of 101 points, alpha
-    stays in (1e-9, 1 - 1e-9) and alpha' within 1e-5 of alpha's first difference
-    (``_difference``) plus its rounding, 4 eps (1 + |t alpha'|)/h for the machine eps and
-    the stencil's step h = min(sqrt(eps), b - a), without which an exact alpha' fails on
-    short or far domains.  Otherwise it raises :class:`AdmissibilityError` naming the
-    first failed test and its first failing t."""
+    stays in (1e-9, 1 - 1e-9) and alpha' is finite and within 1e-5 of alpha's first
+    difference (``_difference``) plus its rounding, 4 eps (1 + |t alpha'|)/h for the
+    machine eps and the stencil's step h = min(sqrt(eps), b - a), without which an exact
+    alpha' fails on short or far domains.  Otherwise it raises :class:`AdmissibilityError`
+    naming the first failed test and its first failing t."""
     a, b = float(domain[0]), float(domain[1])
     if not (a < b and math.isfinite(b - a)):
         raise AdmissibilityError(f"domain [{a}, {b}] is empty or unbounded: b - a = {b - a}")
@@ -82,30 +81,14 @@ def order_from_callables(
     eps = np.finfo(float).eps
     fd, h = _difference(alpha, 1, a, b), min(math.sqrt(eps), b - a)  # h: fd's step
     for t in ts:
-        ap, diff = alpha_prime(t), fd(t)
+        if not math.isfinite(ap := alpha_prime(t)):
+            raise AdmissibilityError(f"alpha'({t}) = {ap} is not finite")
+        diff = fd(t)
         tol = _FD_TOL + 4.0 * eps * (1.0 + abs(t * ap)) / h
         if not abs(diff - ap) <= tol:
             raise AdmissibilityError(
                 f"alpha'({t}) = {ap} is not within {tol:.3g} of alpha's difference {diff}")
     return OrderFunction(alpha, alpha_prime, a, b)
-
-
-def order_from_alpha(
-    alpha: Callable[[float], float],
-    domain: tuple[float, float] = (0.0, 1.0),
-) -> OrderFunction:
-    """Fallback constructor: alpha' by the first difference of ``_difference``,
-    which calls alpha only inside the domain.  Its rounding sets its error: 5e-9
-    on [0, 1], ends included, for 0.3 + 0.2 sin t, against 4e-11 inside for a
-    central difference of step 1e-6 that reaches past the ends.
-
-    alpha' is then the very difference that ``order_from_callables`` compares
-    it with, so its alpha' test cannot reject it: an alpha with unbounded
-    alpha' at an end, such as 0.3 + 0.4 sqrt(t), is accepted, with a finite
-    alpha'(0) (3276.8) where the true one is infinite.  Pass the analytic alpha' to
-    ``order_from_callables`` when it is known."""
-    a, b = float(domain[0]), float(domain[1])
-    return order_from_callables(alpha, _difference(alpha, 1, a, b), (a, b))
 
 
 def _difference(fn: Callable, k: int, a: float, b: float) -> Callable:

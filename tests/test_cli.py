@@ -275,6 +275,22 @@ class TestExitCodeOrdering:
         assert rc == EXIT_NUMERICAL
         assert capsys.readouterr().err.startswith("numerical failure: ")
 
+    def test_memory_error_maps_to_config(self, monkeypatch, tmp_path, capsys):
+        # A size the machine cannot allocate (pde-diffusion --mx 10000000
+        # asks for 728 TiB) exits 2 with one line, not a traceback; the
+        # handler raises here, so nothing is allocated.
+        import varcaputo.cli as cli
+
+        def boom(*a, **k):
+            raise MemoryError("Unable to allocate 728. TiB for an array")
+
+        monkeypatch.setattr(cli, "solve_diffusion", boom)
+        rc = main(["pde-diffusion", "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 728. TiB for an array\n"
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestOutput:
     def test_missing_directory_is_config_error(self, tmp_path, capsys):

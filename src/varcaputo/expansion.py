@@ -311,10 +311,11 @@ def moments(
     dist^(k+1) W_k with k = p - n; all vanish at the endpoint.  The scaled
     moments W_k come from one shared Gauss-Kronrod pass, with adaptive
     quadrature at tolerance ``tol`` for any W_k it cannot certify; a pass
-    that fails the W_0 identity of ``_scaled_moments`` raises ``QuadratureError``.
+    that fails the W_0 identity of ``_scaled_moments`` raises ``QuadratureError``
+    and a p_max that is not an integer >= N ``ValueError``.
     """
-    if p_max < params.N:
-        raise ValueError(f"p_max = {p_max} must cover the truncation N = {params.N}")
+    if not (isinstance(p_max, numbers.Integral) and p_max >= params.N):
+        raise ValueError(f"p_max must be an integer of at least N = {params.N}, got {p_max!r}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     sgn, end, dist = _frame(x.a, x.b, t, side)
@@ -375,9 +376,17 @@ def error_bound(
     The shared first term scales like N^(alpha-n); types I and II add an
     |alpha'|-weighted second term whose bracket carries 1/(1-alpha) or
     Psi(2-alpha) respectively.  Monotone decreasing in N; zero at dist = 0.
+    A negative or non-finite dist, a non-finite alpha' or a kind that is not
+    a ``Kind`` raises ``ValueError``, an alpha outside (0, 1) ``DomainError``.
     """
     if not 0.0 <= dist < math.inf:
         raise ValueError(f"dist must be finite and non-negative, got {dist}")
+    if not isinstance(kind, Kind):
+        raise ValueError(f"kind must be a Kind, got {kind!r}")
+    if not 0.0 < alpha_val < 1.0:
+        raise DomainError(f"alpha must lie in (0,1), got {alpha_val}")
+    if not math.isfinite(alpha_prime_val):
+        raise ValueError(f"alpha' must be finite, got {alpha_prime_val}")
     if dist == 0.0:
         return 0.0
     n, N = params.n, params.N

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -105,9 +105,8 @@ class DiffusionProblem:
     """D^alpha u = u_xx + ux_weight u_x + f(x, t), its expansion's N, initial
     profile g and Dirichlet values boundary(t) = (u(0, t), u(1, t)); f and g
     are called at the interior nodes and may return one value for all of
-    them, ``boundary`` at each t of the solve and, before any step, with the
-    array of time nodes.  The defaults give diffusion with zero boundary
-    values."""
+    them, and ``boundary`` only ever at a float t, as f and alpha are.  The
+    defaults give diffusion with zero boundary values."""
 
     order: OrderFunction
     N: int
@@ -128,20 +127,20 @@ class Field2D:
     u only: ``dense(t)[m:]`` is carried by the stepper but not
     error-controlled.  The system is affine, so ``rhs`` also gives its
     Jacobian: J y = rhs(t, y) - rhs(t, 0).  ``u`` and ``dense`` share one
-    evaluator, so u[1:-1] equals dense(t_nodes)[:m] bit for bit.
-    ``meta`` records what the solve decided and counted: the grid, the
-    stepper, its tolerance ``tol`` (an error weight tol (1 + |u|) on u, so
-    absolute for a solution far below 1; see ``_LinearBDF``), ``steps``
-    accepted steps and ``nlu`` banded m x m factorisations (one per step
-    attempt).
+    evaluator, so u[1:-1] equals dense(t_nodes)[:m] bit for bit; u[0] and
+    u[-1] are boundary(t) at each time node, a float t.  ``meta`` records
+    what the solve decided and counted: the grid, the stepper, its
+    tolerance ``tol`` (an error weight tol (1 + |u|) on u, so absolute for
+    a solution far below 1; see ``_LinearBDF``), ``steps`` accepted steps
+    and ``nlu`` banded m x m factorisations (one per step attempt).
     """
 
     x_nodes: np.ndarray
     t_nodes: np.ndarray
     u: np.ndarray
-    meta: dict = field(default_factory=dict)
-    dense: object = None
-    rhs: Callable | None = None
+    meta: dict
+    dense: object
+    rhs: Callable
 
 
 def diffusion_exact(x, t):
@@ -426,11 +425,11 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
     per t: each step attempt and each start-up call is at a new t.  Before any
     step, in this order: a profile that does not broadcast to the interior
     nodes raises ``ValueError``, an order whose domain does not cover [t0, 1]
-    ``DomainError``, and an N < 1, a non-finite profile or u_x weight,
-    boundary(t0) other than two finite numbers, boundary(t_nodes) other
-    than two rows of shape () or (mt+1,), or a source of shape other than
-    () or (m,) (at the first start-up call) ``ValueError``.  The steps'
-    interpolants form ``dense``, and u at all time nodes is one
+    ``DomainError``, and an N < 1, a non-finite profile or u_x weight, a
+    boundary(t) other than two finite real numbers at a time node t (the
+    first named; ``boundary`` only ever gets a float t), or a source of
+    shape other than () or (m,) (at the first start-up call) ``ValueError``.
+    The steps' interpolants form ``dense``, and u at all time nodes is one
     ``_interpolate`` call on their u rows, each node on the piece ``dense``
     takes (the earlier one on a step boundary): u[1:-1] is dense(t_nodes)[:m].
     """
@@ -444,19 +443,20 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
         raise ValueError("the initial profile must be finite at every interior node")
     if not math.isfinite(w):
         raise ValueError(f"the u_x weight must be finite, got {w}")
-    ends = boundary(grid.t0)
-    try:
-        ends = np.asarray(ends)
-        ok = ends.shape == (2,) and ends.dtype.kind in "iuf" and np.isfinite(ends).all()
-    except ValueError:  # ragged, such as (0.0, np.zeros(3)): NumPy's own error names no input
-        ok = False
-    if not ok:
-        raise ValueError(f"boundary(t0) must give two finite numbers, got {ends}")
-    ts, edges = grid.t_nodes, boundary(grid.t_nodes)  # the Dirichlet rows, before any step
-    shapes = [np.shape(e) for e in edges] if np.iterable(edges) else []
-    if len(shapes) != 2 or not {*shapes} <= {(), ts.shape}:
-        raise ValueError(f"boundary(t_nodes) must give two rows of shape () or {ts.shape}, "
-                         f"got {len(shapes)} rows of shapes {sorted({*shapes})}")
+    ts, nodes = grid.t_nodes, grid.t_nodes.tolist()
+    ends = [boundary(t) for t in nodes]  # the Dirichlet values, before any step
+
+    def finite_pairs(rows: list) -> np.ndarray | None:
+        try:
+            a = np.asarray(rows)
+        except ValueError:  # ragged, such as (0.0, np.zeros(3)): NumPy's own error names no input
+            return None
+        ok = a.shape == (len(rows), 2) and a.dtype.kind in "iuf" and np.isfinite(a).all()
+        return a if ok else None
+
+    if (edges := finite_pairs(ends)) is None:  # all nodes at once; one by one to name the t
+        t, bad = next((t, e) for t, e in zip(nodes, ends) if finite_pairs([e]) is None)
+        raise ValueError(f"boundary(t) must give two finite numbers, got {bad!r} at t = {t}")
     D = _derivative_matrix(grid.mx, 2) + w * _derivative_matrix(grid.mx, 1)
     L = D[:, 1:-1]
     m = grid.mx - 1
@@ -511,8 +511,8 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
         return y
 
     y0 = np.concatenate([u0, np.zeros(N * m)])
-    stepper = _LinearBDF(rhs, grid.t0, y0, solve=solve, m=m)
-    step_ts, pieces = [grid.t0], []
+    stepper = _LinearBDF(rhs, nodes[0], y0, solve=solve, m=m)
+    step_ts, pieces = [nodes[0]], []
     while stepper.t < 1.0:
         pieces.append(stepper.step())
         step_ts.append(stepper.t)
@@ -524,7 +524,7 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
     t_s, h = np.array([(q.t, q.h) for q in pieces])[idx].T
     u = np.zeros((grid.mx + 1, len(ts)))
     u[1:-1] = _interpolate(ts, t_s[:, None], h[:, None], C[idx]).T
-    u[0, :], u[-1, :] = edges
+    u[0, :], u[-1, :] = edges.T
     meta = {"t0": grid.t0, "N": N, "mx": grid.mx, "mt": grid.mt, "stepper": "BDF",
             "tol": _TOL, "steps": len(pieces), "nlu": stepper.nlu}
     return Field2D(grid.x_nodes, ts, u, meta, dense, rhs)

@@ -145,6 +145,8 @@ def power_function(gamma_exp: float, a: float, b: float, side: Side = Side.LEFT)
         raise DomainError(f"power exponent must be positive with finite derivative factors, "
                           f"got {gamma_exp}")
 
+    if not isinstance(side, Side):
+        raise ValueError(f"side must be a Side, got {side!r}")
     left = side is Side.LEFT
     ndarray = np.ndarray  # bound once: quad calls the float path at every node
 
@@ -306,8 +308,11 @@ def _frame(a: float, b: float, t: float, side: Side) -> tuple[float, float, floa
     sgn = +1 and end = a on the left, sgn = -1 and end = b on the right, and
     dist = sgn (t - end) >= 0 is the length of the integration range.  The
     right-sided operators are the left-sided ones reflected through
-    s -> a + b - s, so a side changes only the endpoint and this sign.
+    s -> a + b - s, so a side changes only the endpoint and this sign.  A
+    side that is not a ``Side`` raises ``ValueError``.
     """
+    if not isinstance(side, Side):
+        raise ValueError(f"side must be a Side, got {side!r}")
     if not a <= t <= b:
         raise SingularityError(f"t = {t} outside [{a}, {b}]")
     sgn, end = (1.0, a) if side is Side.LEFT else (-1.0, b)
@@ -319,10 +324,13 @@ def _admit(kind: Kind, order: OrderFunction, t: float, side: Side, a: float, b: 
     """(sgn, end, dist, alpha(t), alpha'(t)) of a point route at t on [a, b],
     x's range (the order's where there is no x), or None at dist = 0, before
     alpha is evaluated; alpha' is 0 for type III, with no ``alpha_prime``
-    call.  A tol that is not positive and finite raises ``ValueError``, a t
-    outside the order's domain or [a, b] ``SingularityError``, and an
-    alpha(t) outside (0, 1) ``DomainError``, naming t and alpha(t).
+    call.  A kind or side that is not a ``Kind`` or ``Side``, or a tol that
+    is not positive and finite, raises ``ValueError``, a t outside the
+    order's domain or [a, b] ``SingularityError``, and an alpha(t) outside
+    (0, 1) ``DomainError``, naming t and alpha(t).
     """
+    if not isinstance(kind, Kind):
+        raise ValueError(f"kind must be a Kind, got {kind!r}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     _frame(order.a, order.b, t, side)

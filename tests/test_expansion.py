@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -235,6 +236,19 @@ class TestMoments:
         x = power_function(2.0, 0.0, 1.0, Side.LEFT)
         with pytest.raises(ValueError):
             moments(x, Side.LEFT, 0.5, ExpansionParams(1, 6), p_max=4)
+
+    @pytest.mark.parametrize("p_max", [7.5, 6.0, 13.0, "13", None])
+    def test_p_max_must_be_an_integer(self, p_max):
+        # Not NumPy's untyped TypeError from the slice it sizes.
+        x = power_function(2.0, 0.0, 1.0, Side.LEFT)
+        with pytest.raises(ValueError, match=re.escape(f"integer of at least N = 6, got {p_max!r}")):
+            moments(x, Side.LEFT, 0.5, ExpansionParams(1, 6), p_max=p_max)
+
+    def test_numpy_integer_p_max_accepted(self):
+        x = power_function(2.0, 0.0, 1.0, Side.LEFT)
+        want = moments(x, Side.LEFT, 0.5, ExpansionParams(1, 6), p_max=13)
+        got = moments(x, Side.LEFT, 0.5, ExpansionParams(1, 6), p_max=np.int64(13))
+        assert got.tobytes() == want.tobytes()
 
 
     def test_numeric_derivative_passes_identity(self):
@@ -479,6 +493,23 @@ class TestErrorBound:
         for kind in Kind:
             with pytest.raises(ValueError, match="finite and non-negative"):
                 error_bound(kind, ExpansionParams(1, 4), 0.5, 0.3, dist, L)
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("dist", [0.5, 0.0])
+    def test_alpha_outside_unit_interval_rejected(self, alpha, dist):
+        # At alpha = 1.5 the bound was negative, at 1 a ZeroDivisionError,
+        # at 0 and below a number.
+        L = DerivativeBound(values={1: 2.0, 2: 2.0}, estimated=False)
+        for kind in Kind:
+            with pytest.raises(DomainError, match=re.escape(f"alpha must lie in (0,1), got {alpha}")):
+                error_bound(kind, ExpansionParams(1, 6), alpha, 0.0, dist, L)
+
+    @pytest.mark.parametrize("ap", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_prime_rejected(self, ap):
+        L = DerivativeBound(values={1: 2.0, 2: 2.0}, estimated=False)
+        for kind in Kind:
+            with pytest.raises(ValueError, match="alpha' must be finite"):
+                error_bound(kind, ExpansionParams(1, 6), 0.5, ap, 0.5, L)
 
     def test_missing_order_raises(self):
         L = DerivativeBound(values={1: 2.0}, estimated=False)
@@ -775,3 +806,47 @@ class TestApproximation:
         x = power_function(2.0, 0.0, 2.0, side)
         with pytest.raises(SingularityError, match=r"t = 1.5 outside \[0.0, 1.0\]"):
             OUTSIDE_ROUTES[route](x, side, 1.5)
+
+
+def _enum_routes(at_end: bool = False) -> dict:
+    """Every route that takes a kind, a side or both, called as (kind, side)
+    at t = 0.5 or, with ``at_end``, at the left end t = 0, where dist = 0."""
+    t = 0.0 if at_end else 0.5
+    x = power_function(2.0, 0.0, 1.0, Side.LEFT)
+    L = DerivativeBound(values={1: 2.0, 2: 2.0}, estimated=False)
+    return {
+        "approximate": lambda kind, side: approximate(kind, x, ORDER_A, t, side).value,
+        "caputo_quadrature": lambda kind, side: caputo_quadrature(kind, x, ORDER_A, t, side),
+        "power_closed_form": lambda kind, side: power_closed_form(kind, side, 2.0, ORDER_A, t),
+        "rl_from_caputo": lambda kind, side: rl_from_caputo(kind, side, 1.0, 0.0, ORDER_A, t),
+        "moments": lambda kind, side: moments(x, side, t, ExpansionParams(1, 6), p_max=13),
+        "power_function": lambda kind, side: power_function(2.0, 0.0, 1.0, side).value(0.25),
+        "error_bound": lambda kind, side: error_bound(kind, ExpansionParams(1, 6), 0.5, 0.0, t, L),
+    }
+
+
+KIND_ROUTES = ["approximate", "caputo_quadrature", "power_closed_form", "rl_from_caputo",
+               "error_bound"]
+SIDE_ROUTES = ["approximate", "caputo_quadrature", "power_closed_form", "rl_from_caputo",
+               "moments", "power_function"]
+
+
+class TestEnumArguments:
+    """A kind or side that is not a member of its enum is refused by name on
+    every route, not read as another operator: every route compares with
+    ``is``, so the string "left" used to pick the right side and the integer
+    3 type II."""
+
+    @pytest.mark.parametrize("at_end", [False, True])
+    @pytest.mark.parametrize("kind", [3, 1, "TYPE_III", Side.LEFT, None])
+    @pytest.mark.parametrize("route", KIND_ROUTES)
+    def test_kind_must_be_a_kind(self, route, kind, at_end):
+        with pytest.raises(ValueError, match=re.escape(f"kind must be a Kind, got {kind!r}")):
+            _enum_routes(at_end)[route](kind, Side.LEFT)
+
+    @pytest.mark.parametrize("at_end", [False, True])
+    @pytest.mark.parametrize("side", ["left", "right", 0, Kind.TYPE_I, None])
+    @pytest.mark.parametrize("route", SIDE_ROUTES)
+    def test_side_must_be_a_side(self, route, side, at_end):
+        with pytest.raises(ValueError, match=re.escape(f"side must be a Side, got {side!r}")):
+            _enum_routes(at_end)[route](Kind.TYPE_II, side)

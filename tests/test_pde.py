@@ -316,29 +316,52 @@ class TestProblemData:
             solve_diffusion(problem, Grid1D(mx=10, mt=10))
 
     def test_boundary_called_on_the_time_nodes_before_stepping(self, monkeypatch):
-        # The Dirichlet rows come from one call on the array of time nodes;
-        # a boundary that takes only floats fails there, not after the steps.
-        _never_step(monkeypatch)
-        problem = replace(manufactured_diffusion(ORDER, 3), boundary=lambda t: (math.sin(t), 0.0))
-        with pytest.raises(TypeError):
-            solve_diffusion(problem, Grid1D(mx=10, mt=10))
+        # boundary is only ever called with a Python float: first at every
+        # time node, in order, before any step, then at each t of the solve.
+        # So a boundary that takes only floats solves, and its values are
+        # the Dirichlet rows of u.
+        import varcaputo.pde as pde
 
-    @pytest.mark.parametrize("on_nodes", [
-        lambda t: np.stack([np.zeros_like(t), 1.0 + t], axis=-1),  # shape (mt+1, 2)
-        lambda t: (0.0, t[::2]),
-        lambda t: (t[:, None], 0.0),
-        lambda t: (0.0, t, t),
-        lambda t: 0.0,
+        calls, steps = [], []
+        real_step = pde._LinearBDF.step
+
+        def step(self):
+            steps.append(len(calls))
+            return real_step(self)
+
+        monkeypatch.setattr(pde._LinearBDF, "step", step)
+
+        def boundary(t):
+            calls.append(t)
+            return math.sin(t), 0.0
+
+        grid = Grid1D(mx=10, mt=10)
+        got = solve_diffusion(replace(manufactured_diffusion(ORDER, 3), boundary=boundary), grid)
+        nodes = grid.t_nodes.tolist()
+        assert all(type(t) is float for t in calls) and len(calls) > len(nodes)
+        assert calls[: len(nodes)] == nodes and steps[0] >= len(nodes)
+        assert np.array_equal(got.u[0], [math.sin(t) for t in nodes])
+        assert not got.u[-1].any() and np.isfinite(got.u).all()
+
+    @pytest.mark.parametrize("late", [
+        lambda t: (0.0, np.nan),
+        lambda t: (np.inf, 0.0),
+        lambda t: (0.0,),
+        lambda t: (0.0, np.zeros(3)),  # ragged
+        lambda t: (0.0, 0.0, 0.0),
     ])
-    def test_boundary_on_the_time_nodes_must_give_two_rows(self, on_nodes, monkeypatch):
-        # Two numbers at t0, but not two rows of shape () or (mt+1,) on the
-        # node array: refused before stepping, not unpacked after the last step.
+    def test_boundary_on_the_time_nodes_must_give_two_rows(self, late, monkeypatch):
+        # Two finite numbers at t0 and up to t = 0.5, but not after: the
+        # boundary is checked at every time node before any step, and the
+        # error names the first node that fails, not a step that hits it.
         _never_step(monkeypatch)
-        boundary = lambda t: (0.0, 1.0 + t) if np.ndim(t) == 0 else on_nodes(t)
+        grid = Grid1D(mx=10, mt=10)
+        first = next(t for t in grid.t_nodes.tolist() if t > 0.5)
+        boundary = lambda t: (0.0, 1.0 + t) if t <= 0.5 else late(t)
         problem = replace(manufactured_diffusion(ORDER, 3), boundary=boundary)
-        with pytest.raises(ValueError, match=r"boundary\(t_nodes\) must give two rows of shape "
-                                             r"\(\) or \(11,\), got"):
-            solve_diffusion(problem, Grid1D(mx=10, mt=10))
+        with pytest.raises(ValueError, match=r"two finite numbers, got .* at t = "
+                                             + re.escape(f"{first}") + "$"):
+            solve_diffusion(problem, grid)
 
     def test_meta_holds_only_the_solve_keys(self):
         # A hand-built problem on the Burgers operator: meta records what
@@ -358,7 +381,6 @@ class TestProblemData:
 
         monkeypatch.setattr(pde._LinearBDF, "step", step)
         wide = lambda x, t=None: np.zeros(len(x) + 2)
-        stacked = lambda t: np.stack([np.zeros_like(t), np.zeros_like(t)], axis=-1)
         problem = DiffusionProblem(affine_order(0.1, 0.5, (0.2, 1.0)), 0, wide, wide,
                                    lambda t: (0.0, np.nan), np.nan)
         for mend, error, match in [
@@ -367,8 +389,7 @@ class TestProblemData:
             ({"N": 3}, ValueError, "N >= n >= 1"),
             ({"g": lambda x: 0.0}, ValueError, "initial profile must be finite"),
             ({"ux_weight": -1.0}, ValueError, "u_x weight must be finite"),
-            ({"boundary": stacked}, ValueError, "two finite numbers"),
-            ({"boundary": lambda t: (0.0, 0.0)}, ValueError, r"boundary\(t_nodes\) must give"),
+            ({"boundary": lambda t: (0.0, 0.0)}, ValueError, "two finite numbers"),
             ({"f": lambda x, t: 0.0}, ValueError, "the source gave shape"),
         ]:
             with pytest.raises(error, match=match):
@@ -774,7 +795,7 @@ class TestFieldError:
         """A zero field on 5 x 5 nodes with ``value`` at one node of column ``col``."""
         u = np.zeros((5, 5))
         u[2, col] = value
-        return Field2D(np.linspace(0.0, 1.0, 5), np.linspace(0.2, 1.0, 5), u)
+        return Field2D(np.linspace(0.0, 1.0, 5), np.linspace(0.2, 1.0, 5), u, {}, None, None)
 
     @pytest.mark.parametrize("value", [np.nan, -np.inf])
     @pytest.mark.parametrize("col", [0, 2, -1])

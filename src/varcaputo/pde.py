@@ -16,8 +16,10 @@ affine in the state, so each step is one linear solve with no Newton
 iteration, and every W_p row block is diagonal in W_p, so that solve
 reduces to one banded m x m system (m = mx - 1).  A step costs O(N m), and
 the step count is set by accuracy, not by the mx^2 stability limit of an
-explicit stepper nor by the 1/t growth of the Jacobian near t0.  The
-moments stay in the solver's continuous solution, ``Field2D.dense``.
+explicit stepper nor by the 1/t growth of the Jacobian near t0.  That
+accuracy follows the kernel's truncation error: a small N, whose expansion
+error is large, gets a looser stepper tolerance.  The moments stay in the
+solver's continuous solution, ``Field2D.dense``.
 
 The u_t coefficient A t^(1-alpha) vanishes at t = 0, so integration starts
 at a small t0 > 0 with u(t0) = g.  With D = d^2/dx^2 + w d/dx and alpha =
@@ -60,7 +62,10 @@ __all__ = [
 ]
 
 DEFAULT_T0 = 1e-4
+#: The stepper's tolerance is max(_TOL, _KERNEL_SHARE E_N): E_N is the
+#: kernel's truncation error per unit max|u_tt| (see ``solve_diffusion``).
 _TOL = 1e-8
+_KERNEL_SHARE = 3e-6
 
 
 class DegenerateCoefficientError(ValueError):
@@ -130,9 +135,11 @@ class Field2D:
     evaluator, so u[1:-1] equals dense(t_nodes)[:m] bit for bit; u[0] and
     u[-1] are boundary(t) at each time node, a float t.  ``meta`` records
     what the solve decided and counted: the grid, the stepper, its
-    tolerance ``tol`` (an error weight tol (1 + |u|) on u, so absolute for
-    a solution far below 1; see ``_LinearBDF``), ``steps`` accepted steps
-    and ``nlu`` banded m x m factorisations (one per step attempt).
+    tolerance ``tol`` (a float, max(_TOL, _KERNEL_SHARE E_N) as
+    ``solve_diffusion`` derives it, in an error weight tol (1 + |u|) on u,
+    so absolute for a solution far below 1; see ``_LinearBDF``), ``steps``
+    accepted steps and ``nlu`` banded m x m factorisations (one per step
+    attempt).
     """
 
     x_nodes: np.ndarray
@@ -297,17 +304,20 @@ class _LinearBDF:
     Wanner's rule for the first step (Solving ODEs I, II.4).
 
     Every error norm (step acceptance, order choice, first step) covers
-    only y[:m], u in the PDE core, weighed against _TOL (1 + |u|) at the
-    unit scale of the PDEs ([0, 1]^2, O(1) data).  The moments W_p ride
-    along uncontrolled, as quadratures do in CVODES (Hindmarsh et al., ACM
-    TOMS 31, 2005): each W_p row is contractive at rate p/t, driven by u_t
-    alone, and reaches u only through sum_p b_p W_p.  Against a 1e-12
-    solve that controls every entry, the stepper's error stays at most
-    3.7e-3 of the kernel error over the 25 configurations in the README
-    (5.6e-3 with every entry controlled, in 3x the steps).  The limit: for
-    a solution far below 1 the control is absolute (diffusion scaled by
-    1e-2: share 1.8e-3 at mx = 40, N = 12, 0.23 at N = 96; by 1e-4: 0.094
-    and 14): rescale it.
+    only y[:m], u in the PDE core, weighed against tol (1 + |u|) at the
+    unit scale of the PDEs ([0, 1]^2, O(1) data), with the ``tol`` that
+    ``solve_diffusion`` sets from the kernel's truncation error.  The
+    moments W_p ride along uncontrolled, as quadratures do in CVODES
+    (Hindmarsh et al., ACM TOMS 31, 2005): each W_p row is contractive at
+    rate p/t, driven by u_t alone, and reaches u only through sum_p b_p W_p.
+    Against a 1e-11 solve that controls every entry, the stepper's error
+    stays at most 3.7e-3 of the kernel error over 25 configurations
+    (alpha = (t + 5)/10, mt = 200: diffusion at mx 20, 40, 80 and N 3, 12,
+    96; Burgers at mx 20, 40, N 3, 6, 12, 96 and t0 1e-4, 1e-6), the worst
+    at N = 96, where tol = _TOL; at N <= 12 it is at most 1.1e-4.  The
+    limit: for a solution far below 1 the control is absolute (diffusion
+    scaled by 1e-2: share 9.3e-3 at mx = 40, N = 12, 0.23 at N = 96; by
+    1e-4: 0.094 and 14): rescale it.
 
     The vectors are short, so a step is bound by its count of NumPy calls:
     y_predict and r are one product of D[:k+1] with the rows (1, ..., 1) and
@@ -315,11 +325,12 @@ class _LinearBDF:
     product with upper-triangular ones, and the rescaling reuses U = R(k, 1).
     """
 
-    def __init__(self, fun: Callable, t0: float, y0: np.ndarray, solve: Callable, m: int):
-        self.t, self.solve, self.nlu, self.m = t0, solve, 0, m
+    def __init__(self, fun: Callable, t0: float, y0: np.ndarray, solve: Callable, m: int,
+                 tol: float):
+        self.t, self.solve, self.nlu, self.m, self.tol = t0, solve, 0, m, tol
         # Hairer and Wanner's first step, from f at y0 and at one probe.
         f0 = fun(t0, y0)
-        scale = _TOL + _TOL * np.abs(y0[:m])
+        scale = tol + tol * np.abs(y0[:m])
         d0, d1 = _rms(y0[:m] / scale), _rms(f0[:m] / scale)
         h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 1.0 - t0)
         f1 = fun(t0 + h0, y0 + h0 * f0)
@@ -335,7 +346,7 @@ class _LinearBDF:
         """Take one step and return its interpolant, built from the step
         size, order and differences chosen for the next step.  Raise
         ``SolverError`` if the step size falls below 10 ulp of t."""
-        t, D, order, m = self.t, self.D, self.order, self.m
+        t, D, order, m, tol = self.t, self.D, self.order, self.m, self.tol
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h = self.h_abs
         if h < min_step:
@@ -356,8 +367,8 @@ class _LinearBDF:
             y_new = self.solve(t_new, h / _ALPHA[order], r)
             self.nlu += 1
             d = y_new - y_predict
-            scale = np.abs(y_new[:m]) * _TOL
-            scale += _TOL
+            scale = np.abs(y_new[:m]) * tol
+            scale += tol
             error_norm = _ERROR_CONST[order] * _rms(d[:m] / scale)
             if error_norm <= 1.0:
                 break
@@ -421,6 +432,20 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
     every B_p and A is positive, so beta >= 1.  A step costs O(N m) and one
     banded LU of L's bandwidth (at most 4 each side), whatever N is.
 
+    The stepper's tolerance is tol = max(_TOL, _KERNEL_SHARE E_N), with
+    E_N(alpha) = |C(1 - alpha, N + 1)| / Gamma(3 - alpha) the kernel's
+    truncation error per unit max|u_tt| (the sharp bound of the type III,
+    n = 1 expansion), taken from A_1 as (1 - alpha) A_1 / ((N + 1)(2 -
+    alpha)).  log E_N is concave in alpha, so over the alpha of a monotone
+    order it is least at alpha(t0) or alpha(1), the two alpha calls the
+    rule makes; an order that is not monotone can reach past both ends, and
+    its tol is then looser than _KERNEL_SHARE times the least E_N over
+    [t0, 1].  _KERNEL_SHARE = 3e-6 is the largest share tried (1e-6 to
+    3e-5) that keeps the carried moments within 1e-6 of the integrals of
+    u_t (4.5e-7 at 3e-6, 1.0e-6 at 5e-6, 6.9e-6 at 1e-5).  Where
+    _KERNEL_SHARE E_N < _TOL, as for N >= 16 at alpha = 1/2, the solve is
+    that of the fixed _TOL.
+
     ``rhs`` and ``solve`` assemble a, b_p and c(t) at each call, which is once
     per t: each step attempt and each start-up call is at a new t.  Before any
     step, in this order: a profile that does not broadcast to the interior
@@ -429,6 +454,9 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
     boundary(t) other than two finite real numbers at a time node t (the
     first named; ``boundary`` only ever gets a float t), or a source of
     shape other than () or (m,) (at the first start-up call) ``ValueError``.
+    A boundary(t) that is not finite at a t between the nodes, where a step
+    attempt calls it, raises the same ``ValueError`` at that t.
+
     The steps' interpolants form ``dense``, and u at all time nodes is one
     ``_interpolate`` call on their u rows, each node on the piece ``dense``
     takes (the earlier one on a step boundary): u[1:-1] is dense(t_nodes)[:m].
@@ -477,6 +505,9 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
         head, tail = coefficients_left(alpha, params)
         a1 = float(head[0])
         left, right = boundary(t)
+        if not (math.isfinite(left) and math.isfinite(right)):
+            raise ValueError(f"boundary(t) must give two finite numbers, got "
+                             f"{(left, right)!r} at t = {t}")
         c = problem.f(x_int, t)
         if np.shape(c) not in ((), (m,)):
             raise ValueError(f"the source gave shape {np.shape(c)}, not () or ({m},) "
@@ -510,8 +541,14 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
         np.multiply(q[:, None], r_w + ct_g, out=y[m:].reshape(N, m))
         return y
 
+    def kernel_error(alpha: float) -> float:
+        """E_N(alpha) = |C(1 - alpha, N + 1)| / Gamma(3 - alpha), from A_1."""
+        a1 = float(coefficients_left(alpha, params)[0][0])
+        return (1.0 - alpha) * a1 / ((N + 1) * (2.0 - alpha))
+
+    tol = max(_TOL, _KERNEL_SHARE * min(kernel_error(order.alpha(t)) for t in (nodes[0], 1.0)))
     y0 = np.concatenate([u0, np.zeros(N * m)])
-    stepper = _LinearBDF(rhs, nodes[0], y0, solve=solve, m=m)
+    stepper = _LinearBDF(rhs, nodes[0], y0, solve=solve, m=m, tol=tol)
     step_ts, pieces = [nodes[0]], []
     while stepper.t < 1.0:
         pieces.append(stepper.step())
@@ -526,7 +563,7 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
     u[1:-1] = _interpolate(ts, t_s[:, None], h[:, None], C[idx]).T
     u[0, :], u[-1, :] = edges.T
     meta = {"t0": grid.t0, "N": N, "mx": grid.mx, "mt": grid.mt, "stepper": "BDF",
-            "tol": _TOL, "steps": len(pieces), "nlu": stepper.nlu}
+            "tol": tol, "steps": len(pieces), "nlu": stepper.nlu}
     return Field2D(grid.x_nodes, ts, u, meta, dense, rhs)
 
 

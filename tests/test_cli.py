@@ -23,8 +23,9 @@ from varcaputo.cli import (
     main,
     parse_order,
 )
-from varcaputo.pde import DEFAULT_T0, _TOL
+from varcaputo.pde import DEFAULT_T0, _KERNEL_SHARE, _TOL
 from varcaputo.reference import DEFAULT_TOL
+from varcaputo.special import signed_binomial
 
 
 def _read_csv(path):
@@ -208,6 +209,18 @@ class TestFigures:
         assert list(tmp_path.iterdir()) == []
 
 
+def _assert_header_tol(header: str, N: int) -> None:
+    """tol= in the header of a paper-beta run, alpha = (t + 5)/10 from the
+    default t0, is a plain float literal, never np.float64(...), and the
+    stepper's rule max(_TOL, _KERNEL_SHARE E_N), with the kernel error
+    E_N(alpha) = |C(1 - alpha, N + 1)| / Gamma(3 - alpha) least at an end."""
+    text = header.split(" tol=", 1)[1].split(" ", 1)[0]
+    assert "np.float64(" not in header and repr(float(text)) == text
+    e_n = min(abs(signed_binomial(1.0 - a, N + 1)) / math.gamma(3.0 - a)
+              for a in (0.5 + 0.1 * DEFAULT_T0, 0.6))
+    assert float(text) == pytest.approx(max(_TOL, _KERNEL_SHARE * e_n), rel=1e-13, abs=0.0)
+
+
 class TestPde:
     def test_diffusion_run(self, tmp_path):
         out = tmp_path / "diff.csv"
@@ -223,8 +236,9 @@ class TestPde:
         max_err = max(float(r["abs_err"]) for r in rows)
         declared = float(meta[0].split("max_err=")[1])
         assert max_err == pytest.approx(declared, rel=1e-12)
-        for key in ("stepper=BDF", f" tol={_TOL} ", "steps=", "nlu="):
+        for key in ("stepper=BDF", " tol=", "steps=", "nlu="):
             assert key in meta[0]
+        _assert_header_tol(meta[0], 3)
 
     def test_degenerate_t0_is_config_error(self, tmp_path):
         # Grid1D rejects the flag value before any numerics run.
@@ -245,7 +259,7 @@ class TestPde:
         meta, rows = _read_csv(out)
         # The labels come from the CLI, which picked the problem.
         assert meta[0].startswith("# equation=burgers lateral_bc=dirichlet-from-exact-solution t0=")
-        assert f" tol={_TOL} " in meta[0]
+        _assert_header_tol(meta[0], 3)
 
 
 class TestExitCodeOrdering:

@@ -11,8 +11,9 @@ from scipy.special import erfcx
 
 from varcaputo.order import affine_order, constant_order
 from varcaputo.reference import Kind, Side, power_closed_form
-from varcaputo.special import DomainError
+from varcaputo.special import DomainError, signed_binomial
 from varcaputo.pde import (
+    DEFAULT_T0,
     DegenerateCoefficientError,
     DiffusionProblem,
     Field2D,
@@ -20,6 +21,7 @@ from varcaputo.pde import (
     SolverError,
     _ALPHA,
     _GAMMA,
+    _KERNEL_SHARE,
     _MAX_ORDER,
     _PREDICT,
     _SUFFIX,
@@ -41,6 +43,15 @@ from varcaputo.pde import (
 ORDER = affine_order(0.1, 0.5, (0.0, 1.0))  # alpha(t) = (t + 5)/10
 #: The keys of Field2D.meta: what the solve decided and counted.
 SOLVE_KEYS = {"t0", "N", "mx", "mt", "stepper", "tol", "steps", "nlu"}
+
+
+def _kernel_tol(order, N: int, t0: float) -> float:
+    """The stepper's tolerance rule, max(_TOL, _KERNEL_SHARE E_N), with the
+    kernel error E_N(alpha) = |C(1 - alpha, N + 1)| / Gamma(3 - alpha) in its
+    closed form, least at one end of [t0, 1] for a monotone order."""
+    e_n = min(abs(signed_binomial(1.0 - a, N + 1)) / math.gamma(3.0 - a)
+              for a in (order.alpha(t0), order.alpha(1.0)))
+    return max(_TOL, _KERNEL_SHARE * e_n)
 
 
 class TestGrid:
@@ -363,6 +374,31 @@ class TestProblemData:
                                              + re.escape(f"{first}") + "$"):
             solve_diffusion(problem, grid)
 
+    def test_boundary_between_time_nodes_must_be_finite(self):
+        # Finite at every time node but nan on (0.52, 0.58), between the
+        # nodes 0.50005 and 0.60004: the step attempt that reaches the gap
+        # names its t, from the boundary call it makes anyway (one per
+        # start-up call and step attempt, as the source's), not a step
+        # size that collapses at t = 0.52.
+        problem = manufactured_diffusion(ORDER, 3)
+        calls, sources = [], []
+
+        def boundary(t):
+            calls.append(t)
+            return (math.nan, 0.0) if 0.52 < t < 0.58 else (0.0, 0.0)
+
+        def f(x, t):
+            sources.append(t)
+            return problem.f(x, t)
+
+        grid = Grid1D(mx=10, mt=10)
+        message = r"two finite numbers, got \(nan, 0\.0\) at t = "
+        with pytest.raises(ValueError, match=message) as info:
+            solve_diffusion(replace(problem, f=f, boundary=boundary), grid)
+        t = float(str(info.value).rsplit(" ", 1)[1])
+        assert 0.52 < t < 0.58 and calls[-1] == t
+        assert len(calls) == len(grid.t_nodes) + len(sources) + 1
+
     def test_meta_holds_only_the_solve_keys(self):
         # A hand-built problem on the Burgers operator: meta records what
         # the solve decided and counted, and no label of what was solved.
@@ -452,7 +488,8 @@ class TestStepper:
         # array of t; the time-node columns come from the same interpolants.
         for f in (diffusion_field, fieldv):
             assert f.meta["stepper"] == "BDF"
-            assert f.meta["tol"] == _TOL
+            assert f.meta["tol"] == pytest.approx(_kernel_tol(ORDER, f.meta["N"], f.meta["t0"]),
+                                                  rel=1e-13, abs=0.0)
             assert f.meta["steps"] == len(f.dense.ts) - 1
             assert f.meta.keys() == SOLVE_KEYS
             for key in ("steps", "nlu"):
@@ -603,18 +640,19 @@ class TestStepper:
 
     @pytest.mark.parametrize("equation, mx, N, steps, nlu", [
         # The bench's pde-mol solves and acceptance criteria 7 and 8.
-        ("diffusion", 20, 3, 43, 45),
-        ("diffusion", 20, 12, 36, 36),
-        ("diffusion", 40, 3, 43, 45),
-        ("burgers", 20, 3, 50, 50),
-        ("burgers", 20, 6, 47, 48),
+        ("diffusion", 20, 3, 31, 32),
+        ("diffusion", 20, 12, 35, 35),
+        ("diffusion", 40, 3, 31, 32),
+        ("burgers", 20, 3, 36, 36),
+        ("burgers", 20, 6, 36, 38),
         ("burgers", 20, 12, 40, 41),
     ])
     def test_step_counts_pinned(self, equation, mx, N, steps, nlu):
         # A faster step must take the same steps: same formulas, same
         # error control, same order and step-size choice.  The counts are
-        # those of the weight _TOL (1 + |u|) on the u entries alone; with
-        # the moments in the norm these solves took 99-119 steps, and with
+        # those of the weight tol (1 + |u|) on the u entries alone, tol =
+        # max(_TOL, _KERNEL_SHARE E_N); at the fixed tol = _TOL these solves
+        # took 36-50 steps, with the moments in the norm 99-119, and with
         # an absolute floor of 1e-10 188-207.
         grid = Grid1D(mx=mx, mt=200, t0=1e-4)
         f = _solve(equation, grid, N)
@@ -635,21 +673,50 @@ class TestStepper:
         # The stepper's tolerance serves the kernel's truncation error: its
         # own error, against a far tighter solve whose error test covers
         # every state entry, the moments too, stays a small share of the
-        # field's error against the exact solution.
+        # field's error against the exact solution.  The reference sets
+        # tol = 1e-11 itself, whatever the solve's rule would pick.
         import varcaputo.pde as pde
 
         grid = Grid1D(mx=mx, mt=200, t0=t0)
         got = _solve(equation, grid, N)
         real = pde._LinearBDF
 
-        def whole_state(fun, t0, y0, *, solve, m):
-            return real(fun, t0, y0, solve=solve, m=y0.size)
+        def whole_state(fun, t0, y0, *, solve, m, tol):
+            return real(fun, t0, y0, solve=solve, m=y0.size, tol=1e-11)
 
         monkeypatch.setattr(pde, "_LinearBDF", whole_state)
-        monkeypatch.setattr(pde, "_TOL", 1e-11)
         ref = _solve(equation, grid, N)
         exact = diffusion_exact if equation == "diffusion" else burgers_exact
         assert np.max(np.abs(got.u - ref.u)) <= 1e-2 * field_error(ref, exact)
+
+    @pytest.mark.parametrize("N", [1, 3, 12, 96])
+    def test_tolerance_follows_the_kernel_error(self, N):
+        # tol = max(_TOL, _KERNEL_SHARE E_N), a Python float: E_N from the
+        # solve's own A_1 agrees with its closed form.  The kernel error
+        # falls with N, so the floor holds at N = 96 alone.
+        tol = _solve("diffusion", Grid1D(mx=10, mt=10), N).meta["tol"]
+        assert type(tol) is float
+        assert tol == pytest.approx(_kernel_tol(ORDER, N, DEFAULT_T0), rel=1e-13, abs=0.0)
+        assert (tol == _TOL) == (N == 96)
+
+    @pytest.mark.parametrize("equation, mx, t0", [("diffusion", 40, 1e-4), ("burgers", 20, 1e-6)])
+    def test_floor_keeps_large_n_at_the_fixed_tolerance(self, equation, mx, t0, monkeypatch):
+        # Where _KERNEL_SHARE E_N < _TOL (N = 96), the solve is bit for bit
+        # one whose stepper runs at the fixed _TOL.
+        import varcaputo.pde as pde
+
+        grid = Grid1D(mx=mx, mt=200, t0=t0)
+        got = _solve(equation, grid, 96)
+        real = pde._LinearBDF
+
+        def fixed(fun, t0, y0, *, solve, m, tol):
+            return real(fun, t0, y0, solve=solve, m=m, tol=_TOL)
+
+        monkeypatch.setattr(pde, "_LinearBDF", fixed)
+        ref = _solve(equation, grid, 96)
+        assert got.u.tobytes() == ref.u.tobytes()
+        assert got.dense(grid.t_nodes).tobytes() == ref.dense(grid.t_nodes).tobytes()
+        assert got.meta == ref.meta
 
     def test_failed_step_names_its_t(self):
         # A source that turns nan at t = 0.5 stops the steps just short of
@@ -682,7 +749,7 @@ class TestStepper:
             return r / (1.0 + c)
 
         t0, y0 = 0.5, np.array([1.0])
-        stepper = _LinearBDF(lambda t, y: -y, t0, y0, solve, 1)
+        stepper = _LinearBDF(lambda t, y: -y, t0, y0, solve, 1, _TOL)
         min_step = 10.0 * (math.nextafter(t0, math.inf) - t0)
         stepper.h_abs = min_step / 3.0
         stepper.D[1] = -y0 * stepper.h_abs
@@ -754,7 +821,7 @@ class TestInterpolant:
                   for order, t_old, t in zip([2, 4, 1, 3], bounds[:-1], bounds[1:])]
 
         class Replay:
-            def __init__(self, fun, t0, y0, *, solve, m):
+            def __init__(self, fun, t0, y0, *, solve, m, tol):
                 self.t, self.nlu, self.left = t0, 0, iter(pieces)
 
             def step(self):

@@ -200,11 +200,10 @@ def coefficients_left(alpha_val: float, params: ExpansionParams) -> tuple[np.nda
         raise DomainError(f"alpha must lie in (0,1), got {alpha_val}")
     n, N = params.n, params.N
     row = _signed_binomials(-alpha_val, N - n + 2)
-    head = np.array([
-        (row[-1] if p == 1 else signed_binomial(p - 1.0 - alpha_val, N - n + p))
-        / gamma(p + 1.0 - alpha_val)
-        for p in range(1, n + 1)
-    ])
+    head = np.empty(n)
+    head[0] = row[-1] / gamma(2.0 - alpha_val)
+    for p in range(2, n + 1):
+        head[p - 1] = signed_binomial(p - 1.0 - alpha_val, N - n + p) / gamma(p + 1.0 - alpha_val)
     return head, row[:-1] / gamma(1.0 - alpha_val)
 
 

@@ -32,6 +32,7 @@ sources take the derivative of t^2 from ``power_closed_form``.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -219,6 +220,26 @@ def _derivative_matrix(mx: int, deriv: int) -> np.ndarray:
     D[0, :width] = weights(np.arange(width) - 1)
     D[-1, mx + 1 - width:] = weights(np.arange(2 - width, 2))
     return D
+
+
+@functools.lru_cache(maxsize=8)
+def _space_operator(mx: int, w: float) -> tuple:
+    """kl, ku and the interior block L of D = D2 + w D1 (D1 only where w != 0)
+    in LAPACK's gbsv layout, L[i, j] at band[kl + ku + i - j, j] below kl rows
+    of fill-in space, L's non-zeros (rows, cols, values) and D's boundary
+    columns: read-only arrays of 240 (mx - 1) bytes in all; D is not kept."""
+    D = _derivative_matrix(mx, 2)
+    if w:
+        D = D + w * _derivative_matrix(mx, 1)
+    L = D[:, 1:-1]
+    rows, cols = np.nonzero(L)
+    kl, ku = int(np.max(rows - cols)), int(np.max(cols - rows))
+    band = np.zeros((2 * kl + ku + 1, mx - 1))
+    band[kl + ku + rows - cols, cols] = L[rows, cols]
+    arrays = (band, rows, cols, L[rows, cols], D[:, 0].copy(), D[:, -1].copy())
+    for a in arrays:
+        a.flags.writeable = False
+    return (kl, ku, *arrays)
 
 
 #: NDF constants of SciPy's BDF (Shampine & Reichelt, "The MATLAB ODE
@@ -430,7 +451,11 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
 
     after which g = ((c(t) + L y_u)/a - rho)/beta gives every y_p.  At n = 1
     every B_p and A is positive, so beta >= 1.  A step costs O(N m) and one
-    banded LU of L's bandwidth (at most 4 each side), whatever N is.
+    banded LU of L's bandwidth (at most 4 each side), whatever N is.  L's band
+    layout, non-zeros and D's boundary columns are kept read-only per (mx, w)
+    by ``_space_operator`` (8 entries of 240 (mx - 1) bytes): a gain only
+    where one process solves an (mx, w) again.  Each solve scatters its own
+    dense L from them, so no result depends on the cache.
 
     The stepper's tolerance is tol = max(_TOL, _KERNEL_SHARE E_N), with
     E_N(alpha) = |C(1 - alpha, N + 1)| / Gamma(3 - alpha) the kernel's
@@ -461,7 +486,8 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
     ``_interpolate`` call on their u rows, each node on the piece ``dense``
     takes (the earlier one on a step boundary): u[1:-1] is dense(t_nodes)[:m].
     """
-    x_int = grid.x_nodes[1:-1]
+    xs, ts = grid.x_nodes, grid.t_nodes
+    x_int = xs[1:-1]
     u0 = np.broadcast_to(np.asarray(problem.g(x_int), dtype=float), x_int.shape)
     order, N, boundary, w = problem.order, problem.N, problem.boundary, problem.ux_weight
     if not (order.a <= grid.t0 and order.b >= 1.0):
@@ -471,7 +497,7 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
         raise ValueError("the initial profile must be finite at every interior node")
     if not math.isfinite(w):
         raise ValueError(f"the u_x weight must be finite, got {w}")
-    ts, nodes = grid.t_nodes, grid.t_nodes.tolist()
+    nodes = ts.tolist()
     ends = [boundary(t) for t in nodes]  # the Dirichlet values, before any step
 
     def finite_pairs(rows: list) -> np.ndarray | None:
@@ -485,19 +511,14 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
     if (edges := finite_pairs(ends)) is None:  # all nodes at once; one by one to name the t
         t, bad = next((t, e) for t, e in zip(nodes, ends) if finite_pairs([e]) is None)
         raise ValueError(f"boundary(t) must give two finite numbers, got {bad!r} at t = {t}")
-    D = _derivative_matrix(grid.mx, 2) + w * _derivative_matrix(grid.mx, 1)
-    L = D[:, 1:-1]
+    kl, ku, band, l_rows, l_cols, l_values, d_left, d_right = _space_operator(grid.mx, float(w))
     m = grid.mx - 1
     p = np.arange(1, N + 1)
-    l_rows, l_cols = np.nonzero(L)
-    # L in LAPACK's gbsv layout: A[i, j] at ab[kl + ku + i - j, j], with kl
-    # rows of fill-in space on top.
-    kl, ku = int(np.max(l_rows - l_cols)), int(np.max(l_cols - l_rows))
-    band = np.zeros((2 * kl + ku + 1, m))
-    band[kl + ku + l_rows - l_cols, l_cols] = L[l_rows, l_cols]
+    # A view into D's (m, mx + 1) layout, so that L @ y is the same BLAS call.
+    L = np.zeros((m, grid.mx + 1))[:, 1:-1]
+    L[l_rows, l_cols] = l_values
     (gbsv,) = get_lapack_funcs(("gbsv",), (band,))
     ab = np.empty_like(band, order="F")
-    d_left, d_right = D[:, 0].copy(), D[:, -1].copy()
 
     def terms(t: float) -> tuple[float, np.ndarray, np.ndarray]:
         """a, B_p/A and c(t)."""
@@ -564,7 +585,7 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
     u[0, :], u[-1, :] = edges.T
     meta = {"t0": grid.t0, "N": N, "mx": grid.mx, "mt": grid.mt, "stepper": "BDF",
             "tol": tol, "steps": len(pieces), "nlu": stepper.nlu}
-    return Field2D(grid.x_nodes, ts, u, meta, dense, rhs)
+    return Field2D(xs, ts, u, meta, dense, rhs)
 
 
 def solve_burgers(order: OrderFunction, grid: Grid1D, N: int) -> Field2D:

@@ -111,14 +111,24 @@ def digamma(x: float) -> float:
     return acc + math.log(x) - 0.5 / x - s * series
 
 
+#: k and k + 1 for k = 0..4095, read-only: the index rows of every
+#: signed-binomial row of up to 4097 entries are views into these 64 KiB.
+_K = np.arange(4096.0)
+_K1 = _K + 1.0
+_K.flags.writeable = _K1.flags.writeable = False
+
+
 def _signed_binomials(nu: float, count: int) -> np.ndarray:
     """(-1)^k C(nu, k) for k = 0..count-1, from 1 by the recurrence
     (-1)^(k+1) C(nu, k+1) = (-1)^k C(nu, k) (k - nu) / (k + 1), as the
     running product of the factors in one preallocated row."""
-    k = np.arange(count - 1.0)
+    if count <= _K.size + 1:
+        k, k1 = _K[:count - 1], _K1[:count - 1]
+    else:
+        k, k1 = np.arange(count - 1.0), np.arange(1.0, count)
     row = np.empty(count)
     row[0] = 1.0
-    np.divide(k - nu, k + 1.0, out=row[1:])
+    np.divide(k - nu, k1, out=row[1:])
     # The ufunc form of np.cumprod, in place, without its dispatch cost on short rows.
     return np.multiply.accumulate(row, out=row)
 

@@ -125,6 +125,34 @@ class TestCoefficients:
         want_head, want_tail = coefficients_left(0.5, ExpansionParams(1, 4))
         assert np.array_equal(head, want_head) and np.array_equal(tail, want_tail)
 
+    @staticmethod
+    def _row_per_call(nu, count):
+        """The signed-binomial row with its index rows k and k + 1 built per call."""
+        k = np.arange(count - 1.0)
+        row = np.empty(count)
+        row[0] = 1.0
+        np.divide(k - nu, k + 1.0, out=row[1:])
+        return np.multiply.accumulate(row, out=row)
+
+    @pytest.mark.parametrize("alpha", [1e-9, 0.3, 0.5, 0.55, 0.99, 1.0 - 1e-9])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bits_match_the_per_call_formulas(self, alpha, n):
+        # The cached index rows and the head filled in place give every
+        # bit of the rows built per call and of the head built from a list.
+        for N in [*range(n, 65), 171, 256]:
+            rows = [(-alpha, N - n + 2), *((p - 1.0 - alpha, N - n + p + 1) for p in range(2, n + 1))]
+            for nu, count in rows:
+                assert _signed_binomials(nu, count).tobytes() == self._row_per_call(nu, count).tobytes()
+            row = self._row_per_call(-alpha, N - n + 2)
+            want_head = np.array([
+                (row[-1] if p == 1 else float(self._row_per_call(p - 1.0 - alpha, N - n + p + 1)[-1]))
+                / gamma(p + 1.0 - alpha)
+                for p in range(1, n + 1)
+            ])
+            head, tail = coefficients_left(alpha, ExpansionParams(n, N))
+            assert head.tobytes() == want_head.tobytes(), N
+            assert tail.tobytes() == (row[:-1] / gamma(1.0 - alpha)).tobytes(), N
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_alpha_outside_unit_interval(self, alpha):
         with pytest.raises(DomainError):

@@ -31,6 +31,7 @@ from varcaputo.pde import (
     _change_d,
     _compute_r,
     _derivative_matrix,
+    _space_operator,
     burgers_exact,
     diffusion_exact,
     field_error,
@@ -102,6 +103,64 @@ class TestDerivativeMatrix:
         for mx in [*range(4, 13), 20, 40, 80, 160]:
             got = _derivative_matrix(mx, deriv)
             assert np.array_equal(got, _derivative_matrix_by_rows(mx, 1.0 / mx, deriv)), mx
+
+
+class TestOperatorCache:
+    """``_space_operator`` keeps the step-independent parts of D = D2 + w D1
+    once per (mx, w): (kl, ku, band, rows, cols, values, d_left, d_right)."""
+
+    @staticmethod
+    def _bits(f: Field2D) -> tuple:
+        ts = np.linspace(f.t_nodes[0], 1.0, 57)  # time nodes and the t between them
+        return f.u.tobytes(), f.dense(ts).tobytes(), f.meta
+
+    def test_cold_warm_and_after_other_entry_solves_agree(self):
+        grid = Grid1D(mx=12, mt=20)
+        _space_operator.cache_clear()
+        cold = self._bits(_solve("diffusion", grid, 3))
+        warm = self._bits(_solve("diffusion", grid, 3))
+        _solve("burgers", Grid1D(mx=16, mt=20), 3)
+        after = self._bits(_solve("diffusion", grid, 3))
+        assert cold == warm == after
+        info = _space_operator.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+
+    def test_cache_keeps_diffusion_and_burgers_apart(self):
+        mx, grid = 12, Grid1D(mx=12, mt=8)
+        _space_operator.cache_clear()
+        _solve("diffusion", grid, 3)
+        _solve("burgers", grid, 3)
+        assert _space_operator.cache_info().currsize == 2
+        for w in (0.0, -1.0):
+            D = _derivative_matrix(mx, 2) + w * _derivative_matrix(mx, 1)
+            _, _, _, rows, cols, values, d_left, d_right = _space_operator(mx, w)
+            assert np.count_nonzero(D[:, 1:-1]) == values.size
+            assert values.tobytes() == D[:, 1:-1][rows, cols].tobytes()
+            assert d_left.tobytes() == D[:, 0].tobytes() and d_right.tobytes() == D[:, -1].tobytes()
+        assert _space_operator.cache_info().currsize == 2
+
+    def test_cached_arrays_are_read_only(self):
+        for a in _space_operator(12, -1.0)[2:]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_cache_entry_grows_like_mx(self):
+        # No (mx - 1)^2 array is kept: from mx = 20 to 160 an entry grows by
+        # (mx - 1) ratio 8.4, where one dense matrix would make it 70.
+        small, large = (_space_operator(mx, -1.0)[2:] for mx in (20, 160))
+        assert sum(a.nbytes for a in large) <= 9 * sum(a.nbytes for a in small)
+        assert max(a.size for a in large) < 159**2
+
+    @pytest.mark.parametrize("w", [0.0, -1.0])
+    def test_cache_refuses_huge_mx_before_allocating(self, w):
+        # mx = 10^7 asks for a 728 TiB derivative matrix, the first allocation
+        # of ``_space_operator``: NumPy refuses that shape, so nothing of
+        # O(mx) (80 MB) is allocated before the MemoryError, and no entry is
+        # cached.
+        before = _space_operator.cache_info().currsize
+        with pytest.raises(MemoryError, match=r"shape \(9999999, 10000001\)"):
+            _space_operator(10_000_000, w)
+        assert _space_operator.cache_info().currsize == before
 
 
 @pytest.fixture(scope="module")

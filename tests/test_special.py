@@ -108,11 +108,12 @@ class TestSignedBinomial:
             assert math.isfinite(got)
             assert got == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("count", [1, 2, 7, 301])
+    @pytest.mark.parametrize("count", [1, 2, 7, 301, 4097, 4098])
     @pytest.mark.parametrize("nu", [-0.37, 0.5, 1.7, -2.0])
     def test_row_matches_recurrence(self, nu, count):
         # The preallocated row, bit for bit: 1, then each entry the last
-        # times (k - nu) / (k + 1).
+        # times (k - nu) / (k + 1).  Counts up to 4097 take k and k + 1 from
+        # the module's table, longer rows build their own.
         want = [1.0]
         for k in range(count - 1):
             want.append(want[-1] * ((k - nu) / (k + 1.0)))

@@ -144,6 +144,9 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     side = Side(args.side)
     x = power_function(2.0, order.a, order.b, side)
     _check_n(args.n, x)
+    if not 1 <= args.n <= 2:
+        raise ConfigError(f"--n must be 1 or 2, got {args.n}: the sweep's N are 2, 4 and 6, "
+                          "and each needs N >= n >= 1")
     ts = _t_grid(order, args.points)
 
     def row(t: float) -> list[float]:

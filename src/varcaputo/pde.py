@@ -32,7 +32,6 @@ sources take the derivative of t^2 from ``power_closed_form``.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -195,51 +194,48 @@ def manufactured_burgers(order: OrderFunction, N: int, t0: float = DEFAULT_T0) -
                             lambda t: (t**2, 1.0 + t**2), -1.0)
 
 
-def _derivative_matrix(mx: int, deriv: int) -> np.ndarray:
-    """Finite-difference weights for the requested derivative at the interior
-    nodes (step 1/mx), fourth-order accurate, acting on the full node vector.
+def _vandermonde_weights(offsets: np.ndarray, deriv: int) -> np.ndarray:
+    """Weights of the deriv-th derivative at 0 from values at the integer
+    ``offsets`` (unit spacing): the Vandermonde solve over that window."""
+    taylor = np.zeros(offsets.size)
+    taylor[deriv] = math.factorial(deriv)
+    return np.linalg.solve(np.vander(offsets, offsets.size, increasing=True).T, taylor)
+
+
+#: Per boundary width 5 or 6, the unit-spacing weights (d/dx, d^2/dx^2) over
+#: ``_space_operator``'s three windows: flush left, centred, flush right.
+_STENCILS = {width: [tuple(_vandermonde_weights(offsets, deriv) for deriv in (1, 2))
+                     for offsets in (np.arange(width) - 1, np.arange(-2, 3), np.arange(2 - width, 2))]
+             for width in (5, 6)}
+
+
+def _space_operator(mx: int, w: float) -> tuple:
+    """kl, ku, the band, L and D's two boundary columns of the fourth-order
+    D = D2 + w D1 at the interior nodes (step 1/mx) on the full node vector.
 
     One rule gives every row: the weights are the Vandermonde solve over the
     row's window, which is 5 nodes centred on the row's node, or, one node
-    from a boundary, min(6, mx+1) nodes flush with that boundary.  The
-    interior rows share one window of offsets, so three solves give every
-    row.  Fourth order keeps the spatial error well below the
-    fractional-expansion truncation error on the coarse grids used here.
+    from a boundary, min(6, mx+1) nodes flush with that boundary.  Those
+    solves are made once per process, at unit spacing, in ``_STENCILS`` (a
+    few hundred bytes), and nothing else is kept: each call scales them by
+    mx^2 and w mx into a new (mx - 1, mx + 1) D, its first allocation.  L = D[:, 1:-1] and the
+    boundary columns are views of D, and the band holds L in LAPACK's gbsv
+    layout, L[i, j] at band[kl + ku + i - j, j] below kl rows of fill-in
+    space, with kl = ku = min(width - 2, mx - 2) from the windows.  Fourth
+    order keeps the spatial error well below the fractional-expansion
+    truncation error on the coarse grids used here.
     """
-
-    def weights(offsets: np.ndarray) -> np.ndarray:
-        vander = np.vander(offsets * (1.0 / mx), offsets.size, increasing=True).T
-        taylor = np.zeros(offsets.size)
-        taylor[deriv] = math.factorial(deriv)
-        return np.linalg.solve(vander, taylor)
-
     D = np.zeros((mx - 1, mx + 1))
     width = min(6, mx + 1)
+    first, inner, last = (mx * mx * s2 + w * mx * s1 for s1, s2 in _STENCILS[width])
     rows = np.arange(1, mx - 2)[:, None]
-    D[rows, rows + np.arange(-1, 4)] = weights(np.arange(-2, 3))
-    D[0, :width] = weights(np.arange(width) - 1)
-    D[-1, mx + 1 - width:] = weights(np.arange(2 - width, 2))
-    return D
-
-
-@functools.lru_cache(maxsize=8)
-def _space_operator(mx: int, w: float) -> tuple:
-    """kl, ku and the interior block L of D = D2 + w D1 (D1 only where w != 0)
-    in LAPACK's gbsv layout, L[i, j] at band[kl + ku + i - j, j] below kl rows
-    of fill-in space, L's non-zeros (rows, cols, values) and D's boundary
-    columns: read-only arrays of 240 (mx - 1) bytes in all; D is not kept."""
-    D = _derivative_matrix(mx, 2)
-    if w:
-        D = D + w * _derivative_matrix(mx, 1)
-    L = D[:, 1:-1]
-    rows, cols = np.nonzero(L)
-    kl, ku = int(np.max(rows - cols)), int(np.max(cols - rows))
-    band = np.zeros((2 * kl + ku + 1, mx - 1))
-    band[kl + ku + rows - cols, cols] = L[rows, cols]
-    arrays = (band, rows, cols, L[rows, cols], D[:, 0].copy(), D[:, -1].copy())
-    for a in arrays:
-        a.flags.writeable = False
-    return (kl, ku, *arrays)
+    D[rows, rows + np.arange(-1, 4)] = inner
+    D[0, :width], D[-1, mx + 1 - width:] = first, last
+    m, k, L = mx - 1, min(width - 2, mx - 2), D[:, 1:-1]
+    band = np.zeros((3 * k + 1, m))
+    for d in range(-k, k + 1):  # the diagonal L[j + d, j] goes to band row 2k + d
+        band[2 * k + d, max(0, -d):m - max(0, d)] = L.diagonal(-d)
+    return k, k, band, L, D[:, 0], D[:, -1]
 
 
 #: NDF constants of SciPy's BDF (Shampine & Reichelt, "The MATLAB ODE
@@ -451,11 +447,9 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
 
     after which g = ((c(t) + L y_u)/a - rho)/beta gives every y_p.  At n = 1
     every B_p and A is positive, so beta >= 1.  A step costs O(N m) and one
-    banded LU of L's bandwidth (at most 4 each side), whatever N is.  L's band
-    layout, non-zeros and D's boundary columns are kept read-only per (mx, w)
-    by ``_space_operator`` (8 entries of 240 (mx - 1) bytes): a gain only
-    where one process solves an (mx, w) again.  Each solve scatters its own
-    dense L from them, so no result depends on the cache.
+    banded LU of L's bandwidth (at most 4 each side), whatever N is.  Each
+    solve builds its own D, band and views of D by ``_space_operator`` from
+    the unit stencils ``_STENCILS``, made once per process; no cache.
 
     The stepper's tolerance is tol = max(_TOL, _KERNEL_SHARE E_N), with
     E_N(alpha) = |C(1 - alpha, N + 1)| / Gamma(3 - alpha) the kernel's
@@ -511,12 +505,9 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
     if (edges := finite_pairs(ends)) is None:  # all nodes at once; one by one to name the t
         t, bad = next((t, e) for t, e in zip(nodes, ends) if finite_pairs([e]) is None)
         raise ValueError(f"boundary(t) must give two finite numbers, got {bad!r} at t = {t}")
-    kl, ku, band, l_rows, l_cols, l_values, d_left, d_right = _space_operator(grid.mx, float(w))
+    kl, ku, band, L, d_left, d_right = _space_operator(grid.mx, float(w))
     m = grid.mx - 1
     p = np.arange(1, N + 1)
-    # A view into D's (m, mx + 1) layout, so that L @ y is the same BLAS call.
-    L = np.zeros((m, grid.mx + 1))[:, 1:-1]
-    L[l_rows, l_cols] = l_values
     (gbsv,) = get_lapack_funcs(("gbsv",), (band,))
     ab = np.empty_like(band, order="F")
 

@@ -30,7 +30,6 @@ from varcaputo.pde import (
     _NdfDense,
     _change_d,
     _compute_r,
-    _derivative_matrix,
     _space_operator,
     burgers_exact,
     diffusion_exact,
@@ -81,8 +80,9 @@ class TestGrid:
         assert len(g.x_nodes) == 9 and len(g.t_nodes) == 11
 
 
-def _derivative_matrix_by_rows(mx: int, hx: float, deriv: int) -> np.ndarray:
-    """One Vandermonde solve per row, over that row's own window."""
+def _operator_by_rows(mx: int, w: float) -> np.ndarray:
+    """D = mx^2 S2 + w mx S1, each row from its own unit-spacing Vandermonde
+    solves (derivatives 1 and 2) over that row's window."""
     D = np.zeros((mx - 1, mx + 1))
     width = min(6, mx + 1)
     for row, i in enumerate(range(1, mx)):
@@ -90,77 +90,67 @@ def _derivative_matrix_by_rows(mx: int, hx: float, deriv: int) -> np.ndarray:
             nodes = np.arange(i - 2, i + 3)
         else:
             nodes = np.arange(width) if i == 1 else np.arange(mx + 1 - width, mx + 1)
-        vander = np.vander((nodes - i) * hx, nodes.size, increasing=True).T
-        taylor = np.zeros(nodes.size)
-        taylor[deriv] = math.factorial(deriv)
-        D[row, nodes] = np.linalg.solve(vander, taylor)
+        vander = np.vander(nodes - i, nodes.size, increasing=True).T
+        s1, s2 = (np.linalg.solve(vander, math.factorial(d) * np.eye(nodes.size)[d]) for d in (1, 2))
+        D[row, nodes] = mx * mx * s2 + w * mx * s1
     return D
 
 
-class TestDerivativeMatrix:
-    @pytest.mark.parametrize("deriv", [1, 2])
-    def test_matches_per_row_reference(self, deriv):
+class TestSpaceOperator:
+    """``_space_operator(mx, w)`` builds (kl, ku, band, L, d_left, d_right) of
+    D = D2 + w D1 per call, with L and the boundary columns views of D."""
+
+    @pytest.mark.parametrize("w", [0.0, -1.0, 0.5])
+    def test_matches_per_row_reference(self, w):
         for mx in [*range(4, 13), 20, 40, 80, 160]:
-            got = _derivative_matrix(mx, deriv)
-            assert np.array_equal(got, _derivative_matrix_by_rows(mx, 1.0 / mx, deriv)), mx
+            kl, ku, band, L, d_left, d_right = _space_operator(mx, w)
+            ref = _operator_by_rows(mx, w)
+            assert L.base.shape == (mx - 1, mx + 1) and L.base is d_left.base is d_right.base
+            assert np.array_equal(L, ref[:, 1:-1]), mx
+            assert np.array_equal(d_left, ref[:, 0]) and np.array_equal(d_right, ref[:, -1]), mx
+            want = np.zeros((2 * kl + ku + 1, mx - 1))
+            for i, j in np.ndindex(L.shape):
+                if -ku <= i - j <= kl:
+                    want[kl + ku + i - j, j] = ref[i, j + 1]
+            assert np.array_equal(band, want), mx
 
+    @pytest.mark.parametrize("w", [0.0, -1.0, 0.5])
+    def test_exact_on_quartics(self, w):
+        # Every window holds at least 5 nodes, so D x^k is exact for k <= 4 up
+        # to rounding, which grows like eps mx^2 (at most 6.2 eps mx^2 seen).
+        for mx in [*range(4, 41), 80, 160, 320]:
+            x = Grid1D(mx=mx, mt=4).x_nodes
+            D = _space_operator(mx, w)[3].base
+            for k in range(5):
+                want = k * (k - 1) * x[1:-1] ** max(k - 2, 0) + w * k * x[1:-1] ** max(k - 1, 0)
+                assert np.abs(D @ x**k - want).max() <= 16 * np.finfo(float).eps * mx**2, (mx, k)
 
-class TestOperatorCache:
-    """``_space_operator`` keeps the step-independent parts of D = D2 + w D1
-    once per (mx, w): (kl, ku, band, rows, cols, values, d_left, d_right)."""
+    def test_bandwidths_match_nonzero_pattern(self):
+        for mx in range(4, 200):
+            for w in (0.0, -1.0):
+                kl, ku, _, L, _, _ = _space_operator(mx, w)
+                rows, cols = np.nonzero(L)
+                assert kl == ku == min(min(6, mx + 1) - 2, mx - 2), mx
+                assert (kl, ku) == (np.max(rows - cols), np.max(cols - rows)), mx
 
     @staticmethod
     def _bits(f: Field2D) -> tuple:
         ts = np.linspace(f.t_nodes[0], 1.0, 57)  # time nodes and the t between them
         return f.u.tobytes(), f.dense(ts).tobytes(), f.meta
 
-    def test_cold_warm_and_after_other_entry_solves_agree(self):
+    def test_solve_history_does_not_change_bits(self):
         grid = Grid1D(mx=12, mt=20)
-        _space_operator.cache_clear()
-        cold = self._bits(_solve("diffusion", grid, 3))
-        warm = self._bits(_solve("diffusion", grid, 3))
+        first = self._bits(_solve("diffusion", grid, 3))
         _solve("burgers", Grid1D(mx=16, mt=20), 3)
-        after = self._bits(_solve("diffusion", grid, 3))
-        assert cold == warm == after
-        info = _space_operator.cache_info()
-        assert (info.misses, info.hits) == (2, 2)
-
-    def test_cache_keeps_diffusion_and_burgers_apart(self):
-        mx, grid = 12, Grid1D(mx=12, mt=8)
-        _space_operator.cache_clear()
-        _solve("diffusion", grid, 3)
-        _solve("burgers", grid, 3)
-        assert _space_operator.cache_info().currsize == 2
-        for w in (0.0, -1.0):
-            D = _derivative_matrix(mx, 2) + w * _derivative_matrix(mx, 1)
-            _, _, _, rows, cols, values, d_left, d_right = _space_operator(mx, w)
-            assert np.count_nonzero(D[:, 1:-1]) == values.size
-            assert values.tobytes() == D[:, 1:-1][rows, cols].tobytes()
-            assert d_left.tobytes() == D[:, 0].tobytes() and d_right.tobytes() == D[:, -1].tobytes()
-        assert _space_operator.cache_info().currsize == 2
-
-    def test_cached_arrays_are_read_only(self):
-        for a in _space_operator(12, -1.0)[2:]:
-            with pytest.raises(ValueError, match="read-only"):
-                a[...] = 0
-
-    def test_cache_entry_grows_like_mx(self):
-        # No (mx - 1)^2 array is kept: from mx = 20 to 160 an entry grows by
-        # (mx - 1) ratio 8.4, where one dense matrix would make it 70.
-        small, large = (_space_operator(mx, -1.0)[2:] for mx in (20, 160))
-        assert sum(a.nbytes for a in large) <= 9 * sum(a.nbytes for a in small)
-        assert max(a.size for a in large) < 159**2
+        assert self._bits(_solve("diffusion", grid, 3)) == first
 
     @pytest.mark.parametrize("w", [0.0, -1.0])
-    def test_cache_refuses_huge_mx_before_allocating(self, w):
-        # mx = 10^7 asks for a 728 TiB derivative matrix, the first allocation
-        # of ``_space_operator``: NumPy refuses that shape, so nothing of
-        # O(mx) (80 MB) is allocated before the MemoryError, and no entry is
-        # cached.
-        before = _space_operator.cache_info().currsize
+    def test_refuses_huge_mx_before_allocating(self, w):
+        # mx = 10^7 asks for a 728 TiB D, the first allocation of
+        # ``_space_operator``: NumPy refuses that shape, so nothing of O(mx)
+        # (80 MB) is allocated before the MemoryError.
         with pytest.raises(MemoryError, match=r"shape \(9999999, 10000001\)"):
             _space_operator(10_000_000, w)
-        assert _space_operator.cache_info().currsize == before
 
 
 @pytest.fixture(scope="module")

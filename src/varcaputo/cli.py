@@ -143,10 +143,10 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     kind = Kind(args.kind)
     side = Side(args.side)
     x = power_function(2.0, order.a, order.b, side)
-    _check_n(args.n, x)
-    if not 1 <= args.n <= 2:
-        raise ConfigError(f"--n must be 1 or 2, got {args.n}: the sweep's N are 2, 4 and 6, "
-                          "and each needs N >= n >= 1")
+    if not 1 <= args.n <= 2:  # N = 2 limits n before x's derivatives (``_check_n``) do
+        raise ConfigError(f"--n must be 1 or 2, got {args.n}: the sweep's N are 2, 4 and 6, each "
+                          f"needs N >= n >= 1, and the bound needs x^(n+1), which the power "
+                          f"function has analytically up to order {len(x.derivatives)}")
     ts = _t_grid(order, args.points)
 
     def row(t: float) -> list[float]:

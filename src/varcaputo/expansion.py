@@ -51,7 +51,7 @@ from .reference import (
     _frame,
     _log_bracket,
 )
-from .special import DomainError, _signed_binomials, gamma, signed_binomial
+from .special import _K1, DomainError, _signed_binomials, signed_binomial
 
 __all__ = [
     "ExpansionParams",
@@ -201,10 +201,10 @@ def coefficients_left(alpha_val: float, params: ExpansionParams) -> tuple[np.nda
     n, N = params.n, params.N
     row = _signed_binomials(-alpha_val, N - n + 2)
     head = np.empty(n)
-    head[0] = row[-1] / gamma(2.0 - alpha_val)
+    head[0] = row[-1] / math.gamma(2.0 - alpha_val)
     for p in range(2, n + 1):
-        head[p - 1] = signed_binomial(p - 1.0 - alpha_val, N - n + p) / gamma(p + 1.0 - alpha_val)
-    return head, row[:-1] / gamma(1.0 - alpha_val)
+        head[p - 1] = signed_binomial(p - 1 - alpha_val, N - n + p) / math.gamma(p + 1 - alpha_val)
+    return head, row[:-1] / math.gamma(1.0 - alpha_val)
 
 
 def coefficients_right(alpha_val: float, params: ExpansionParams) -> tuple[np.ndarray, np.ndarray]:
@@ -258,7 +258,8 @@ def _scaled_moments(x: ScalarFunction, t: float, end: float, step: float, count:
     max(50 eps resabs, 200 |K21 - G10|) bounds QUADPACK's qk21 error
     estimate.  W_k is kept exactly when this bound, summed over panels, is
     at most max(tol, 1e-12 |W_k|), and recomputed by adaptive quadrature
-    otherwise, a nan bound included.
+    otherwise, a nan bound included; when every sum is at most tol, that
+    per-row test is skipped, as it would keep every row.
 
     The result is checked against the exact identity
     sgn dist W_0 = x(t) - x(end) (two calls of x): a gap above
@@ -277,11 +278,11 @@ def _scaled_moments(x: ScalarFunction, t: float, end: float, step: float, count:
         sums = _power_table(count) @ v
         kronrod = sums[..., 0]
         w = kronrod.sum(axis=0)
-        limit = np.maximum(tol, 1e-12 * np.abs(w))
         bound = np.maximum(50.0 * _EPS * sums[..., 2], 200.0 * np.abs(kronrod - sums[..., 1]))
-        clear = bound.sum(axis=0) <= limit
-    # Negated so that a nan bound also falls back.
-    rows = [] if clear.all() else np.flatnonzero(~clear)
+        total = bound.sum(axis=0)
+        # No row's limit max(tol, 1e-12 |W_k|) is below tol; negated, a nan total falls back.
+        rows = [] if total.max() <= tol else \
+            np.flatnonzero(~(total <= np.maximum(tol, 1e-12 * np.abs(w))))
     for k in map(int, rows):
         w[k] = _adaptive_quad(
             lambda s: s**k * dx(end + s * step), 0.0, 1.0, tol, what=f"scaled moment k={k}"
@@ -388,12 +389,20 @@ def error_bound(
         raise ValueError(f"alpha' must be finite, got {alpha_prime_val}")
     if dist == 0.0:
         return 0.0
+    second = kind is not Kind.TYPE_III and alpha_prime_val != 0.0
+    return _error_bound(params, alpha_val, alpha_prime_val, dist, L_bounds,
+                        _log_bracket(kind, alpha_val, dist) if second else None)
+
+
+def _error_bound(params: ExpansionParams, alpha: float, ap: float, dist: float,
+                 L_bounds: DerivativeBound, bracket: float | None) -> float:
+    """The formula of ``error_bound`` at dist > 0, for arguments it admits; bracket is
+    ``_log_bracket``'s value, or None where there is no alpha' term."""
     n, N = params.n, params.N
-    first = _bound_term(n, L_bounds[n + 1], alpha_val, N, dist)
-    if kind is Kind.TYPE_III or alpha_prime_val == 0.0:
+    first = _bound_term(n, L_bounds[n + 1], alpha, N, dist)
+    if bracket is None:
         return first
-    bracket = abs(_log_bracket(kind, alpha_val, dist)) + 1.0 / N
-    return first + _bound_term(1, abs(alpha_prime_val) * L_bounds[1], alpha_val, N, dist) * bracket
+    return first + _bound_term(1, abs(ap) * L_bounds[1], alpha, N, dist) * (abs(bracket) + 1.0 / N)
 
 
 def _bound_term(m: int, L: float, alpha: float, N: int, dist: float) -> float:
@@ -402,7 +411,7 @@ def _bound_term(m: int, L: float, alpha: float, N: int, dist: float) -> float:
     with (m, L) = (n, L_(n+1)) for the first term and (1, |alpha'| L_1) for
     the second."""
     k = m - alpha
-    return L * math.exp(k * k + k) / (gamma(k + 1.0) * N**k * k) * dist ** (k + 1.0)
+    return L * math.exp(k * k + k) / (math.gamma(k + 1.0) * N**k * k) * dist ** (k + 1.0)
 
 
 def approximate(
@@ -423,21 +432,26 @@ def approximate(
     for type III and alpha'(t) for types I and II; where it is 0 the alpha'
     weights, their extra moments and the bound's x' maximum are skipped
     outright, so with alpha' = 0 the three kinds produce bitwise-equal
-    values.  t and tol are admitted on [x.a, x.b] by ``reference._admit``,
-    which raises its errors.  A moment pass that fails the W_0 identity of
-    ``_scaled_moments`` raises ``QuadratureError``.
+    values; otherwise one ``_log_bracket`` serves the weights and the bound.
+    t and tol are admitted on [x.a, x.b] by ``reference._admit``, which raises
+    its errors, so the bound skips ``error_bound``'s checks; a non-finite
+    alpha'(t) raises ``ValueError``.  A moment pass that fails the W_0
+    identity of ``_scaled_moments`` raises ``QuadratureError``.
     """
     if (admitted := _admit(kind, order, t, side, x.a, x.b, tol)) is None:
         return ApproxResult(0.0, 0.0, "analytic")
     sgn, end, dist, alpha, ap = admitted
+    if not math.isfinite(ap):
+        raise ValueError(f"alpha' must be finite, got {ap}")
     n, N = params.n, params.N
+    bracket = None if ap == 0.0 else _log_bracket(kind, alpha, dist)
 
     # Weights sgn^p A_p dist^(p-alpha) on x^(p)(t) and c on W_0..W_(c.size-1);
     # the right side is the left one reflected, which changes only sgn.
     head, tail = coefficients_left(alpha, params)
     c = sgn * dist ** (1.0 - alpha) * tail
-    if ap != 0.0:
-        c_ap = _alpha_prime_weights(kind, alpha, ap, dist, N)
+    if bracket is not None:
+        c_ap = _alpha_prime_weights(bracket, alpha, ap, dist, N)
         c_ap[: c.size] += c
         c = c_ap
     w = _scaled_moments(x, t, end, sgn * dist, c.size, tol)
@@ -447,21 +461,18 @@ def approximate(
     value = math.fsum(terms)
     rounding = (_ROUNDING_TERMS + len(terms)) * _EPS * math.fsum(map(abs, terms))
     bounds = derivative_bound(x, (n + 1,) if ap == 0.0 else (1, n + 1), min(end, t), max(end, t))
-    return ApproxResult(
-        value=value,
-        error_bound=error_bound(kind, params, alpha, ap, dist, bounds) + rounding,
-        bound_kind="estimated" if bounds.estimated else "analytic",
-    )
+    return ApproxResult(value, _error_bound(params, alpha, ap, dist, bounds, bracket) + rounding,
+                        "estimated" if bounds.estimated else "analytic")
 
 
-def _alpha_prime_weights(kind: Kind, alpha: float, ap: float, dist: float, N: int) -> np.ndarray:
+def _alpha_prime_weights(bracket: float, alpha: float, ap: float, dist: float, N: int) -> np.ndarray:
     """Weights on W_0..W_2N of the alpha' term of types I and II:
     K (bracket sum_p sb_p W_p + sum_{p,r} sb_p W_(p+r) / r), p = 0..N, r = 1..N,
     with K = alpha' dist^(2-alpha) / Gamma(2-alpha), sb_p = (-1)^p C(1-alpha, p)
-    and the bracket of ``_log_bracket``.  Gathered by q = p + r, the double
-    sum weights W_q by entry q-1 of the convolution of sb with 1/r."""
+    and the bracket ``_log_bracket(kind, alpha, dist)``.  Gathered by q = p + r,
+    the double sum weights W_q by entry q-1 of the convolution of sb with 1/r."""
     sb = _signed_binomials(1.0 - alpha, N + 1)
     c = np.zeros(2 * N + 1)
-    c[: N + 1] = _log_bracket(kind, alpha, dist) * sb
-    c[1:] += np.convolve(sb, 1.0 / np.arange(1, N + 1))
-    return np.multiply(c, ap * dist ** (2.0 - alpha) / gamma(2.0 - alpha), out=c)
+    c[: N + 1] = bracket * sb
+    c[1:] += np.convolve(sb, 1.0 / (_K1[:N] if N <= _K1.size else np.arange(1.0, N + 1.0)))
+    return np.multiply(c, ap * dist ** (2.0 - alpha) / math.gamma(2.0 - alpha), out=c)

@@ -160,10 +160,11 @@ class TestExpansionDepth:
         err = capsys.readouterr().err
         assert "--n" in err and "order 4" in err and "fallback" not in err
 
-    @pytest.mark.parametrize("n", ["0", "3"])
+    @pytest.mark.parametrize("n", ["0", "3", "4"])
     def test_convergence_n_outside_its_N_names_the_flag(self, n, capsys):
         # The sweep's N are 2, 4 and 6, none of them a flag, so the error
-        # names --n and those N rather than one N the user never gave.
+        # names --n and those N rather than one N the user never gave.  At
+        # --n 4 it is the same message, not a limit of 3 that --n 3 refuses.
         assert main(["convergence", "--n", n, "--points", "3"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "--n must be 1 or 2" in err and "2, 4 and 6" in err and "N=2" not in err

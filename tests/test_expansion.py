@@ -445,6 +445,30 @@ class TestMomentPass:
                 compared += len(kept)
         assert compared > 10_000
 
+    def test_relative_limit_keeps_rows_above_tol(self, monkeypatch):
+        # At x = 1e9 t^2 the summed cheap bounds exceed tol = 1e-8, so the
+        # shortcut that keeps every row when all of them are at most tol
+        # does not apply, but they meet 1e-12 |W_k|: the per-row test keeps
+        # every row, with no QUADPACK call, and W is 1e9 times that of t^2.
+        base = power_function(2.0, 0.0, 1.0, Side.LEFT)
+        scaled = lambda fn: (lambda t: 1e9 * fn(t))
+        x = ScalarFunction(scaled(base.value), 0.0, 1.0, tuple(map(scaled, base.derivatives)),
+                           monotone_derivatives=True)
+        calls = []
+        monkeypatch.setattr(expansion, "_adaptive_quad", lambda *args, **kw: calls.append(args))
+        for t, count in [(0.7, 3), (0.3, 17), (1.0, 65)]:
+            f = x.deriv(1)(expansion._GK_NODES * t).reshape(expansion._GK_WEIGHTS.shape[:2])
+            v = expansion._GK_WEIGHTS * f[..., None]
+            v[..., 2] = np.abs(v[..., 2])
+            sums = expansion._power_table(count) @ v
+            total = np.maximum(50.0 * np.finfo(float).eps * sums[..., 2],
+                               200.0 * np.abs(sums[..., 0] - sums[..., 1])).sum(axis=0)
+            w = expansion._scaled_moments(x, t, 0.0, t, count, 1e-8)
+            assert total.max() > 1e-8 and (total <= 1e-12 * np.abs(w)).all(), (t, count)
+            want = 1e9 * expansion._scaled_moments(base, t, 0.0, t, count, 1e-8)
+            np.testing.assert_allclose(w, want, rtol=1e-15, atol=0.0)
+        assert calls == []
+
     def test_table_growth_keeps_rows(self, monkeypatch):
         # Growing the shared table to a larger count leaves the rows of a
         # smaller one, and so its W, bit for bit; the table is read-only.
@@ -776,26 +800,40 @@ class TestApproximation:
                 double = math.fsum(
                     sb[p] * w[p + r] / r for p in range(N + 1) for r in range(1, N + 1)
                 )
+                bracket = _log_bracket(kind, alpha, dist)
                 want = (0.4 * dist ** (2.0 - alpha) / gamma(2.0 - alpha)
-                        * (_log_bracket(kind, alpha, dist) * single + double))
-                weights = expansion._alpha_prime_weights(kind, alpha, 0.4, dist, N)
+                        * (bracket * single + double))
+                weights = expansion._alpha_prime_weights(bracket, alpha, 0.4, dist, N)
                 got = math.fsum((weights * w).tolist())
                 assert got == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("kind", [Kind.TYPE_I, Kind.TYPE_II])
-    @pytest.mark.parametrize("N", [1, 2, 8, 32])
+    @pytest.mark.parametrize("N", [1, 2, 8, 32, 4096, 4097])
     def test_weights_match_zeros_convolve_form(self, kind, N):
         # The weights scaled in place, bit for bit against the bracket row
         # and the convolution added into zeros, then scaled as a new array.
+        # The 1/r come from special's table up to N = 4096 and from their
+        # own row beyond it.
         for alpha in (0.05, 0.37, 0.93):
             for dist in (1e-6, 0.3, 1.0):
+                bracket = _log_bracket(kind, alpha, dist)
                 sb = _signed_binomials(1.0 - alpha, N + 1)
                 c = np.zeros(2 * N + 1)
-                c[: N + 1] = _log_bracket(kind, alpha, dist) * sb
+                c[: N + 1] = bracket * sb
                 c[1:] += np.convolve(sb, 1.0 / np.arange(1, N + 1))
                 want = 0.4 * dist ** (2.0 - alpha) / gamma(2.0 - alpha) * c
-                got = expansion._alpha_prime_weights(kind, alpha, 0.4, dist, N)
+                got = expansion._alpha_prime_weights(bracket, alpha, 0.4, dist, N)
                 assert got.tobytes() == want.tobytes(), (alpha, dist)
+
+    @pytest.mark.parametrize("ap", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", [Kind.TYPE_I, Kind.TYPE_II])
+    def test_non_finite_alpha_prime_rejected(self, kind, ap):
+        # An order built without admission can give a non-finite alpha'(t);
+        # the bound skips error_bound's checks but not this one.
+        order = OrderFunction(lambda t: 0.5, lambda t: ap, 0.0, 1.0)
+        x = power_function(2.0, 0.0, 1.0, Side.LEFT)
+        with pytest.raises(ValueError, match="alpha' must be finite"):
+            approximate(kind, x, order, 0.5, Side.LEFT, ExpansionParams(1, 4))
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("route", ["approximate", "moments", "caputo_quadrature"])

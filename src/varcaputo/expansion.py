@@ -51,7 +51,7 @@ from .reference import (
     _frame,
     _log_bracket,
 )
-from .special import _K1, DomainError, _signed_binomials, signed_binomial
+from .special import DomainError, _signed_binomials, signed_binomial
 
 __all__ = [
     "ExpansionParams",
@@ -396,8 +396,7 @@ def error_bound(
 
 def _error_bound(params: ExpansionParams, alpha: float, ap: float, dist: float,
                  L_bounds: DerivativeBound, bracket: float | None) -> float:
-    """The formula of ``error_bound`` at dist > 0, for arguments it admits; bracket is
-    ``_log_bracket``'s value, or None where there is no alpha' term."""
+    """``error_bound``'s formula at dist > 0; bracket is ``_log_bracket``'s or None."""
     n, N = params.n, params.N
     first = _bound_term(n, L_bounds[n + 1], alpha, N, dist)
     if bracket is None:
@@ -444,7 +443,7 @@ def approximate(
     if not math.isfinite(ap):
         raise ValueError(f"alpha' must be finite, got {ap}")
     n, N = params.n, params.N
-    bracket = None if ap == 0.0 else _log_bracket(kind, alpha, dist)
+    bracket = _log_bracket(kind, alpha, dist) if kind is not Kind.TYPE_III and ap != 0.0 else None
 
     # Weights sgn^p A_p dist^(p-alpha) on x^(p)(t) and c on W_0..W_(c.size-1);
     # the right side is the left one reflected, which changes only sgn.
@@ -460,7 +459,7 @@ def approximate(
     # The signed binomials alternate in sign: sum exactly to avoid cancellation.
     value = math.fsum(terms)
     rounding = (_ROUNDING_TERMS + len(terms)) * _EPS * math.fsum(map(abs, terms))
-    bounds = derivative_bound(x, (n + 1,) if ap == 0.0 else (1, n + 1), min(end, t), max(end, t))
+    bounds = derivative_bound(x, (n + 1,) if bracket is None else (1, n + 1), *sorted((end, t)))
     return ApproxResult(value, _error_bound(params, alpha, ap, dist, bounds, bracket) + rounding,
                         "estimated" if bounds.estimated else "analytic")
 
@@ -474,5 +473,5 @@ def _alpha_prime_weights(bracket: float, alpha: float, ap: float, dist: float, N
     sb = _signed_binomials(1.0 - alpha, N + 1)
     c = np.zeros(2 * N + 1)
     c[: N + 1] = bracket * sb
-    c[1:] += np.convolve(sb, 1.0 / (_K1[:N] if N <= _K1.size else np.arange(1.0, N + 1.0)))
+    c[1:] += np.convolve(sb, 1.0 / np.arange(1, N + 1))
     return np.multiply(c, ap * dist ** (2.0 - alpha) / math.gamma(2.0 - alpha), out=c)

@@ -510,7 +510,6 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
     p = np.arange(1, N + 1)
     (gbsv,) = get_lapack_funcs(("gbsv",), (band,))
     ab = np.empty_like(band, order="F")
-    diag = ab[kl + ku]  # a view: the step matrix's diagonal
 
     def terms(t: float) -> tuple[float, np.ndarray, np.ndarray]:
         """a, B_p/A and c(t)."""
@@ -543,23 +542,15 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
         r_w = r[m:].reshape(N, m)
         rho = bq @ r_w
         np.multiply(band, -c / (a_coef * beta), out=ab)
-        np.add(diag, 1.0, out=diag)
-        y = np.empty(r.shape)
-        b_u = np.subtract(k / a_coef, rho, out=y[:m])  # r_u + (c/beta) (k/a - rho), solved in y
-        b_u *= c / beta
-        b_u += r[:m]
-        _, _, y_u, info = gbsv(kl, ku, ab, b_u, overwrite_ab=True, overwrite_b=True)
+        ab[kl + ku] += 1.0
+        _, _, y_u, info = gbsv(kl, ku, ab, r[:m] + (c / beta) * (k / a_coef - rho),
+                               overwrite_ab=True, overwrite_b=True)
         if info != 0:
             raise SolverError(f"singular step matrix at t = {t} (LAPACK gbsv info {info})")
-        if not np.shares_memory(y_u, y):
-            y[:m] = y_u
-        ct_g = L @ y_u  # ((k + L y_u) / a - rho) c / (t beta), in place
-        ct_g += k
-        ct_g /= a_coef
-        ct_g -= rho
-        ct_g *= c / t / beta
-        y_w = np.add(r_w, ct_g, out=y[m:].reshape(N, m))
-        y_w *= q[:, None]
+        y = np.empty(r.shape)
+        y[:m] = y_u
+        ct_g = ((k + L @ y_u) / a_coef - rho) * (c / t / beta)
+        np.multiply(q[:, None], r_w + ct_g, out=y[m:].reshape(N, m))
         return y
 
     def kernel_error(alpha: float) -> float:

@@ -9,6 +9,10 @@ and ``error_bound`` as ``float.hex`` strings, or the class name of the
 exception the call raises.  The grid is kinds I-III, both sides, gamma in
 {0.5, 2, 3.5}, N in {2, 8, 32} and t at both ends and inside (0, 1), with
 n = 1, plus types I and III at N = 256 on the left, gamma = 2, t = 0.6.
+At gamma = 0.5 the derivatives of x are unbounded at the endpoint a (left) or
+b (right) that each call's interval reaches, so every bound there is inf:
+those entries pin the value (or the raised class) only, and the
+bound's bits are checked by the gamma = 2 and 3.5 entries.
 
 The tier-1 test (``test_golden.py``) compares every value to 1e-13 relative,
 since BLAS and NumPy builds may round differently; ``--exact`` asks for the

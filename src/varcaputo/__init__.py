@@ -19,7 +19,8 @@ from .order import *
 from .reference import *
 from .special import *
 
-#: ``pde.__all__``, so that ``__all__`` is whole before ``pde`` is imported.
+#: The one list of ``pde``'s public names, held here so that ``__all__`` is
+#: whole before ``pde`` is imported; ``pde.__all__`` is this tuple.
 _PDE_EXPORTS = ("Grid1D", "DiffusionProblem", "Field2D", "DegenerateCoefficientError",
                 "SolverError", "manufactured_diffusion", "manufactured_burgers", "diffusion_exact",
                 "burgers_exact", "solve_diffusion", "solve_burgers", "field_error")

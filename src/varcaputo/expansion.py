@@ -121,7 +121,7 @@ _GK_NODES, _GK_RULE, _GK_HALF = _gauss_kronrod_panels(_PANEL_EDGES)
 _GK_WEIGHTS = np.ascontiguousarray(_GK_HALF[:, None, None] * _GK_RULE[:, [0, 1, 0]])
 #: The shared power table of ``_power_table``, empty until its first use.
 _POWERS = np.empty((_GK_HALF.size, 0, _GK_RULE.shape[0]))
-_EPS = np.finfo(float).eps
+_EPS = math.ulp(1.0)
 #: The W_0 identity's allowance, per unit of dist and before its factor 100,
 #: on |x(t)| + |x(end)| for an x' that is a difference (``order._difference``,
 #: off by about sqrt(eps) |x| times the curvature of x).  On value-only e^t,
@@ -318,7 +318,7 @@ def moments(
         raise ValueError(f"p_max must be an integer of at least N = {params.N}, got {p_max!r}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    sgn, end, dist = _frame(x.a, x.b, t, side)
+    t, sgn, end, dist = _frame(x.a, x.b, t, side)
     count = p_max - params.n + 1
     if dist == 0.0:
         return np.zeros(count)
@@ -439,7 +439,7 @@ def approximate(
     """
     if (admitted := _admit(kind, order, t, side, x.a, x.b, tol)) is None:
         return ApproxResult(0.0, 0.0, "analytic")
-    sgn, end, dist, alpha, ap = admitted
+    t, sgn, end, dist, alpha, ap = admitted
     if not math.isfinite(ap):
         raise ValueError(f"alpha' must be finite, got {ap}")
     n, N = params.n, params.N

@@ -41,25 +41,11 @@ import numpy as np
 from scipy.integrate import OdeSolution
 from scipy.linalg import get_lapack_funcs
 
+from . import _PDE_EXPORTS as __all__
 from .expansion import ExpansionParams, coefficients_left
 from .order import OrderFunction
 from .reference import Kind, Side, power_closed_form
 from .special import DomainError
-
-__all__ = [
-    "Grid1D",
-    "DiffusionProblem",
-    "Field2D",
-    "DegenerateCoefficientError",
-    "SolverError",
-    "manufactured_diffusion",
-    "manufactured_burgers",
-    "diffusion_exact",
-    "burgers_exact",
-    "solve_diffusion",
-    "solve_burgers",
-    "field_error",
-]
 
 DEFAULT_T0 = 1e-4
 #: The stepper's tolerance is max(_TOL, _KERNEL_SHARE E_N): E_N is the

@@ -12,7 +12,7 @@ left operators integrate from end = a with sgn = +1, the right ones from
 end = b with sgn = -1, and dist = sgn (t - end).  The right-sided operator of
 x under alpha is the left-sided one of x(a+b-s) under alpha(a+b-s), so a side
 changes only that endpoint and sign.  Every point route, ``approximate``
-included, takes the frame, alpha(t) and alpha'(t) from the one ``_admit``.
+included, takes t as a float, the frame, alpha(t) and alpha'(t) from ``_admit``.
 
 The type III kernel |t-tau|^(-alpha) is weakly singular; the substitution
 u = |t-tau|^(1-alpha) turns it into a bounded integrand, after which ordinary
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -215,7 +216,7 @@ def caputo_quadrature(
     """
     if (admitted := _admit(kind, order, t, side, x.a, x.b, tol)) is None:
         return 0.0
-    sgn, _, dist, alpha, ap = admitted
+    t, sgn, _, dist, alpha, ap = admitted
     oma = 1.0 - alpha
     tol_each = tol if ap == 0.0 else tol / 2.0
     dx = x.deriv(1)
@@ -253,7 +254,7 @@ def power_closed_form(
         raise DomainError(f"power exponent must be positive, got {gamma_exp}")
     if (admitted := _admit(kind, order, t, side, order.a, order.b)) is None:
         return 0.0
-    sgn, _, dist, alpha, ap = admitted
+    _, sgn, _, dist, alpha, ap = admitted
     base = gamma_ratio(gamma_exp + 1.0, gamma_exp - alpha + 1.0) * dist ** (gamma_exp - alpha)
     if kind is Kind.TYPE_III:
         return base
@@ -293,7 +294,7 @@ def rl_from_caputo(
         return caputo_value
     if admitted is None:
         raise SingularityError("RL correction diverges at the endpoint for nonzero boundary value")
-    sgn, _, dist, alpha, ap = admitted
+    _, sgn, _, dist, alpha, ap = admitted
     static = boundary_value / gamma(1.0 - alpha) * dist ** (-alpha)
     moving = (
         boundary_value * ap / gamma(2.0 - alpha) * dist ** (1.0 - alpha)
@@ -302,45 +303,49 @@ def rl_from_caputo(
     return caputo_value + static + sgn * moving
 
 
-def _frame(a: float, b: float, t: float, side: Side) -> tuple[float, float, float]:
-    """The signed frame (sgn, end, dist) of a one-sided operator at t.
+def _frame(a: float, b: float, t: float, side: Side) -> tuple[float, float, float, float]:
+    """(t, sgn, end, dist): t as a Python float (a NumPy float32 would keep its
+    precision) and the signed frame of a one-sided operator at t.
 
     sgn = +1 and end = a on the left, sgn = -1 and end = b on the right, and
     dist = sgn (t - end) >= 0 is the length of the integration range.  The
     right-sided operators are the left-sided ones reflected through
-    s -> a + b - s, so a side changes only the endpoint and this sign.  A
-    side that is not a ``Side`` raises ``ValueError``.
+    s -> a + b - s, so a side changes only the endpoint and this sign.  A side
+    or t that is not a ``Side`` or ``numbers.Real`` raises ``ValueError``.
     """
     if not isinstance(side, Side):
         raise ValueError(f"side must be a Side, got {side!r}")
+    if not isinstance(t, (float, numbers.Real)):  # float first: it skips the slow ABC check
+        raise ValueError(f"t must be a real number, got {t!r}")
     if not a <= t <= b:
         raise SingularityError(f"t = {t} outside [{a}, {b}]")
+    t = float(t)
     sgn, end = (1.0, a) if side is Side.LEFT else (-1.0, b)
-    return sgn, end, abs(t - end)
+    return t, sgn, end, abs(t - end)
 
 
 def _admit(kind: Kind, order: OrderFunction, t: float, side: Side, a: float, b: float,
-           tol: float = DEFAULT_TOL) -> tuple[float, float, float, float, float] | None:
-    """(sgn, end, dist, alpha(t), alpha'(t)) of a point route at t on [a, b],
-    x's range (the order's where there is no x), or None at dist = 0, before
-    alpha is evaluated; alpha' is 0 for type III, with no ``alpha_prime``
-    call.  A kind or side that is not a ``Kind`` or ``Side``, or a tol that
-    is not positive and finite, raises ``ValueError``, a t outside the
-    order's domain or [a, b] ``SingularityError``, and an alpha(t) outside
-    (0, 1) ``DomainError``, naming t and alpha(t).
+           tol: float = DEFAULT_TOL) -> tuple[float, float, float, float, float, float] | None:
+    """(t, sgn, end, dist, alpha(t), alpha'(t)) of a point route at the float
+    t of ``_frame`` on [a, b], x's range (the order's where there is no x),
+    or None at dist = 0, before alpha is evaluated; alpha' is 0 for type III,
+    with no ``alpha_prime`` call.  A kind, side or t that is not a ``Kind``,
+    ``Side`` or real, or a tol that is not positive and finite, raises
+    ``ValueError``, a t outside the order's domain or [a, b]
+    ``SingularityError``, and an alpha(t) outside (0, 1) ``DomainError``.
     """
     if not isinstance(kind, Kind):
         raise ValueError(f"kind must be a Kind, got {kind!r}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     _frame(order.a, order.b, t, side)
-    sgn, end, dist = _frame(a, b, t, side)
+    t, sgn, end, dist = _frame(a, b, t, side)
     if dist == 0.0:
         return None
     alpha = order.alpha(t)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0,1), got alpha({t}) = {alpha}")
-    return sgn, end, dist, alpha, 0.0 if kind is Kind.TYPE_III else order.alpha_prime(t)
+    return t, sgn, end, dist, alpha, 0.0 if kind is Kind.TYPE_III else order.alpha_prime(t)
 
 
 def _log_bracket(kind: Kind, alpha: float, dist: float) -> float:

@@ -111,24 +111,20 @@ def digamma(x: float) -> float:
     return acc + math.log(x) - 0.5 / x - s * series
 
 
-#: k and k + 1 for k = 0..4095, read-only: the index rows of every
-#: signed-binomial row of up to 4097 entries are views into these 64 KiB.
+#: k = 0..4095, read-only: k and k + 1 of every signed-binomial row of up
+#: to 4096 entries are two views into these 32 KiB.
 _K = np.arange(4096.0)
-_K1 = _K + 1.0
-_K.flags.writeable = _K1.flags.writeable = False
+_K.flags.writeable = False
 
 
 def _signed_binomials(nu: float, count: int) -> np.ndarray:
     """(-1)^k C(nu, k) for k = 0..count-1, from 1 by the recurrence
     (-1)^(k+1) C(nu, k+1) = (-1)^k C(nu, k) (k - nu) / (k + 1), as the
     running product of the factors in one preallocated row."""
-    if count <= _K.size + 1:
-        k, k1 = _K[:count - 1], _K1[:count - 1]
-    else:
-        k, k1 = np.arange(count - 1.0), np.arange(1.0, count)
+    k = _K if count <= _K.size else np.arange(float(count))
     row = np.empty(count)
     row[0] = 1.0
-    np.divide(k - nu, k1, out=row[1:])
+    np.divide(k[:count - 1] - nu, k[1:count], out=row[1:])
     # The ufunc form of np.cumprod, in place, without its dispatch cost on short rows.
     return np.multiply.accumulate(row, out=row)
 
@@ -139,9 +135,10 @@ def signed_binomial(nu: float, p: int) -> float:
     The last entry of the row built by ``_signed_binomials``, so it costs
     O(p) time and memory.  Exact at p = 0.  For integer nu it is zero once
     p exceeds nu >= 0, and C(m+p-1, p), which is finite, for nu = -m.  It
-    needs no factorial, so it stays finite beyond p = 170.
+    needs no factorial, so it stays finite beyond p = 170.  A p that is not a
+    non-negative integer, inf and nan included, raises ``DomainError``.
     """
     nu = _check_finite(nu, "nu")
-    if p < 0 or p != int(p):
+    if not (0 <= p < math.inf and p == int(p)):
         raise DomainError(f"p must be a non-negative integer, got {p!r}")
     return float(_signed_binomials(nu, int(p) + 1)[-1])

@@ -1,5 +1,7 @@
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -914,3 +916,49 @@ class TestEnumArguments:
     def test_side_must_be_a_side(self, route, side, at_end):
         with pytest.raises(ValueError, match=re.escape(f"side must be a Side, got {side!r}")):
             _enum_routes(at_end)[route](Kind.TYPE_II, side)
+
+
+ORDER_T = affine_order(0.2, 0.3, (0.0, 2.0))
+
+
+def _point_routes(side: Side) -> dict:
+    """The four point routes on x = t^2 over [0, 2] under alpha = t/5 + 0.3,
+    as t -> their floats: value and bound for ``approximate``."""
+    x = power_function(2.0, 0.0, 2.0, side)
+
+    def approx(t):
+        r = approximate(Kind.TYPE_I, x, ORDER_T, t, side, ExpansionParams(1, 8))
+        return r.value, r.error_bound
+
+    return {
+        "approximate": approx,
+        "caputo_quadrature": lambda t: (caputo_quadrature(Kind.TYPE_II, x, ORDER_T, t, side),),
+        "power_closed_form": lambda t: (power_closed_form(Kind.TYPE_I, side, 2.0, ORDER_T, t),),
+        "rl_from_caputo": lambda t: (rl_from_caputo(Kind.TYPE_I, side, 1.25, 0.7, ORDER_T, t),),
+    }
+
+
+class TestEvaluationPoint:
+    """Every point route computes at t as a Python float: NumPy's scalar
+    promotion used to keep a float32 t in float32 through the route."""
+
+    @pytest.mark.parametrize("t", [np.float32(0.5), np.float32(0.3), np.float64(0.3), 1,
+                                   Fraction(3, 10)], ids=repr)
+    @pytest.mark.parametrize("side", list(Side))
+    @pytest.mark.parametrize("route", ["approximate", "caputo_quadrature", "power_closed_form",
+                                       "rl_from_caputo"])
+    def test_real_t_gives_the_float_bits(self, route, side, t):
+        fn = _point_routes(side)[route]
+        got, want = fn(t), fn(float(t))
+        assert all(type(v) is float for v in got + want), (got, want)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("t", ["0.5", Decimal("0.5"), 0.5 + 0j], ids=repr)
+    @pytest.mark.parametrize("route", ["approximate", "caputo_quadrature", "power_closed_form",
+                                       "rl_from_caputo", "moments"])
+    def test_non_real_t_rejected(self, route, t):
+        x = power_function(2.0, 0.0, 2.0)
+        fn = _point_routes(Side.LEFT).get(
+            route, lambda t: moments(x, Side.LEFT, t, ExpansionParams(1, 6), p_max=13))
+        with pytest.raises(ValueError, match=re.escape(f"t must be a real number, got {t!r}")):
+            fn(t)

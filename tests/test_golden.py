@@ -1,4 +1,4 @@
-"""The committed golden outputs of ``approximate`` (``golden.py``), to 1e-13."""
+"""The committed golden outputs of ``golden.py``, to 1e-13."""
 
 import math
 import pathlib
@@ -26,3 +26,14 @@ def test_approximate_matches_golden_file():
         for f in ("value", "error_bound"):
             a, b = float.fromhex(w[f]), float.fromhex(g[f])
             assert math.isclose(b, a, rel_tol=1e-13, abs_tol=0.0), (k, f, a, b)
+
+
+def test_pde_coefficients_and_quadrature_match_golden_file():
+    # The PDE solves, coefficient rows and quadratures of golden_pde.json:
+    # floats to 1e-13 (an array's relative to its largest entry), step and
+    # factorisation counts exactly; the hashes are for ``golden.py --exact``.
+    want = golden.load(golden.PDE_PATH)
+    got = golden.compute_pde()
+    assert got.keys() == want.keys()
+    for k, w in want.items():
+        assert golden.agree(w, got[k]) == [], k

@@ -54,3 +54,25 @@ def test_point_routes_load_no_scipy():
     done = subprocess.run([sys.executable, "-c", IMPORT_CODE], capture_output=True, text=True,
                           env=env, check=True, timeout=60)
     assert done.stdout.splitlines() == ["[]", "True varcaputo.pde", "True"]
+
+
+PDE_FIRST_CODE = """
+import varcaputo.pde as pde
+import varcaputo
+
+names = {}
+exec("from varcaputo.pde import *", names)
+print(pde.__all__ is varcaputo._PDE_EXPORTS)
+print(sorted(names.keys() - {"__builtins__"}) == sorted(pde.__all__))
+"""
+
+
+def test_pde_names_are_the_package_list():
+    # A fresh interpreter that imports ``pde`` before anything else: its
+    # ``__all__`` is the package's one list, and a star import binds exactly
+    # those names.
+    src = str(Path(varcaputo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", PDE_FIRST_CODE], capture_output=True, text=True,
+                          env=env, check=True, timeout=60)
+    assert done.stdout.splitlines() == ["True", "True"]

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import os
 import sys
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -164,21 +165,10 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-#: Figure-comparison panels: (label, kind, side).  The left panels
-#: differentiate x(t) = t^2, the right ones y(t) = (1-t)^2.
-FIGURE_PANELS = [
-    ("left_type1", Kind.TYPE_I, Side.LEFT),
-    ("left_type2", Kind.TYPE_II, Side.LEFT),
-    ("left_type3", Kind.TYPE_III, Side.LEFT),
-    ("right_type1", Kind.TYPE_I, Side.RIGHT),
-    ("right_type2", Kind.TYPE_II, Side.RIGHT),
-    ("right_type3", Kind.TYPE_III, Side.RIGHT),
-]
-
-
 def cmd_figures(args: argparse.Namespace) -> int:
-    """Per panel, rows (t, closed form, quadrature, closed forms at the
-    constant orders 0.1 and 0.6)."""
+    """Per panel, one per side and kind, rows (t, closed form, quadrature,
+    closed forms at the constant orders 0.1 and 0.6).  The left panels
+    differentiate x(t) = t^2, the right ones y(t) = (1-t)^2."""
     order = parse_order(args.order)
     ts = _t_grid(order, args.points)
     if args.out is None or args.out == "-":
@@ -186,7 +176,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     consts = [constant_order(c, (order.a, order.b)) for c in (0.1, 0.6)]
     header = ["t", "variable_closed", "variable_quad", "const_alpha_0.1", "const_alpha_0.6"]
-    for label, kind, side in FIGURE_PANELS:
+    for side, kind in itertools.product(Side, Kind):
+        label = f"{side.value}_type{kind.value}"
         x = power_function(2.0, order.a, order.b, side)
         rows = [
             [t, power_closed_form(kind, side, 2.0, order, t),

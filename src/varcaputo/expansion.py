@@ -432,18 +432,16 @@ def approximate(
     weights, their extra moments and the bound's x' maximum are skipped
     outright, so with alpha' = 0 the three kinds produce bitwise-equal
     values; otherwise one ``_log_bracket`` serves the weights and the bound.
-    t and tol are admitted on [x.a, x.b] by ``reference._admit``, which raises
-    its errors, so the bound skips ``error_bound``'s checks; a non-finite
-    alpha'(t) raises ``ValueError``.  A moment pass that fails the W_0
-    identity of ``_scaled_moments`` raises ``QuadratureError``.
+    t, tol, alpha(t) and alpha'(t) are admitted on [x.a, x.b] by
+    ``reference._admit``, which raises its errors, so the bound skips
+    ``error_bound``'s checks.  A moment pass that fails the W_0 identity of
+    ``_scaled_moments`` raises ``QuadratureError``.
     """
     if (admitted := _admit(kind, order, t, side, x.a, x.b, tol)) is None:
         return ApproxResult(0.0, 0.0, "analytic")
     t, sgn, end, dist, alpha, ap = admitted
-    if not math.isfinite(ap):
-        raise ValueError(f"alpha' must be finite, got {ap}")
     n, N = params.n, params.N
-    bracket = _log_bracket(kind, alpha, dist) if kind is not Kind.TYPE_III and ap != 0.0 else None
+    bracket = _log_bracket(kind, alpha, dist) if ap != 0.0 else None
 
     # Weights sgn^p A_p dist^(p-alpha) on x^(p)(t) and c on W_0..W_(c.size-1);
     # the right side is the left one reflected, which changes only sgn.

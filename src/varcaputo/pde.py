@@ -16,10 +16,10 @@ affine in the state, so each step is one linear solve with no Newton
 iteration, and every W_p row block is diagonal in W_p, so that solve
 reduces to one banded m x m system (m = mx - 1).  A step costs O(N m), and
 the step count is set by accuracy, not by the mx^2 stability limit of an
-explicit stepper nor by the 1/t growth of the Jacobian near t0.  That
-accuracy follows the kernel's truncation error: a small N, whose expansion
-error is large, gets a looser stepper tolerance.  The moments stay in the
-solver's continuous solution, ``Field2D.dense``.
+explicit stepper nor by the 1/t growth of the Jacobian near t0; its
+tolerance follows the kernel's truncation error, by the rule that
+``solve_diffusion`` states.  The moments stay in the solver's continuous
+solution, ``Field2D.dense``.
 
 The u_t coefficient A t^(1-alpha) vanishes at t = 0, so integration starts
 at a small t0 > 0 with u(t0) = g.  With D = d^2/dx^2 + w d/dx and alpha =
@@ -48,8 +48,7 @@ from .reference import Kind, Side, power_closed_form
 from .special import DomainError
 
 DEFAULT_T0 = 1e-4
-#: The stepper's tolerance is max(_TOL, _KERNEL_SHARE E_N): E_N is the
-#: kernel's truncation error per unit max|u_tt| (see ``solve_diffusion``).
+#: The floor and the kernel share of the stepper's tolerance (``solve_diffusion``).
 _TOL = 1e-8
 _KERNEL_SHARE = 3e-6
 
@@ -121,11 +120,9 @@ class Field2D:
     evaluator, so u[1:-1] equals dense(t_nodes)[:m] bit for bit; u[0] and
     u[-1] are boundary(t) at each time node, a float t.  ``meta`` records
     what the solve decided and counted: the grid, the stepper, its
-    tolerance ``tol`` (a float, max(_TOL, _KERNEL_SHARE E_N) as
-    ``solve_diffusion`` derives it, in an error weight tol (1 + |u|) on u,
-    so absolute for a solution far below 1; see ``_LinearBDF``), ``steps``
-    accepted steps and ``nlu`` banded m x m factorisations (one per step
-    attempt).
+    tolerance ``tol`` (a float; ``solve_diffusion`` states its rule and
+    weight), ``steps`` accepted steps and ``nlu`` banded m x m
+    factorisations (one per step attempt).
     """
 
     x_nodes: np.ndarray
@@ -159,10 +156,7 @@ def manufactured_diffusion(order: OrderFunction, N: int = 6) -> DiffusionProblem
         dt2 = power_closed_form(Kind.TYPE_III, Side.LEFT, 2.0, origin, t)
         return (dt2 + 4.0 * math.pi**2 * t**2) * np.sin(2.0 * np.pi * np.asarray(x))
 
-    def g(x: np.ndarray) -> np.ndarray:
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    return DiffusionProblem(order=order, N=N, f=f, g=g)
+    return DiffusionProblem(order=order, N=N, f=f, g=lambda x: 0.0)
 
 
 def manufactured_burgers(order: OrderFunction, N: int, t0: float = DEFAULT_T0) -> DiffusionProblem:
@@ -203,8 +197,8 @@ def _space_operator(mx: int, w: float) -> tuple:
     row's window, which is 5 nodes centred on the row's node, or, one node
     from a boundary, min(6, mx+1) nodes flush with that boundary.  Those
     solves are made once per process, at unit spacing, in ``_STENCILS`` (a
-    few hundred bytes), and nothing else is kept: each call scales them by
-    mx^2 and w mx into a new (mx - 1, mx + 1) D, its first allocation.  L = D[:, 1:-1] and the
+    few hundred bytes); each call scales them by mx^2 and w mx into a new
+    (mx - 1, mx + 1) D, its first allocation.  L = D[:, 1:-1] and the
     boundary columns are views of D, and the band holds L in LAPACK's gbsv
     layout, L[i, j] at band[kl + ku + i - j, j] below kl rows of fill-in
     space, with kl = ku = min(width - 2, mx - 2) from the windows.  Fourth
@@ -307,20 +301,16 @@ class _LinearBDF:
     Wanner's rule for the first step (Solving ODEs I, II.4).
 
     Every error norm (step acceptance, order choice, first step) covers
-    only y[:m], u in the PDE core, weighed against tol (1 + |u|) at the
-    unit scale of the PDEs ([0, 1]^2, O(1) data), with the ``tol`` that
-    ``solve_diffusion`` sets from the kernel's truncation error.  The
-    moments W_p ride along uncontrolled, as quadratures do in CVODES
-    (Hindmarsh et al., ACM TOMS 31, 2005): each W_p row is contractive at
-    rate p/t, driven by u_t alone, and reaches u only through sum_p b_p W_p.
-    Against a 1e-11 solve that controls every entry, the stepper's error
-    stays at most 3.7e-3 of the kernel error over 25 configurations
-    (alpha = (t + 5)/10, mt = 200: diffusion at mx 20, 40, 80 and N 3, 12,
-    96; Burgers at mx 20, 40, N 3, 6, 12, 96 and t0 1e-4, 1e-6), the worst
-    at N = 96, where tol = _TOL; at N <= 12 it is at most 1.1e-4.  The
-    limit: for a solution far below 1 the control is absolute (diffusion
-    scaled by 1e-2: share 9.3e-3 at mx = 40, N = 12, 0.23 at N = 96; by
-    1e-4: 0.094 and 14): rescale it.
+    only y[:m], u in the PDE core, with the weight and ``tol`` that
+    ``solve_diffusion`` states.  The moments W_p ride along uncontrolled,
+    as quadratures do in CVODES (Hindmarsh et al., ACM TOMS 31, 2005): each
+    W_p row is contractive at rate p/t, driven by u_t alone, and reaches u
+    only through sum_p b_p W_p.  Against a 1e-11 solve that controls every
+    entry, the stepper's error stays at most 3.7e-3 of the kernel error over
+    25 configurations (alpha = (t + 5)/10, mt = 200: diffusion at mx 20, 40,
+    80 and N 3, 12, 96; Burgers at mx 20, 40, N 3, 6, 12, 96 and t0 1e-4,
+    1e-6), the worst at N = 96, where tol = _TOL; at N <= 12 it is at most
+    1.1e-4.
 
     The vectors are short, so a step is bound by its count of NumPy calls:
     y_predict and r are one product of D[:k+1] with the rows (1, ..., 1) and
@@ -433,23 +423,25 @@ def solve_diffusion(problem: DiffusionProblem, grid: Grid1D) -> Field2D:
 
     after which g = ((c(t) + L y_u)/a - rho)/beta gives every y_p.  At n = 1
     every B_p and A is positive, so beta >= 1.  A step costs O(N m) and one
-    banded LU of L's bandwidth (at most 4 each side), whatever N is.  Each
-    solve builds its own D, band and views of D by ``_space_operator`` from
-    the unit stencils ``_STENCILS``, made once per process; no cache.
+    banded LU of L's bandwidth (at most 4 each side), whatever N is.
 
-    The stepper's tolerance is tol = max(_TOL, _KERNEL_SHARE E_N), with
-    E_N(alpha) = |C(1 - alpha, N + 1)| / Gamma(3 - alpha) the kernel's
-    truncation error per unit max|u_tt| (the sharp bound of the type III,
-    n = 1 expansion), taken from A_1 as (1 - alpha) A_1 / ((N + 1)(2 -
-    alpha)).  log E_N is concave in alpha, so over the alpha of a monotone
-    order it is least at alpha(t0) or alpha(1), the two alpha calls the
-    rule makes; an order that is not monotone can reach past both ends, and
-    its tol is then looser than _KERNEL_SHARE times the least E_N over
-    [t0, 1].  _KERNEL_SHARE = 3e-6 is the largest share tried (1e-6 to
-    3e-5) that keeps the carried moments within 1e-6 of the integrals of
-    u_t (4.5e-7 at 3e-6, 1.0e-6 at 5e-6, 6.9e-6 at 1e-5).  Where
-    _KERNEL_SHARE E_N < _TOL, as for N >= 16 at alpha = 1/2, the solve is
-    that of the fixed _TOL.
+    The stepper weighs its error in u, entry by entry, against tol (1 + |u|),
+    at the unit scale of these PDEs ([0, 1]^2, O(1) data), so for a solution
+    far below 1 the control is absolute (diffusion scaled by 1e-2: stepper
+    error 9.3e-3 of the kernel error at mx = 40, N = 12, 0.23 at N = 96; by
+    1e-4: 0.094 and 14): rescale it.  Its tolerance is
+    tol = max(_TOL, _KERNEL_SHARE E_N), with E_N(alpha) =
+    |C(1 - alpha, N + 1)| / Gamma(3 - alpha) the kernel's truncation error
+    per unit max|u_tt| (the sharp bound of the type III, n = 1 expansion),
+    taken from A_1 as (1 - alpha) A_1 / ((N + 1)(2 - alpha)).  log E_N is
+    concave in alpha, so over the alpha of a monotone order it is least at
+    alpha(t0) or alpha(1), the two alpha calls the rule makes; an order that
+    is not monotone can reach past both ends, and its tol is then looser
+    than _KERNEL_SHARE times the least E_N over [t0, 1].  _KERNEL_SHARE =
+    3e-6 is the largest share tried (1e-6 to 3e-5) that keeps the carried
+    moments within 1e-6 of the integrals of u_t (4.5e-7 at 3e-6, 1.0e-6 at
+    5e-6, 6.9e-6 at 1e-5).  Where _KERNEL_SHARE E_N < _TOL, as for N >= 16
+    at alpha = 1/2, the solve is that of the fixed _TOL.
 
     ``rhs`` and ``solve`` assemble a, b_p and c(t) at each call, which is once
     per t: each step attempt and each start-up call is at a new t.  Before any

@@ -244,11 +244,11 @@ def power_closed_form(
     """Exact derivative of (t-a)^gamma (left) or (b-t)^gamma (right).
 
     All three kinds share the leading term Gamma(gamma+1)/Gamma(gamma-alpha+1)
-    * dist^(gamma-alpha); types I and II add an alpha'-weighted term carrying
-    ln(dist) - Psi(gamma-alpha+2), with Psi(1-alpha) appearing for type I
-    only.  The correction enters with the sign -sgn of the signed frame:
-    minus on the left, plus on the right.  t is admitted on the order's
-    [a, b] by ``_admit``, which raises its errors.
+    * dist^(gamma-alpha); where alpha' != 0, types I and II add an
+    alpha'-weighted term carrying ln(dist) - Psi(gamma-alpha+2), with
+    Psi(1-alpha) appearing for type I only.  The correction enters with the
+    sign -sgn of the signed frame: minus on the left, plus on the right.  t
+    is admitted on the order's [a, b] by ``_admit``, which raises its errors.
     """
     if gamma_exp <= 0:
         raise DomainError(f"power exponent must be positive, got {gamma_exp}")
@@ -256,7 +256,7 @@ def power_closed_form(
         return 0.0
     _, sgn, _, dist, alpha, ap = admitted
     base = gamma_ratio(gamma_exp + 1.0, gamma_exp - alpha + 1.0) * dist ** (gamma_exp - alpha)
-    if kind is Kind.TYPE_III:
+    if ap == 0.0:
         return base
     bracket = math.log(dist) - digamma(gamma_exp - alpha + 2.0)
     if kind is Kind.TYPE_I:
@@ -328,11 +328,13 @@ def _admit(kind: Kind, order: OrderFunction, t: float, side: Side, a: float, b: 
            tol: float = DEFAULT_TOL) -> tuple[float, float, float, float, float, float] | None:
     """(t, sgn, end, dist, alpha(t), alpha'(t)) of a point route at the float
     t of ``_frame`` on [a, b], x's range (the order's where there is no x),
-    or None at dist = 0, before alpha is evaluated; alpha' is 0 for type III,
-    with no ``alpha_prime`` call.  A kind, side or t that is not a ``Kind``,
-    ``Side`` or real, or a tol that is not positive and finite, raises
-    ``ValueError``, a t outside the order's domain or [a, b]
-    ``SingularityError``, and an alpha(t) outside (0, 1) ``DomainError``.
+    or None at dist = 0, before alpha is evaluated.  It is the one place where
+    the point routes admit alpha(t) and alpha'(t); alpha' is 0 for type III,
+    with no ``alpha_prime`` call, so a route has an alpha' term iff alpha' != 0.
+    A kind, side or t that is not a ``Kind``, ``Side`` or real, a tol that is
+    not positive and finite, or a non-finite alpha'(t) raises ``ValueError``,
+    a t outside the order's domain or [a, b] ``SingularityError``, and an
+    alpha(t) outside (0, 1) ``DomainError``.
     """
     if not isinstance(kind, Kind):
         raise ValueError(f"kind must be a Kind, got {kind!r}")
@@ -345,7 +347,10 @@ def _admit(kind: Kind, order: OrderFunction, t: float, side: Side, a: float, b: 
     alpha = order.alpha(t)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0,1), got alpha({t}) = {alpha}")
-    return t, sgn, end, dist, alpha, 0.0 if kind is Kind.TYPE_III else order.alpha_prime(t)
+    ap = 0.0 if kind is Kind.TYPE_III else order.alpha_prime(t)
+    if not math.isfinite(ap):
+        raise ValueError(f"alpha' must be finite, got alpha'({t}) = {ap}")
+    return t, sgn, end, dist, alpha, ap
 
 
 def _log_bracket(kind: Kind, alpha: float, dist: float) -> float:

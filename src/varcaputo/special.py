@@ -121,7 +121,7 @@ def _signed_binomials(nu: float, count: int) -> np.ndarray:
     """(-1)^k C(nu, k) for k = 0..count-1, from 1 by the recurrence
     (-1)^(k+1) C(nu, k+1) = (-1)^k C(nu, k) (k - nu) / (k + 1), as the
     running product of the factors in one preallocated row."""
-    k = _K if count <= _K.size else np.arange(float(count))
+    k = _K if count <= _K.size else np.arange(count, dtype=float)
     row = np.empty(count)
     row[0] = 1.0
     np.divide(k[:count - 1] - nu, k[1:count], out=row[1:])
@@ -136,9 +136,12 @@ def signed_binomial(nu: float, p: int) -> float:
     O(p) time and memory.  Exact at p = 0.  For integer nu it is zero once
     p exceeds nu >= 0, and C(m+p-1, p), which is finite, for nu = -m.  It
     needs no factorial, so it stays finite beyond p = 170.  A p that is not a
-    non-negative integer, inf and nan included, raises ``DomainError``.
+    non-negative integer (inf and nan included), or whose p + 1 float64 pass
+    NumPy's largest array, raises ``DomainError`` before any allocation.
     """
     nu = _check_finite(nu, "nu")
     if not (0 <= p < math.inf and p == int(p)):
         raise DomainError(f"p must be a non-negative integer, got {p!r}")
+    if int(p) >= np.iinfo(np.intp).max // 8:
+        raise DomainError(f"p = {p!r} needs a row of p + 1 float64, past NumPy's largest array")
     return float(_signed_binomials(nu, int(p) + 1)[-1])

@@ -1,6 +1,6 @@
 """Golden outputs of the library: write them, or compare them bit for bit.
 
-    python tests/golden.py            # write both files under tests/data
+    python tests/golden.py            # write the three files under tests/data
     python tests/golden.py --exact    # compare bits; list the entries that moved
 
 ``golden_approximate.json``: each entry is one ``approximate`` call on
@@ -26,6 +26,14 @@ in {(1, 5), (2, 2), (2, 9), (3, 3), (3, 40)}; and ``caputo_quadrature`` over
 kinds I-III, both sides, gamma in {2, 3.5} and t in {0.05, 0.5, 0.95} under
 the order of the first file.
 
+``golden_cli.json``: the outputs of the command-line front end, run
+in-process through ``cli.main``: ``eval``, ``eval --kind 2 --side right
+--t 0.3``, ``convergence --kind 1 --points 41``, ``figures --points 5`` (one
+entry per file it writes), ``pde-diffusion --N 12 --mx 40`` and
+``pde-burgers --N 6``.  Each entry holds the exit code, the SHA-256 of the
+output, the fields of its ``#`` line (floats as ``float.hex``, integers and
+words as written), its CSV column names and every 200th CSV row.
+
 The tier-1 test (``test_golden.py``) compares every float to 1e-13 relative
 and everything else exactly, hashes aside, since BLAS and NumPy builds may
 round differently; an array's entries are compared relative to its largest,
@@ -36,10 +44,13 @@ and hashes, for a change that claims them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import pathlib
 import sys
+import tempfile
 
 import numpy as np
 
@@ -57,9 +68,11 @@ from varcaputo import (
     power_function,
     solve_diffusion,
 )
+from varcaputo.cli import main as cli_main
 
 PATH = pathlib.Path(__file__).with_name("data") / "golden_approximate.json"
 PDE_PATH = PATH.with_name("golden_pde.json")
+CLI_PATH = PATH.with_name("golden_cli.json")
 ORDER = affine_order(0.5, 0.49)
 GAMMAS = (0.5, 2.0, 3.5)
 NS = (2, 8, 32)
@@ -74,11 +87,15 @@ ALPHAS = (0.01, 0.3, 0.77, 0.999)
 DEPTHS = ((1, 5), (2, 2), (2, 9), (3, 3), (3, 40))
 QUAD_GAMMAS = (2.0, 3.5)
 QUAD_TS = (0.05, 0.5, 0.95)
+#: The CLI runs of ``golden_cli.json``; ``figures`` writes into a scratch directory.
+CLI_RUNS = ("eval", "eval --kind 2 --side right --t 0.3", "convergence --kind 1 --points 41",
+            "figures --points 5", "pde-diffusion --N 12 --mx 40", "pde-burgers --N 6")
+ROW_EVERY = 200
 
 #: Fields that hold floats as ``float.hex`` strings, alone or in (nested) lists.
-FLOATS = {"value", "error_bound", "head", "tail", "u", "dense", "t0", "tol"}
+FLOATS = {"value", "error_bound", "head", "tail", "u", "dense", "t0", "tol", "max_err", "rows"}
 #: Fields that only ``--exact`` compares.
-HASHES = {"u_sha256", "dense_sha256"}
+HASHES = {"u_sha256", "dense_sha256", "sha256"}
 
 
 def grid() -> list[tuple[Kind, Side, float, int, float]]:
@@ -145,8 +162,43 @@ def compute_pde() -> dict[str, dict]:
     return out
 
 
+def _word(v: str):
+    """A ``#`` field's value: an int, a float as ``float.hex``, or the word."""
+    for parse in (int, lambda s: float(s).hex()):
+        try:
+            return parse(v)
+        except ValueError:
+            pass
+    return v
+
+
+def _cli_entry(code: int, text: str) -> dict:
+    """One CLI output: exit code, SHA-256, ``#`` fields, columns, every 200th row."""
+    meta = [line for line in text.splitlines() if line.startswith("#")]
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    fields = dict(f.split("=", 1) for f in meta[0][1:].split()) if meta else {}
+    return {"exit": code, "sha256": hashlib.sha256(text.encode()).hexdigest(),
+            "header": {k: _word(v) for k, v in fields.items()}, "columns": lines[0],
+            "rows": [[float(v).hex() for v in line.split(",")] for line in lines[1::ROW_EVERY]]}
+
+
+def compute_cli() -> dict[str, dict]:
+    """The entries of ``golden_cli.json`` from the current code."""
+    out = {}
+    for run in CLI_RUNS:
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as s:
+            figures = run.startswith("figures")
+            code = cli_main(run.split() + (["--out", tmp] if figures else []))
+            if not figures:
+                out[run] = _cli_entry(code, s.getvalue())
+                continue
+            for path in sorted(pathlib.Path(tmp).iterdir()):
+                out[f"{run} {path.name}"] = _cli_entry(code, path.read_text())
+    return out
+
+
 #: Each golden file with the function that computes its entries.
-FILES = ((PATH, compute), (PDE_PATH, compute_pde))
+FILES = ((PATH, compute), (PDE_PATH, compute_pde), (CLI_PATH, compute_cli))
 
 
 def load(path: pathlib.Path = PATH) -> dict[str, dict]:

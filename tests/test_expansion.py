@@ -48,6 +48,21 @@ OUTSIDE_ROUTES = {
     "caputo_quadrature": lambda x, side, t: caputo_quadrature(Kind.TYPE_II, x, ORDER_B, t, side),
 }
 
+#: The point routes, each admitted by ``reference._admit``.
+POINT_ROUTES = ["approximate", "caputo_quadrature", "power_closed_form", "rl_from_caputo"]
+
+
+def _kind_routes(order: OrderFunction) -> dict:
+    """The four point routes on x = t^2 under order at t = 0.5, on the left,
+    called as kind -> value."""
+    x = power_function(2.0, 0.0, 1.0, Side.LEFT)
+    return {
+        "approximate": lambda kind: approximate(kind, x, order, 0.5, params=ExpansionParams(1, 4)),
+        "caputo_quadrature": lambda kind: caputo_quadrature(kind, x, order, 0.5),
+        "power_closed_form": lambda kind: power_closed_form(kind, Side.LEFT, 2.0, order, 0.5),
+        "rl_from_caputo": lambda kind: rl_from_caputo(kind, Side.LEFT, 1.0, 0.5, order, 0.5),
+    }
+
 
 class TestCoefficients:
     def test_frozen_values(self):
@@ -827,13 +842,32 @@ class TestApproximation:
 
     @pytest.mark.parametrize("ap", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("kind", [Kind.TYPE_I, Kind.TYPE_II])
-    def test_non_finite_alpha_prime_rejected(self, kind, ap):
+    @pytest.mark.parametrize("route", POINT_ROUTES)
+    def test_non_finite_alpha_prime_rejected(self, route, kind, ap):
         # An order built without admission can give a non-finite alpha'(t);
-        # the bound skips error_bound's checks but not this one.
+        # every point route refuses it, naming t, where three of the four
+        # used to return an inf or nan.
         order = OrderFunction(lambda t: 0.5, lambda t: ap, 0.0, 1.0)
-        x = power_function(2.0, 0.0, 1.0, Side.LEFT)
-        with pytest.raises(ValueError, match="alpha' must be finite"):
-            approximate(kind, x, order, 0.5, Side.LEFT, ExpansionParams(1, 4))
+        with pytest.raises(ValueError, match=re.escape(f"alpha' must be finite, got "
+                                                        f"alpha'(0.5) = {ap}")):
+            _kind_routes(order)[route](kind)
+
+    @pytest.mark.parametrize("route", POINT_ROUTES)
+    def test_type3_never_calls_alpha_prime(self, route):
+        # alpha' is admitted by reference._admit alone, which skips it for
+        # type III; types I and II call it once, at t.
+        calls = []
+        order = OrderFunction(lambda t: 0.5, lambda t: calls.append(t) or 0.2, 0.0, 1.0)
+        fn = _kind_routes(order)[route]
+        if route == "rl_from_caputo":  # type III has no RL counterpart
+            with pytest.raises(DomainError, match="types I and II only"):
+                fn(Kind.TYPE_III)
+        else:
+            fn(Kind.TYPE_III)
+        assert calls == []
+        for kind in (Kind.TYPE_I, Kind.TYPE_II):
+            fn(kind)
+        assert calls == [0.5, 0.5]
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("route", ["approximate", "moments", "caputo_quadrature"])
@@ -945,8 +979,7 @@ class TestEvaluationPoint:
     @pytest.mark.parametrize("t", [np.float32(0.5), np.float32(0.3), np.float64(0.3), 1,
                                    Fraction(3, 10)], ids=repr)
     @pytest.mark.parametrize("side", list(Side))
-    @pytest.mark.parametrize("route", ["approximate", "caputo_quadrature", "power_closed_form",
-                                       "rl_from_caputo"])
+    @pytest.mark.parametrize("route", POINT_ROUTES)
     def test_real_t_gives_the_float_bits(self, route, side, t):
         fn = _point_routes(side)[route]
         got, want = fn(t), fn(float(t))
@@ -954,8 +987,7 @@ class TestEvaluationPoint:
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
     @pytest.mark.parametrize("t", ["0.5", Decimal("0.5"), 0.5 + 0j], ids=repr)
-    @pytest.mark.parametrize("route", ["approximate", "caputo_quadrature", "power_closed_form",
-                                       "rl_from_caputo", "moments"])
+    @pytest.mark.parametrize("route", POINT_ROUTES + ["moments"])
     def test_non_real_t_rejected(self, route, t):
         x = power_function(2.0, 0.0, 2.0)
         fn = _point_routes(Side.LEFT).get(

@@ -37,3 +37,14 @@ def test_pde_coefficients_and_quadrature_match_golden_file():
     assert got.keys() == want.keys()
     for k, w in want.items():
         assert golden.agree(w, got[k]) == [], k
+
+
+def test_cli_outputs_match_golden_file():
+    # Exit codes, '#' fields, column names and every 200th CSV row of the
+    # CLI runs, floats to 1e-13 (a row block's relative to its largest
+    # entry); the output hashes are for ``golden.py --exact``.
+    want = golden.load(golden.CLI_PATH)
+    got = golden.compute_cli()
+    assert got.keys() == want.keys()
+    for k, w in want.items():
+        assert golden.agree(w, got[k]) == [], k

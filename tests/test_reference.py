@@ -219,6 +219,16 @@ class TestStructuralProperties:
             vals = {caputo_quadrature(kind, x, order, t, side) for kind in Kind}
             assert len(vals) == 1
 
+    @pytest.mark.parametrize("gamma_exp", [0.5, 1.0, 2.0, 3.5])
+    @pytest.mark.parametrize("side", list(Side))
+    def test_closed_forms_agree_bitwise_at_constant_order(self, gamma_exp, side):
+        # With alpha' = 0 types I and II return type III's leading term
+        # itself, at both ends of [a, b] too.
+        order = constant_order(0.4, (0.0, 1.0))
+        for t in (0.0, 1e-9, 0.3, 0.7, 1.0 - 1e-9, 1.0):
+            vals = {power_closed_form(kind, side, gamma_exp, order, t).hex() for kind in Kind}
+            assert len(vals) == 1, (t, vals)
+
     @pytest.mark.parametrize("kind", list(Kind))
     def test_alpha_outside_unit_interval_rejected(self, kind):
         # alpha is 0.5 on every point of the 101-point admission grid, so the

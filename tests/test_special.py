@@ -126,7 +126,9 @@ class TestSignedBinomial:
         for k in range(6):
             assert signed_binomial(-2.0, k) == math.comb(k + 1, k)
 
-    @pytest.mark.parametrize("p", [-1, 1.5, math.inf, math.nan])
+    # 10**30 and 2**62 are past NumPy's largest float64 row, so they are
+    # refused before any allocation; no size below that limit is tried.
+    @pytest.mark.parametrize("p", [-1, 1.5, math.inf, math.nan, 10**30, 2**62])
     def test_non_integer_or_negative_p_rejected(self, p):
         with pytest.raises(DomainError):
             signed_binomial(0.5, p)

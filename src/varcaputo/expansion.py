@@ -17,9 +17,10 @@ geometrically towards the endpoint s = 0, evaluates x' once and yields every
 W_k with an upper bound on QUADPACK's qk21 error estimate; a W_k whose
 bound misses the tolerance (an endpoint-singular x', say) is recomputed by
 adaptive QUADPACK quadrature alone.  The pass is one batched product of a
-shared power table s_j^k on the fixed nodes with three weighted columns of
-x' (Kronrod and Gauss weights times x', Kronrod weights times |x'|); the
-array x' returns is used without a copy and only read.  The table does not
+shared power table s_j^k on the fixed nodes with the Kronrod and Gauss
+weighted columns of x', plus a third, Kronrod weights times |x'|, only where
+one dot of those weights with |x'| cannot clear every row; the array x'
+returns is used without a copy and only read.  The table does not
 depend on x, t or alpha: it is built on first use, rebuilt when a larger
 count is asked for, and read-only.  The derivative maxima behind the error
 bound come from the two ends of the range where the function declares
@@ -119,6 +120,8 @@ _GK_NODES, _GK_RULE, _GK_HALF = _gauss_kronrod_panels(_PANEL_EDGES)
 #: half-length: shape (panel, node, 3), C-contiguous, as the moment pass's
 #: batched product sums in an order that depends on the layout.
 _GK_WEIGHTS = np.ascontiguousarray(_GK_HALF[:, None, None] * _GK_RULE[:, [0, 1, 0]])
+#: Its Kronrod and Gauss columns alone, and its Kronrod weights node by node.
+_GK_PAIR, _GK_KRONROD = np.ascontiguousarray(_GK_WEIGHTS[..., :2]), _GK_WEIGHTS[..., 0].ravel()
 #: The shared power table of ``_power_table``, empty until its first use.
 _POWERS = np.empty((_GK_HALF.size, 0, _GK_RULE.shape[0]))
 _EPS = math.ulp(1.0)
@@ -250,16 +253,19 @@ def _scaled_moments(x: ScalarFunction, t: float, end: float, step: float, count:
     (b, -dist) on the right.
 
     x' is sampled once on the fixed nodes by ``_sample``, whose array is
-    only read.  One product of x' with ``_GK_WEIGHTS`` and |.| of the third
-    column in place give the columns K x', G x' and K |x'| (the Kronrod
-    weights K are positive).  One batched product of the shared power table
-    s_j^k (``_power_table``) with them gives, per panel and k, the Kronrod
-    sum (summed over panels, W_k), the Gauss sum and resabs.  On a panel,
-    max(50 eps resabs, 200 |K21 - G10|) bounds QUADPACK's qk21 error
-    estimate.  W_k is kept exactly when this bound, summed over panels, is
-    at most max(tol, 1e-12 |W_k|), and recomputed by adaptive quadrature
-    otherwise, a nan bound included; when every sum is at most tol, that
-    per-row test is skipped, as it would keep every row.
+    only read.  On a panel, max(50 eps resabs, 200 |K21 - G10|) bounds
+    QUADPACK's qk21 error estimate; W_k is kept exactly when this bound,
+    summed over panels, is at most max(tol, 1e-12 |W_k|), and recomputed by
+    adaptive quadrature otherwise, a nan bound included.  As s^k <= 1 and
+    max(a, b) <= a + b, that sum is at most c_k = 50 eps R0 + 200 sum_p
+    |K21 - G10|, R0 = sum_j K_j |x'_j| on all nodes (Kronrod weights K > 0).
+    So one batched product of the shared power table s_j^k
+    (``_power_table``) with the columns K x' and G x' gives per panel the
+    sums K21 (over panels, W_k) and G10, and keeps every row when each
+    c_k (1 + 1e-12) + 1e-300, a margin for rounding (subnormal too), meets
+    its limit; the largest is tried first against tol, the lowest limit.
+    Otherwise, or for R0 above 1e300 (an inf, nan or huge x'), a third
+    column K |x'| gives resabs, under ``np.errstate``, for the per-panel test.
 
     The result is checked against the exact identity
     sgn dist W_0 = x(t) - x(end) (two calls of x): a gap above
@@ -271,18 +277,22 @@ def _scaled_moments(x: ScalarFunction, t: float, end: float, step: float, count:
     multiple of sqrt(eps) |x|.
     """
     dx = x.deriv(1)
-    f = _sample(dx, end + _GK_NODES * step).reshape(_GK_WEIGHTS.shape[:2])
-    with np.errstate(all="ignore"):  # an inf in x' gives nan rows, which fall back
-        v = _GK_WEIGHTS * f[..., None]
-        np.abs(v[..., 2], out=v[..., 2])
-        sums = _power_table(count) @ v
-        kronrod = sums[..., 0]
-        w = kronrod.sum(axis=0)
-        bound = np.maximum(50.0 * _EPS * sums[..., 2], 200.0 * np.abs(kronrod - sums[..., 1]))
-        total = bound.sum(axis=0)
-        # No row's limit max(tol, 1e-12 |W_k|) is below tol; negated, a nan total falls back.
-        rows = [] if total.max() <= tol else \
-            np.flatnonzero(~(total <= np.maximum(tol, 1e-12 * np.abs(w))))
+    f = _sample(dx, end + _GK_NODES * step)
+    r0, f, rows = np.abs(f) @ _GK_KRONROD, f.reshape(_GK_WEIGHTS.shape[:2]), None
+    if r0 <= 1e300:  # else an inf, nan or huge x': the per-panel test below
+        sums = _power_table(count) @ (_GK_PAIR * f[..., None])
+        w, spread = sums[..., 0].sum(axis=0), np.abs(sums[..., 0] - sums[..., 1]).sum(axis=0)
+        cap = lambda d: (50.0 * _EPS * r0 + 200.0 * d) * (1.0 + 1e-12) + 1e-300
+        if cap(spread.max()) <= tol or (cap(spread) <= np.maximum(tol, 1e-12 * np.abs(w))).all():
+            rows = ()
+    if rows is None:
+        with np.errstate(all="ignore"):  # an inf in x' gives nan rows, which fall back
+            v = _GK_WEIGHTS * f[..., None]
+            np.abs(v[..., 2], out=v[..., 2])
+            sums = _power_table(count) @ v
+            w = sums[..., 0].sum(axis=0)
+            bound = np.maximum(50.0 * _EPS * sums[..., 2], 200.0 * np.abs(sums[..., 0] - sums[..., 1]))
+            rows = np.flatnonzero(~(bound.sum(axis=0) <= np.maximum(tol, 1e-12 * np.abs(w))))
     for k in map(int, rows):
         w[k] = _adaptive_quad(
             lambda s: s**k * dx(end + s * step), 0.0, 1.0, tol, what=f"scaled moment k={k}"
@@ -343,6 +353,11 @@ def derivative_bound(
     """
     if not x.a <= lo <= hi <= x.b:
         raise SingularityError(f"range [{lo}, {hi}] not inside [{x.a}, {x.b}]")
+    return DerivativeBound(*_maxima(x, orders, lo, hi))
+
+
+def _maxima(x: ScalarFunction, orders: tuple[int, ...], lo: float, hi: float) -> tuple[dict, bool]:
+    """``derivative_bound``'s maxima and estimated flag, on a range known to lie in [x.a, x.b]."""
     values: dict[int, float] = {}
     estimated = False
     ts = None
@@ -360,7 +375,7 @@ def derivative_bound(
             m *= _BOUND_SAFETY
             estimated = True
         values[p] = m
-    return DerivativeBound(values=values, estimated=estimated)
+    return values, estimated
 
 
 def error_bound(
@@ -395,7 +410,7 @@ def error_bound(
 
 
 def _error_bound(params: ExpansionParams, alpha: float, ap: float, dist: float,
-                 L_bounds: DerivativeBound, bracket: float | None) -> float:
+                 L_bounds: DerivativeBound | dict[int, float], bracket: float | None) -> float:
     """``error_bound``'s formula at dist > 0; bracket is ``_log_bracket``'s or None."""
     n, N = params.n, params.N
     first = _bound_term(n, L_bounds[n + 1], alpha, N, dist)
@@ -433,9 +448,9 @@ def approximate(
     outright, so with alpha' = 0 the three kinds produce bitwise-equal
     values; otherwise one ``_log_bracket`` serves the weights and the bound.
     t, tol, alpha(t) and alpha'(t) are admitted on [x.a, x.b] by
-    ``reference._admit``, which raises its errors, so the bound skips
-    ``error_bound``'s checks.  A moment pass that fails the W_0 identity of
-    ``_scaled_moments`` raises ``QuadratureError``.
+    ``reference._admit``, which raises its errors, so the bound skips the
+    checks of ``error_bound`` and ``derivative_bound``.  A moment pass that
+    fails the W_0 identity of ``_scaled_moments`` raises ``QuadratureError``.
     """
     if (admitted := _admit(kind, order, t, side, x.a, x.b, tol)) is None:
         return ApproxResult(0.0, 0.0, "analytic")
@@ -457,9 +472,9 @@ def approximate(
     # The signed binomials alternate in sign: sum exactly to avoid cancellation.
     value = math.fsum(terms)
     rounding = (_ROUNDING_TERMS + len(terms)) * _EPS * math.fsum(map(abs, terms))
-    bounds = derivative_bound(x, (n + 1,) if bracket is None else (1, n + 1), *sorted((end, t)))
-    return ApproxResult(value, _error_bound(params, alpha, ap, dist, bounds, bracket) + rounding,
-                        "estimated" if bounds.estimated else "analytic")
+    maxima, estimated = _maxima(x, (n + 1,) if bracket is None else (1, n + 1), *sorted((end, t)))
+    return ApproxResult(value, _error_bound(params, alpha, ap, dist, maxima, bracket) + rounding,
+                        "estimated" if estimated else "analytic")
 
 
 def _alpha_prime_weights(bracket: float, alpha: float, ap: float, dist: float, N: int) -> np.ndarray:

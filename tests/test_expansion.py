@@ -1,12 +1,15 @@
 import math
 import re
+import warnings
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import varcaputo.expansion as expansion
 from varcaputo.expansion import (
@@ -375,6 +378,36 @@ def _reference_pass(dx, end, step, count, tol):
     return w, fallback, missed
 
 
+def _three_column_sums(f, count):
+    """K21, G10 and resabs per panel and k, shape (panel, k, 3): the power
+    table times the columns K x', G x' and K |x'| of the node values f."""
+    v = expansion._GK_WEIGHTS * np.reshape(f, expansion._GK_WEIGHTS.shape[:2])[..., None]
+    np.abs(v[..., 2], out=v[..., 2])
+    return expansion._power_table(count) @ v
+
+
+def _three_column_pass(x, end, step, count, tol):
+    """The moment pass with resabs from a third product column and the
+    per-panel test on every call, without the W_0 check, as the oracle of
+    the two-column test: W, with each row whose summed per-panel bound
+    misses max(tol, 1e-12 |W_k|) taken from ``expansion._adaptive_quad``."""
+    dx = x.deriv(1)
+    with np.errstate(all="ignore"):
+        sums = _three_column_sums(expansion._sample(dx, end + expansion._GK_NODES * step), count)
+        kronrod = sums[..., 0]
+        w = kronrod.sum(axis=0)
+        bound = np.maximum(50.0 * np.finfo(float).eps * sums[..., 2],
+                           200.0 * np.abs(kronrod - sums[..., 1]))
+        total = bound.sum(axis=0)
+        rows = [] if total.max() <= tol else \
+            np.flatnonzero(~(total <= np.maximum(tol, 1e-12 * np.abs(w))))
+    for k in map(int, rows):
+        w[k] = expansion._adaptive_quad(
+            lambda s: s**k * dx(end + s * step), 0.0, 1.0, tol, what=f"scaled moment k={k}"
+        )
+    return w
+
+
 class TestSample:
     TS = np.linspace(0.1, 0.9, 7)
 
@@ -410,10 +443,10 @@ class TestSample:
 
 class TestMomentPass:
     def test_weighted_columns_match_two_product_form(self):
-        # The three weighted columns come from one product and an in-place
-        # |.|; they must equal K x', G x' and K |x'| written out, and so must
-        # every W, bit for bit (the batched product's sums depend on the
-        # columns' memory layout too).
+        # W from the pass, whether it takes two product columns or three,
+        # must equal the Kronrod sums of the product with K x', G x' and
+        # K |x'| written out, bit for bit (the batched product's sums depend
+        # on the columns' memory layout too).
         for g, side, t in [(3.5, Side.RIGHT, 0.4), (2.0, Side.LEFT, 0.6), (7.0, Side.LEFT, 0.3)]:
             x = power_function(g, 0.0, 1.0, side)
             end, step = (0.0, t) if side is Side.LEFT else (1.0, t - 1.0)
@@ -526,6 +559,143 @@ class TestMomentPass:
             bound = max(50.0 * np.finfo(float).eps * (np.abs(panel) @ wk), 200.0 * abs(panel @ wk - panel @ wg))
             estimate = _qk21_estimate(panel)
         assert estimate <= bound
+
+    @staticmethod
+    def _outcome(run, fell_back):
+        """W's bytes, or the QuadratureError's text, and the rows that went
+        to ``_adaptive_quad`` (recorded into fell_back) while run ran."""
+        fell_back.clear()
+        try:
+            result = run().tobytes()
+        except QuadratureError as exc:
+            result = str(exc)
+        return result, list(fell_back)
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Record each row sent to ``_adaptive_quad`` and each entry into
+        np.errstate(all=...); returns (rows, entries)."""
+        adaptive_quad, errstate = expansion._adaptive_quad, np.errstate
+        rows, entries = [], []
+
+        def spy(fn, lo, hi, tol, what):
+            rows.append(int(what.rsplit("=", 1)[1]))
+            return adaptive_quad(fn, lo, hi, tol, what=what)
+
+        def counting(*args, **kw):
+            entries.extend(["all"] if "all" in kw else [])
+            return errstate(*args, **kw)
+
+        monkeypatch.setattr(expansion, "_adaptive_quad", spy)
+        monkeypatch.setattr(np, "errstate", counting)
+        return rows, entries
+
+    def test_matches_three_column_pass(self, monkeypatch):
+        # The two-column test keeps a row only where the per-panel test of
+        # the three-column pass keeps it too, so every W bit and every row
+        # sent to QUADPACK (and every QUADPACK error) is the three-column
+        # pass's.  The fast cases clear the two-column test and enter no
+        # np.errstate; the others (an endpoint-singular x', 801 rows at
+        # N = 400, x' = inf at 210 nodes) take the three-column pass.
+        expansion._power_table(801)  # built here, outside the errstate count
+        power = lambda g, side: power_function(g, 0.0, 1.0, side)
+        scaled = lambda c, fn: (lambda t: c * fn(t))
+        square, root = power(2.0, Side.LEFT), power(0.5, Side.RIGHT)
+        big_square = ScalarFunction(scaled(1e9, square.value), 0.0, 1.0,
+                                    tuple(scaled(1e9, d) for d in square.derivatives))
+        linear = ScalarFunction(lambda t: 3.0 * t, 0.0, 1.0, (lambda t: 3.0,))  # x' broadcast
+        fast = [(square, Side.LEFT, t, count) for t in (0.3, 0.7, 1.0, 1e-6) for count in (3, 17, 65)]
+        fast += [(power(3.5, Side.RIGHT), Side.RIGHT, 0.4, count) for count in (1, 3, 65)]
+        fast += [(big_square, Side.LEFT, t, count) for t, count in [(0.7, 3), (0.3, 17), (1.0, 65)]]
+        fast += [(linear, side, 0.5, 13) for side in Side]
+        fast += [(power(g, Side.RIGHT), Side.RIGHT, 1.0 - 2.0**-53, 13) for g in (2.0, 3.5)]
+        slow = [(power(0.5, Side.LEFT), Side.LEFT, 1e-6, count) for count in (13, 65)]
+        slow += [(square, Side.LEFT, 0.5, 801)]
+        # x' = +-1e7 on the halves: W_0 cancels to about 1e-9, and 50 eps resabs alone
+        # sends row 0 to QUADPACK.
+        step = ScalarFunction(lambda t: 1e7 * np.minimum(t, 1.0 - t), 0.0, 1.0,
+                              (lambda t: np.where(t < 0.5, 1e7, -1e7),))
+        slow += [(step, Side.LEFT, 1.0, count) for count in (1, 17)]
+        # x = 1e12 sin 12.5t: the summed bounds of rows 0 and 1 are 1.1-2.1e-12 |W_k|.
+        wave = ScalarFunction(lambda t: 1e12 * np.sin(12.5 * t), 0.0, 1.0,
+                              (lambda t: 1.25e13 * np.cos(12.5 * t),))
+        slow += [(wave, Side.LEFT, 1.0, 2)]
+        slow += [(root, Side.RIGHT, t, 13) for t in (0.3, 0.9, 1.0 - 2.0**-53)]
+        rows, entries = self._record(monkeypatch)
+        fell_back = {}
+        for cases, path in ((fast, []), (slow, ["all"])):
+            for x, side, t, count in cases:
+                end = 0.0 if side is Side.LEFT else 1.0
+                want = self._outcome(lambda: _three_column_pass(x, end, t - end, count, 1e-8), rows)
+                entries.clear()
+                got = self._outcome(lambda: expansion._scaled_moments(x, t, end, t - end, count, 1e-8),
+                                    rows)
+                assert got == want, (side, t, count)
+                assert entries == path, (side, t, count)
+                fell_back[side, t, count] = got
+        assert sum(len(fell_back[Side.RIGHT, t, 13][1]) for t in (0.3, 0.9)) == 4
+        assert len(fell_back[Side.LEFT, 0.5, 801][1]) > 0
+        assert "value inf" in fell_back[Side.RIGHT, 1.0 - 2.0**-53, 13][0]
+        assert fell_back[Side.LEFT, 1.0, 17][1] == [0] and fell_back[Side.LEFT, 1.0, 2][1] == [0, 1]
+
+    def test_past_guard_warns_nothing(self, monkeypatch):
+        # A finite x' whose R0 is above 1e300, up to the largest float, and
+        # x' = inf at 210 nodes (right, t = 1 - 2^-53) take the three-column
+        # pass under np.errstate: no RuntimeWarning, and the oracle's outcome.
+        rows, entries = self._record(monkeypatch)
+        cases = [(ScalarFunction(lambda t, c=c: c * t, 0.0, 1.0, (lambda t, c=c: c,)), 0.0, 0.5)
+                 for c in (1e305, -1e305, np.finfo(float).max)]
+        cases += [(power_function(0.5, 0.0, 1.0, Side.RIGHT), 1.0, 1.0 - 2.0**-53)]
+        for x, end, t in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                want = self._outcome(lambda: _three_column_pass(x, end, t - end, 13, 1e-8), rows)
+                entries.clear()
+                got = self._outcome(lambda: expansion._scaled_moments(x, t, end, t - end, 13, 1e-8), rows)
+            assert got == want and entries == ["all"], (end, t)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        arrays(
+            float, 357,
+            elements=st.one_of(
+                st.floats(-1e300, 1e300, allow_subnormal=False),
+                st.floats(-1e-250, 1e-250, allow_subnormal=False),
+            ),
+            # The unset entries share one value: its runs cancel in K21 - G10.
+            fill=st.sampled_from([0.0, 1.0, -1.0, 1e300, -1e300, 1e-250]),
+        ),
+        st.integers(1, 130),
+    )
+    def test_two_column_bound_covers_panel_bound(self, f, count):
+        # c_k = (50 eps R0 + 200 sum_p |K21 - G10|) (1 + 1e-12) + 1e-300,
+        # R0 = sum_j K_j |x'_j|, is at least the per-panel bound
+        # max(50 eps resabs, 200 |K21 - G10|) summed over panels, for every
+        # k.  At the largest tol where the per-panel test sends a row to
+        # QUADPACK, the moment pass sends exactly its rows.
+        sums = _three_column_sums(f, count)
+        kronrod, gauss, resabs = np.moveaxis(sums, -1, 0)
+        eps = np.finfo(float).eps
+        total = np.maximum(50.0 * eps * resabs, 200.0 * np.abs(kronrod - gauss)).sum(axis=0)
+        spread = np.abs(kronrod - gauss).sum(axis=0)
+        r0 = np.abs(f) @ expansion._GK_KRONROD
+        cap = (50.0 * eps * r0 + 200.0 * spread) * (1.0 + 1e-12) + 1e-300
+        assert (cap >= total).all()
+
+        w = kronrod.sum(axis=0)
+        over = total > 1e-12 * np.abs(w)
+        tol = np.nextafter(total[over].max(), 0.0) if over.any() else 0.0
+        if tol > 0.0:
+            want = np.flatnonzero(~(total <= np.maximum(tol, 1e-12 * np.abs(w)))).tolist()
+            rows = []
+            record = lambda fn, lo, hi, tol, what: rows.append(int(what.rsplit("=", 1)[1])) or 0.0
+            x = ScalarFunction(lambda t: 0.0, 0.0, 1.0, (lambda t: f,))
+            with mock.patch.object(expansion, "_adaptive_quad", record):
+                try:
+                    expansion._scaled_moments(x, 0.5, 0.0, 0.5, count, tol)
+                except QuadratureError:
+                    pass  # the W_0 identity: x = 0 does not fit these values
+            assert want and rows == want
 
 
 class TestErrorBound:

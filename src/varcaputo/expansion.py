@@ -18,9 +18,8 @@ W_k with an upper bound on QUADPACK's qk21 error estimate; a W_k whose
 bound misses the tolerance (an endpoint-singular x', say) is recomputed by
 adaptive QUADPACK quadrature alone.  The pass is one batched product of a
 shared power table s_j^k on the fixed nodes with the Kronrod and Gauss
-weighted columns of x', plus a third, Kronrod weights times |x'|, only where
-one dot of those weights with |x'| cannot clear every row; the array x'
-returns is used without a copy and only read.  The table does not
+weighted columns of x', and another with their |.| if some row needs it; the
+array x' returns is used without a copy and only read.  The table does not
 depend on x, t or alpha: it is built on first use, rebuilt when a larger
 count is asked for, and read-only.  The derivative maxima behind the error
 bound come from the two ends of the range where the function declares
@@ -33,6 +32,7 @@ evaluation point; the power table is the only state shared between calls.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -116,12 +116,11 @@ def _gauss_kronrod_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 #: [1/2, 1], where s^k concentrates for the high moments (k up to 2N).
 _PANEL_EDGES = np.concatenate([[0.0], 2.0 ** np.arange(-10, 0), np.linspace(0.5, 1.0, 8)[1:]])
 _GK_NODES, _GK_RULE, _GK_HALF = _gauss_kronrod_panels(_PANEL_EDGES)
-#: The Kronrod, Gauss and Kronrod weights of each panel, scaled by its
-#: half-length: shape (panel, node, 3), C-contiguous, as the moment pass's
-#: batched product sums in an order that depends on the layout.
-_GK_WEIGHTS = np.ascontiguousarray(_GK_HALF[:, None, None] * _GK_RULE[:, [0, 1, 0]])
-#: Its Kronrod and Gauss columns alone, and its Kronrod weights node by node.
-_GK_PAIR, _GK_KRONROD = np.ascontiguousarray(_GK_WEIGHTS[..., :2]), _GK_WEIGHTS[..., 0].ravel()
+#: The Kronrod and Gauss weights of each panel scaled by its half-length,
+#: (panel, node, 2) and C-contiguous, as the batched product's order of
+#: summing depends on the layout; and the Kronrod weights node by node.
+_GK_WEIGHTS = np.ascontiguousarray(_GK_HALF[:, None, None] * _GK_RULE)
+_GK_KRONROD = _GK_WEIGHTS[..., 0].ravel()
 #: The shared power table of ``_power_table``, empty until its first use.
 _POWERS = np.empty((_GK_HALF.size, 0, _GK_RULE.shape[0]))
 _EPS = math.ulp(1.0)
@@ -252,20 +251,22 @@ def _scaled_moments(x: ScalarFunction, t: float, end: float, step: float, count:
     step = sgn dist = t - end in the signed frame: (a, dist) on the left,
     (b, -dist) on the right.
 
-    x' is sampled once on the fixed nodes by ``_sample``, whose array is
-    only read.  On a panel, max(50 eps resabs, 200 |K21 - G10|) bounds
+    x' is sampled once on the fixed nodes by ``_sample``, its array only
+    read.  One batched product of the shared power table s_j^k
+    (``_power_table``) with the columns K x' and G x' (Kronrod and Gauss
+    weights, K > 0) gives per panel and k the sums K21 (over panels, W_k)
+    and G10.  On a panel, max(50 eps resabs, 200 |K21 - G10|) bounds
     QUADPACK's qk21 error estimate; W_k is kept exactly when this bound,
     summed over panels, is at most max(tol, 1e-12 |W_k|), and recomputed by
-    adaptive quadrature otherwise, a nan bound included.  As s^k <= 1 and
-    max(a, b) <= a + b, that sum is at most c_k = 50 eps R0 + 200 sum_p
-    |K21 - G10|, R0 = sum_j K_j |x'_j| on all nodes (Kronrod weights K > 0).
-    So one batched product of the shared power table s_j^k
-    (``_power_table``) with the columns K x' and G x' gives per panel the
-    sums K21 (over panels, W_k) and G10, and keeps every row when each
-    c_k (1 + 1e-12) + 1e-300, a margin for rounding (subnormal too), meets
-    its limit; the largest is tried first against tol, the lowest limit.
-    Otherwise, or for R0 above 1e300 (an inf, nan or huge x'), a third
-    column K |x'| gives resabs, under ``np.errstate``, for the per-panel test.
+    adaptive quadrature otherwise, a nan bound included.  As s^k <= 1, the
+    sum is at most c_k = 50 eps R0 + 200 sum_p |K21 - G10|, R0 = sum_j
+    K_j |x'_j|: every row is kept when each c_k (1 + 1e-12) + 1e-300 meets
+    its limit, the largest tried first against tol.  Else resabs comes from
+    a second product, of K |x'| and G |x'| (one column would sum in another
+    order).  W and the rows are those of one product with K x', G x' and
+    K |x'| where the BLAS sums a column in the same order for two columns as
+    for three (OpenBLAS does).  Only an R0 above 1e300 (an inf, nan or huge
+    x') can overflow: it runs under ``np.errstate``; inf or nan rows fall back.
 
     The result is checked against the exact identity
     sgn dist W_0 = x(t) - x(end) (two calls of x): a gap above
@@ -278,21 +279,19 @@ def _scaled_moments(x: ScalarFunction, t: float, end: float, step: float, count:
     """
     dx = x.deriv(1)
     f = _sample(dx, end + _GK_NODES * step)
-    r0, f, rows = np.abs(f) @ _GK_KRONROD, f.reshape(_GK_WEIGHTS.shape[:2]), None
-    if r0 <= 1e300:  # else an inf, nan or huge x': the per-panel test below
-        sums = _power_table(count) @ (_GK_PAIR * f[..., None])
-        w, spread = sums[..., 0].sum(axis=0), np.abs(sums[..., 0] - sums[..., 1]).sum(axis=0)
+    r0, table, rows = np.abs(f) @ _GK_KRONROD, _power_table(count), ()
+    with np.errstate(all="ignore") if not r0 <= 1e300 else contextlib.nullcontext():
+        v = _GK_WEIGHTS * f.reshape(_GK_WEIGHTS.shape[:2])[..., None]
+        sums = table @ v
+        w, diff = sums[..., 0].sum(axis=0), np.abs(sums[..., 0] - sums[..., 1])
+        spread = diff.sum(axis=0)
         cap = lambda d: (50.0 * _EPS * r0 + 200.0 * d) * (1.0 + 1e-12) + 1e-300
-        if cap(spread.max()) <= tol or (cap(spread) <= np.maximum(tol, 1e-12 * np.abs(w))).all():
-            rows = ()
-    if rows is None:
-        with np.errstate(all="ignore"):  # an inf in x' gives nan rows, which fall back
-            v = _GK_WEIGHTS * f[..., None]
-            np.abs(v[..., 2], out=v[..., 2])
-            sums = _power_table(count) @ v
-            w = sums[..., 0].sum(axis=0)
-            bound = np.maximum(50.0 * _EPS * sums[..., 2], 200.0 * np.abs(sums[..., 0] - sums[..., 1]))
-            rows = np.flatnonzero(~(bound.sum(axis=0) <= np.maximum(tol, 1e-12 * np.abs(w))))
+        if not cap(spread.max()) <= tol:
+            limit = np.maximum(tol, 1e-12 * np.abs(w))
+            if not (cap(spread) <= limit).all():
+                resabs = (table @ np.abs(v))[..., 0]
+                bound = np.maximum(50.0 * _EPS * resabs, 200.0 * diff).sum(axis=0)
+                rows = np.flatnonzero(~(bound <= limit))
     for k in map(int, rows):
         w[k] = _adaptive_quad(
             lambda s: s**k * dx(end + s * step), 0.0, 1.0, tol, what=f"scaled moment k={k}"
@@ -405,18 +404,19 @@ def error_bound(
     if dist == 0.0:
         return 0.0
     second = kind is not Kind.TYPE_III and alpha_prime_val != 0.0
-    return _error_bound(params, alpha_val, alpha_prime_val, dist, L_bounds,
+    maxima = {p: L_bounds[p] for p in ((params.n + 1, 1) if second else (params.n + 1,))}
+    return _error_bound(params, alpha_val, alpha_prime_val, dist, maxima,
                         _log_bracket(kind, alpha_val, dist) if second else None)
 
 
 def _error_bound(params: ExpansionParams, alpha: float, ap: float, dist: float,
-                 L_bounds: DerivativeBound | dict[int, float], bracket: float | None) -> float:
-    """``error_bound``'s formula at dist > 0; bracket is ``_log_bracket``'s or None."""
+                 maxima: dict[int, float], bracket: float | None) -> float:
+    """``error_bound``'s formula at dist > 0 on maxima[p] and a ``_log_bracket`` or None."""
     n, N = params.n, params.N
-    first = _bound_term(n, L_bounds[n + 1], alpha, N, dist)
+    first = _bound_term(n, maxima[n + 1], alpha, N, dist)
     if bracket is None:
         return first
-    return first + _bound_term(1, abs(ap) * L_bounds[1], alpha, N, dist) * (abs(bracket) + 1.0 / N)
+    return first + _bound_term(1, abs(ap) * maxima[1], alpha, N, dist) * (abs(bracket) + 1.0 / N)
 
 
 def _bound_term(m: int, L: float, alpha: float, N: int, dist: float) -> float:

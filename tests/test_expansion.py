@@ -378,29 +378,43 @@ def _reference_pass(dx, end, step, count, tol):
     return w, fallback, missed
 
 
+#: The Kronrod, Gauss and Kronrod weights of each panel, scaled by its
+#: half-length, as the moment pass once took them in one product: shape
+#: (panel, node, 3), C-contiguous, as the product's order depends on the layout.
+_THREE_COLUMNS = np.ascontiguousarray(
+    expansion._GK_HALF[:, None, None] * expansion._GK_RULE[:, [0, 1, 0]])
+
+
 def _three_column_sums(f, count):
     """K21, G10 and resabs per panel and k, shape (panel, k, 3): the power
-    table times the columns K x', G x' and K |x'| of the node values f."""
-    v = expansion._GK_WEIGHTS * np.reshape(f, expansion._GK_WEIGHTS.shape[:2])[..., None]
+    table times the columns K x', G x' and K |x'| of the node values f, in
+    one product, as the moment pass once took them."""
+    v = _THREE_COLUMNS * np.reshape(f, _THREE_COLUMNS.shape[:2])[..., None]
     np.abs(v[..., 2], out=v[..., 2])
     return expansion._power_table(count) @ v
 
 
-def _three_column_pass(x, end, step, count, tol):
-    """The moment pass with resabs from a third product column and the
-    per-panel test on every call, without the W_0 check, as the oracle of
-    the two-column test: W, with each row whose summed per-panel bound
-    misses max(tol, 1e-12 |W_k|) taken from ``expansion._adaptive_quad``."""
+def _two_product_sums(f, count):
+    """K21, G10 and resabs per panel and k, shape (panel, k, 3), as the
+    moment pass takes them: K21 and G10 from the power table times the
+    columns K x' and G x', resabs from the table times their absolute values."""
+    v = expansion._GK_WEIGHTS * np.reshape(f, expansion._GK_WEIGHTS.shape[:2])[..., None]
+    table = expansion._power_table(count)
+    return np.concatenate([table @ v, (table @ np.abs(v))[..., :1]], axis=-1)
+
+
+def _per_panel_pass(x, end, step, count, tol, sums=_two_product_sums):
+    """The moment pass with the per-panel test on every call, without the W_0
+    check, as the oracle of the two-column test: W, with each row whose summed
+    per-panel bound misses max(tol, 1e-12 |W_k|) taken from
+    ``expansion._adaptive_quad``; K21, G10 and resabs come from ``sums``."""
     dx = x.deriv(1)
     with np.errstate(all="ignore"):
-        sums = _three_column_sums(expansion._sample(dx, end + expansion._GK_NODES * step), count)
-        kronrod = sums[..., 0]
+        sums = sums(expansion._sample(dx, end + expansion._GK_NODES * step), count)
+        kronrod, gauss, resabs = np.moveaxis(sums, -1, 0)
         w = kronrod.sum(axis=0)
-        bound = np.maximum(50.0 * np.finfo(float).eps * sums[..., 2],
-                           200.0 * np.abs(kronrod - sums[..., 1]))
-        total = bound.sum(axis=0)
-        rows = [] if total.max() <= tol else \
-            np.flatnonzero(~(total <= np.maximum(tol, 1e-12 * np.abs(w))))
+        bound = np.maximum(50.0 * np.finfo(float).eps * resabs, 200.0 * np.abs(kronrod - gauss))
+        rows = np.flatnonzero(~(bound.sum(axis=0) <= np.maximum(tol, 1e-12 * np.abs(w))))
     for k in map(int, rows):
         w[k] = expansion._adaptive_quad(
             lambda s: s**k * dx(end + s * step), 0.0, 1.0, tol, what=f"scaled moment k={k}"
@@ -443,18 +457,17 @@ class TestSample:
 
 class TestMomentPass:
     def test_weighted_columns_match_two_product_form(self):
-        # W from the pass, whether it takes two product columns or three,
-        # must equal the Kronrod sums of the product with K x', G x' and
-        # K |x'| written out, bit for bit (the batched product's sums depend
-        # on the columns' memory layout too).
+        # W from the pass must equal the Kronrod sums of the product with the
+        # columns K x' and G x' written out one by one, bit for bit (the
+        # batched product's sums depend on the columns' memory layout too).
         for g, side, t in [(3.5, Side.RIGHT, 0.4), (2.0, Side.LEFT, 0.6), (7.0, Side.LEFT, 0.3)]:
             x = power_function(g, 0.0, 1.0, side)
             end, step = (0.0, t) if side is Side.LEFT else (1.0, t - 1.0)
             scaled = expansion._GK_HALF[:, None, None] * expansion._GK_RULE
             f = x.deriv(1)(end + expansion._GK_NODES * step).reshape(scaled.shape[:2])
-            v = np.empty(f.shape + (3,))
-            np.multiply(scaled, f[..., None], out=v[..., :2])
-            np.multiply(scaled[..., 0], np.abs(f), out=v[..., 2])
+            v = np.empty(f.shape + (2,))
+            np.multiply(scaled[..., 0], f, out=v[..., 0])
+            np.multiply(scaled[..., 1], f, out=v[..., 1])
             for count in (2, 17, 65):
                 want = (expansion._power_table(count) @ v)[..., 0].sum(axis=0)
                 got = expansion._scaled_moments(x, t, end, step, count, 1e-8)
@@ -507,10 +520,7 @@ class TestMomentPass:
         calls = []
         monkeypatch.setattr(expansion, "_adaptive_quad", lambda *args, **kw: calls.append(args))
         for t, count in [(0.7, 3), (0.3, 17), (1.0, 65)]:
-            f = x.deriv(1)(expansion._GK_NODES * t).reshape(expansion._GK_WEIGHTS.shape[:2])
-            v = expansion._GK_WEIGHTS * f[..., None]
-            v[..., 2] = np.abs(v[..., 2])
-            sums = expansion._power_table(count) @ v
+            sums = _three_column_sums(x.deriv(1)(expansion._GK_NODES * t), count)
             total = np.maximum(50.0 * np.finfo(float).eps * sums[..., 2],
                                200.0 * np.abs(sums[..., 0] - sums[..., 1])).sum(axis=0)
             w = expansion._scaled_moments(x, t, 0.0, t, count, 1e-8)
@@ -573,31 +583,62 @@ class TestMomentPass:
 
     @staticmethod
     def _record(monkeypatch):
-        """Record each row sent to ``_adaptive_quad`` and each entry into
-        np.errstate(all=...); returns (rows, entries)."""
-        adaptive_quad, errstate = expansion._adaptive_quad, np.errstate
-        rows, entries = [], []
+        """Record each row sent to ``_adaptive_quad``, each product with the
+        power table and each entry into np.errstate(all=...); returns
+        (rows, products, entries)."""
+        adaptive_quad, power_table, errstate = expansion._adaptive_quad, expansion._power_table, np.errstate
+        rows, products, entries = [], [], []
 
         def spy(fn, lo, hi, tol, what):
             rows.append(int(what.rsplit("=", 1)[1]))
             return adaptive_quad(fn, lo, hi, tol, what=what)
+
+        class Table:
+            def __init__(self, count):
+                self.table = power_table(count)
+
+            def __matmul__(self, other):
+                products.append(other.shape[-1])
+                return self.table @ other
 
         def counting(*args, **kw):
             entries.extend(["all"] if "all" in kw else [])
             return errstate(*args, **kw)
 
         monkeypatch.setattr(expansion, "_adaptive_quad", spy)
+        monkeypatch.setattr(expansion, "_power_table", Table)
         monkeypatch.setattr(np, "errstate", counting)
-        return rows, entries
+        return rows, products, entries
 
-    def test_matches_three_column_pass(self, monkeypatch):
-        # The two-column test keeps a row only where the per-panel test of
-        # the three-column pass keeps it too, so every W bit and every row
-        # sent to QUADPACK (and every QUADPACK error) is the three-column
-        # pass's.  The fast cases clear the two-column test and enter no
-        # np.errstate; the others (an endpoint-singular x', 801 rows at
-        # N = 400, x' = inf at 210 nodes) take the three-column pass.
-        expansion._power_table(801)  # built here, outside the errstate count
+    def _check_against_oracles(self, x, side, t, count, record):
+        """``_scaled_moments`` against the per-panel pass: the same W bits and
+        rows sent to QUADPACK (or the same QuadratureError).  Against the
+        three-column product: the same rows and W to rounding, as a BLAS
+        need not sum a column in the same order for two columns as for
+        three.  Returns the outcome and the products and np.errstate
+        entries of the ``_scaled_moments`` call."""
+        rows, products, entries = record
+        end = 0.0 if side is Side.LEFT else 1.0
+        want = self._outcome(lambda: _per_panel_pass(x, end, t - end, count, 1e-8), rows)
+        old = self._outcome(lambda: _per_panel_pass(x, end, t - end, count, 1e-8, _three_column_sums),
+                            rows)
+        products.clear()
+        entries.clear()
+        got = self._outcome(lambda: expansion._scaled_moments(x, t, end, t - end, count, 1e-8), rows)
+        assert got == want, (side, t, count)
+        assert old[1] == got[1], (side, t, count)
+        if isinstance(got[0], bytes):
+            a, b = np.frombuffer(got[0]), np.frombuffer(old[0])
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13 * np.abs(b).max())
+        return got, list(products), list(entries)
+
+    def test_matches_per_panel_pass(self, monkeypatch):
+        # The two-column test keeps a row only where the per-panel test keeps
+        # it too, so every W bit and every row sent to QUADPACK (and every
+        # QUADPACK error) is the per-panel pass's.  The fast cases clear the
+        # two-column test with one product; the others (an endpoint-singular
+        # x', 1e9 t^2 at 100 rows, 801 rows at N = 400) take the second, and
+        # only x' = inf at 210 nodes enters np.errstate.
         power = lambda g, side: power_function(g, 0.0, 1.0, side)
         scaled = lambda c, fn: (lambda t: c * fn(t))
         square, root = power(2.0, Side.LEFT), power(0.5, Side.RIGHT)
@@ -610,7 +651,7 @@ class TestMomentPass:
         fast += [(linear, side, 0.5, 13) for side in Side]
         fast += [(power(g, Side.RIGHT), Side.RIGHT, 1.0 - 2.0**-53, 13) for g in (2.0, 3.5)]
         slow = [(power(0.5, Side.LEFT), Side.LEFT, 1e-6, count) for count in (13, 65)]
-        slow += [(square, Side.LEFT, 0.5, 801)]
+        slow += [(square, Side.LEFT, 0.5, 801), (big_square, Side.LEFT, 0.5, 100)]
         # x' = +-1e7 on the halves: W_0 cancels to about 1e-9, and 50 eps resabs alone
         # sends row 0 to QUADPACK.
         step = ScalarFunction(lambda t: 1e7 * np.minimum(t, 1.0 - t), 0.0, 1.0,
@@ -620,39 +661,33 @@ class TestMomentPass:
         wave = ScalarFunction(lambda t: 1e12 * np.sin(12.5 * t), 0.0, 1.0,
                               (lambda t: 1.25e13 * np.cos(12.5 * t),))
         slow += [(wave, Side.LEFT, 1.0, 2)]
-        slow += [(root, Side.RIGHT, t, 13) for t in (0.3, 0.9, 1.0 - 2.0**-53)]
-        rows, entries = self._record(monkeypatch)
+        slow += [(root, Side.RIGHT, t, 13) for t in (0.3, 0.9)]
+        inf = (root, Side.RIGHT, 1.0 - 2.0**-53, 13)
+        record = self._record(monkeypatch)
         fell_back = {}
-        for cases, path in ((fast, []), (slow, ["all"])):
+        for cases, path in ((fast, ([2], [])), (slow, ([2, 2], [])), ([inf], ([2, 2], ["all"]))):
             for x, side, t, count in cases:
-                end = 0.0 if side is Side.LEFT else 1.0
-                want = self._outcome(lambda: _three_column_pass(x, end, t - end, count, 1e-8), rows)
-                entries.clear()
-                got = self._outcome(lambda: expansion._scaled_moments(x, t, end, t - end, count, 1e-8),
-                                    rows)
-                assert got == want, (side, t, count)
-                assert entries == path, (side, t, count)
+                got, products, entries = self._check_against_oracles(x, side, t, count, record)
+                assert (products, entries) == path, (side, t, count)
                 fell_back[side, t, count] = got
         assert sum(len(fell_back[Side.RIGHT, t, 13][1]) for t in (0.3, 0.9)) == 4
-        assert len(fell_back[Side.LEFT, 0.5, 801][1]) > 0
-        assert "value inf" in fell_back[Side.RIGHT, 1.0 - 2.0**-53, 13][0]
+        assert len(fell_back[Side.LEFT, 0.5, 801][1]) > 0 and fell_back[Side.LEFT, 0.5, 100][1] == []
+        assert "value inf" in fell_back[inf[1:]][0]
         assert fell_back[Side.LEFT, 1.0, 17][1] == [0] and fell_back[Side.LEFT, 1.0, 2][1] == [0, 1]
 
     def test_past_guard_warns_nothing(self, monkeypatch):
         # A finite x' whose R0 is above 1e300, up to the largest float, and
-        # x' = inf at 210 nodes (right, t = 1 - 2^-53) take the three-column
-        # pass under np.errstate: no RuntimeWarning, and the oracle's outcome.
-        rows, entries = self._record(monkeypatch)
-        cases = [(ScalarFunction(lambda t, c=c: c * t, 0.0, 1.0, (lambda t, c=c: c,)), 0.0, 0.5)
+        # x' = inf at 210 nodes (right, t = 1 - 2^-53) run the pass under
+        # np.errstate: no RuntimeWarning, and the oracles' outcome.
+        record = self._record(monkeypatch)
+        cases = [(ScalarFunction(lambda t, c=c: c * t, 0.0, 1.0, (lambda t, c=c: c,)), Side.LEFT, 0.5)
                  for c in (1e305, -1e305, np.finfo(float).max)]
-        cases += [(power_function(0.5, 0.0, 1.0, Side.RIGHT), 1.0, 1.0 - 2.0**-53)]
-        for x, end, t in cases:
+        cases += [(power_function(0.5, 0.0, 1.0, Side.RIGHT), Side.RIGHT, 1.0 - 2.0**-53)]
+        for x, side, t in cases:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                want = self._outcome(lambda: _three_column_pass(x, end, t - end, 13, 1e-8), rows)
-                entries.clear()
-                got = self._outcome(lambda: expansion._scaled_moments(x, t, end, t - end, 13, 1e-8), rows)
-            assert got == want and entries == ["all"], (end, t)
+                _, _, entries = self._check_against_oracles(x, side, t, 13, record)
+            assert entries == ["all"], (side, t)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
@@ -671,17 +706,18 @@ class TestMomentPass:
         # c_k = (50 eps R0 + 200 sum_p |K21 - G10|) (1 + 1e-12) + 1e-300,
         # R0 = sum_j K_j |x'_j|, is at least the per-panel bound
         # max(50 eps resabs, 200 |K21 - G10|) summed over panels, for every
-        # k.  At the largest tol where the per-panel test sends a row to
-        # QUADPACK, the moment pass sends exactly its rows.
-        sums = _three_column_sums(f, count)
-        kronrod, gauss, resabs = np.moveaxis(sums, -1, 0)
+        # k, with the sums of the pass's two products and of one product with
+        # three columns.  At the largest tol where the per-panel test on the
+        # pass's own sums (the loop's last) sends a row to QUADPACK, the
+        # moment pass sends exactly its rows.
         eps = np.finfo(float).eps
-        total = np.maximum(50.0 * eps * resabs, 200.0 * np.abs(kronrod - gauss)).sum(axis=0)
-        spread = np.abs(kronrod - gauss).sum(axis=0)
         r0 = np.abs(f) @ expansion._GK_KRONROD
-        cap = (50.0 * eps * r0 + 200.0 * spread) * (1.0 + 1e-12) + 1e-300
-        assert (cap >= total).all()
-
+        for sums in (_three_column_sums, _two_product_sums):
+            kronrod, gauss, resabs = np.moveaxis(sums(f, count), -1, 0)
+            total = np.maximum(50.0 * eps * resabs, 200.0 * np.abs(kronrod - gauss)).sum(axis=0)
+            spread = np.abs(kronrod - gauss).sum(axis=0)
+            cap = (50.0 * eps * r0 + 200.0 * spread) * (1.0 + 1e-12) + 1e-300
+            assert (cap >= total).all(), sums
         w = kronrod.sum(axis=0)
         over = total > 1e-12 * np.abs(w)
         tol = np.nextafter(total[over].max(), 0.0) if over.any() else 0.0

@@ -10,24 +10,17 @@ result is a certificate, not just a number.
 
 The moments are taken in the scaled variable s = |tau - endpoint| / dist in
 [0, 1]: W_k = int_0^1 s^k x'(endpoint -+ s dist) ds, so V_p = dist^(k+1) W_k
-with k = p - n.  The expansion combines the O(1) numbers W_k with no
-dist^(-p) factors, so it neither underflows nor overflows as dist -> 0.  One
-vectorised Gauss-Kronrod (G10/K21) pass over a fixed panel set, graded
-geometrically towards the endpoint s = 0, evaluates x' once and yields every
-W_k with an upper bound on QUADPACK's qk21 error estimate; a W_k whose
-bound misses the tolerance (an endpoint-singular x', say) is recomputed by
-adaptive QUADPACK quadrature alone.  The pass is one batched product of a
-shared power table s_j^k on the fixed nodes with the Kronrod and Gauss
-weighted columns of x', and another with their |.| if some row needs it; the
-array x' returns is used without a copy and only read.  The table does not
-depend on x, t or alpha: it is built on first use, rebuilt when a larger
-count is asked for, and read-only.  The derivative maxima behind the error
-bound come from the two ends of the range where the function declares
-monotone |x^(p)|, and are sampled in one array call per derivative order
-otherwise.
-
-Coefficient arrays are recomputed on every call because alpha depends on the
-evaluation point; the power table is the only state shared between calls.
+with k = p - n, and nothing underflows or overflows as dist -> 0.  The value
+needs only sum_k c_k W_k = int_0^1 K(s) x' ds, K = sum_k c_k s^k: one product
+of the coefficient rows with a read-only power table s_j^k on fixed
+Gauss-Kronrod (G10/K21) nodes, shared and grown on demand; the alpha' double
+sum of types I and II factors as P(s) (bracket + L(s)).  One pass integrates
+K x' and x' itself (W_0, checked against x(t) - x(end)), keeps K when its
+per-panel estimate is at most tol sum |c_k|, retries a miss once on panels
+graded towards s = 1, where s^k lives at large k, and only then runs
+QUADPACK once; ``moments`` runs it on the rows s^k.  Derivative maxima come
+from the ends of the range where |x^(p)| is declared monotone, and from one
+array call per order otherwise.  The tables are all the state shared.
 """
 
 from __future__ import annotations
@@ -52,7 +45,7 @@ from .reference import (
     _frame,
     _log_bracket,
 )
-from .special import DomainError, _signed_binomials, signed_binomial
+from .special import _K, DomainError, _signed_binomials, signed_binomial
 
 __all__ = [
     "ExpansionParams",
@@ -69,71 +62,67 @@ __all__ = [
 
 #: Sample count for derivative-maximum estimation.
 _BOUND_SAMPLES = 1001
-#: Safety factor applied to sampled maxima of numeric (non-analytic)
-#: derivatives.
+#: Safety factor applied to sampled maxima of numeric (non-analytic) derivatives.
 _BOUND_SAFETY = 1.05
-
-
-def _gauss_kronrod_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 21-point Gauss-Kronrod rule on each panel between ``edges``.
-
-    Returns the nodes (shape P*21, panel by panel), the reference rule on
-    [-1, 1] as a (21, 2) array of Kronrod and Gauss weights (the Gauss
-    weights are zero at the Kronrod-only nodes) and the panel half-lengths.
-    The constants are QUADPACK's qk21 abscissae and weights.
-    """
-    xk = np.array([
-        0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-        0.0,
-    ])
-    wk = np.array([
-        0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-        0.123491976262065851077208745147347, 0.134709217311473325928054001771707,
-        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-        0.149445554002916905664936468389821,
-    ])
-    wg = np.zeros(11)
-    wg[1:10:2] = [
-        0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-        0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-        0.295524224714752870173892994651338,
-    ]
-    mirror = lambda v, sign: np.concatenate([sign * v[:-1], v[::-1]])
-    centre = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    nodes = (centre[:, None] + half[:, None] * mirror(xk, -1.0)).ravel()
-    return nodes, np.stack([mirror(wk, 1.0), mirror(wg, 1.0)], axis=1), half
-
-
-#: Panels of the shared moment pass on [0, 1]: ten panels halving towards
-#: s = 0, where x' of a power law is singular, and seven equal panels on
-#: [1/2, 1], where s^k concentrates for the high moments (k up to 2N).
-_PANEL_EDGES = np.concatenate([[0.0], 2.0 ** np.arange(-10, 0), np.linspace(0.5, 1.0, 8)[1:]])
-_GK_NODES, _GK_RULE, _GK_HALF = _gauss_kronrod_panels(_PANEL_EDGES)
-#: The Kronrod and Gauss weights of each panel scaled by its half-length,
-#: (panel, node, 2) and C-contiguous, as the batched product's order of
-#: summing depends on the layout; and the Kronrod weights node by node.
-_GK_WEIGHTS = np.ascontiguousarray(_GK_HALF[:, None, None] * _GK_RULE)
-_GK_KRONROD = _GK_WEIGHTS[..., 0].ravel()
-#: The shared power table of ``_power_table``, empty until its first use.
-_POWERS = np.empty((_GK_HALF.size, 0, _GK_RULE.shape[0]))
 _EPS = math.ulp(1.0)
-#: The W_0 identity's allowance, per unit of dist and before its factor 100,
-#: on |x(t)| + |x(end)| for an x' that is a difference (``order._difference``,
-#: off by about sqrt(eps) |x| times the curvature of x).  On value-only e^t,
-#: e^10t, sin 3t, cos 50t, cos 100t, sin 200t, powers and cubics, both sides,
-#: t from 1e-9 to 1 - 1e-9, gap / (100 dist (|x(t)| + |x(end)|)) reached
-#: 92 sqrt(eps), for sin 200t near b.
+
+
+#: QUADPACK's qk21 abscissae in [0, 1), Kronrod and Gauss weights (0 at Kronrod-only nodes).
+_XK = np.array([0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+                0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+                0.2943928627014602, 0.14887433898163122, 0.0])
+_WK = np.array([0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+                0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+                0.14277593857706009, 0.14773910490133849, 0.1494455540029169])
+_WG = np.array([0.0, 0.06667134430868814, 0.0, 0.1494513491505806, 0.0, 0.21908636251598204, 0.0,
+                0.26926671930999635, 0.0, 0.29552422471475287, 0.0])
+
+
+class _NodeSet:
+    """The 21-point rule on the panels between ``edges`` in [0, 1] (nodes,
+    half-lengths, (Kronrod, Gauss) weights on [-1, 1]).  For values F on the
+    nodes, a row per integrand, F @ ``spread`` is 200 (K21 - G10) and F @
+    ``kronrod`` 50 eps K21 per panel, integral last; @ ``panels`` sums panels."""
+
+    def __init__(self, edges: np.ndarray) -> None:
+        mirror = lambda v, sign: np.concatenate([sign * v[:-1], v[::-1]])
+        self.half, centre = 0.5 * np.diff(edges), 0.5 * (edges[:-1] + edges[1:])
+        self.nodes = (centre[:, None] + self.half[:, None] * mirror(_XK, -1.0)).ravel()
+        self.rule = np.stack([mirror(_WK, 1.0), mirror(_WG, 1.0)], axis=1)
+        panel = np.repeat(np.eye(self.half.size), 21, axis=0)  # node by panel
+        kronrod, gauss = (np.tile(w, len(self.half)) * np.repeat(self.half, 21) for w in self.rule.T)
+        self.spread = np.hstack([200.0 * (kronrod - gauss)[:, None] * panel, kronrod[:, None]])
+        self.kronrod = np.hstack([50.0 * _EPS * kronrod[:, None] * panel, kronrod[:, None]])
+        self.panels, self.powers = np.r_[np.ones(len(self.half)), 0.0], np.empty((0, len(self.nodes)))
+
+    def table(self, count: int) -> np.ndarray:
+        """s_j^k (k < count) by row, one power each or 0 below 1e-200 (slow in the
+        BLAS): a view of one read-only table, rebuilt to grow, whose rows keep their bits."""
+        if self.powers.shape[0] < count:
+            table = self.nodes ** np.arange(count)[:, None]  # underflow is silent by default
+            table[table < 1e-200] = 0.0
+            table.flags.writeable = False
+            self.powers = table
+        return self.powers[:count]
+
+
+#: The moment pass's node sets: ten panels halving towards s = 0, where x' of a
+#: power law is singular, then seven equal ones on [1/2, 1] (357 nodes), or, for
+#: the retry, eleven halving towards s = 1, where s^k lives at large k (462).
+_TO_ZERO = np.concatenate([[0.0], 2.0 ** np.arange(-10, 0)])
+_NODE_SETS = (_NodeSet(np.concatenate([_TO_ZERO, np.linspace(0.5, 1.0, 8)[1:]])),
+              _NodeSet(np.concatenate([_TO_ZERO, 1.0 - 2.0 ** -np.arange(2.0, 13.0), [1.0]])))
+#: The W_0 identity's allowance per unit of dist, before its factor 100, on
+#: |x(t)| + |x(end)| for an x' that is a difference (``order._difference``, off
+#: by about sqrt(eps) |x| times x's curvature): on value-only e^t, e^10t, sin 3t,
+#: cos 50t, cos 100t, sin 200t, powers and cubics, both sides, t from 1e-9 to
+#: 1 - 1e-9, gap / (100 dist (|x(t)| + |x(end)|)) reached 92 sqrt(eps) (sin 200t).
 _DIFFERENCE_SLACK = 200.0 * _EPS**0.5
-#: ``approximate`` allows (this + m) eps sum |terms| for the rounding of its
-#: m terms.  Against mpmath for x = t, 1 - t (no truncation error), six
-#: orders, t from 1e-9 to 1 - 1e-9 and N up to 256, it needed 5.5 + m/7.
+_QUIET = contextlib.nullcontext()
+#: ``approximate`` allows (this + m) eps sum |terms| for the rounding of its m
+#: terms, int A |x'| for the kernel's (A the absolute kernel).  Against mpmath
+#: for x = t, 1 - t, six orders, t from 1e-9 to 1 - 1e-9 and N up to 256 (type
+#: III exactly, types I and II against their truncated sum) it needed 5.0 + m/7.
 _ROUNDING_TERMS = 16
 
 
@@ -228,81 +217,74 @@ def _sample(fn, ts: np.ndarray) -> np.ndarray:
     return values if values.shape == ts.shape else np.broadcast_to(values, ts.shape)
 
 
-def _power_table(count: int) -> np.ndarray:
-    """s_j^k for k = 0..count-1 on the fixed nodes, shaped (panel, k, node).
-
-    A view of one shared, read-only table that is built on first use and
-    rebuilt, never mutated, when a larger count is asked for.  Each entry is
-    one power s_j ** k, so row k has the same bits at any table size.
-    """
-    global _POWERS
-    if _POWERS.shape[1] < count:
-        with np.errstate(under="ignore"):
-            rows = _GK_NODES ** np.arange(count)[:, None]
-        table = np.ascontiguousarray(rows.reshape(count, *_GK_WEIGHTS.shape[:2]).transpose(1, 0, 2))
-        table.flags.writeable = False
-        _POWERS = table
-    return _POWERS[:, :count]
+def _dot(a: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """a @ table by blocks of 256 rows: OpenBLAS threads a larger product, whose
+    start took 7-23 ms on a two-core host against 0.1-0.3 ms unthreaded."""
+    if len(table) <= 256:
+        return a.dot(table)
+    blocks = (a[..., i:i + 256].dot(table[i:i + 256]) for i in range(256, len(table), 256))
+    return sum(blocks, a[..., :256].dot(table[:256]))
 
 
-def _scaled_moments(x: ScalarFunction, t: float, end: float, step: float, count: int,
-                    tol: float) -> np.ndarray:
-    """W_k = int_0^1 s^k x'(end + s*step) ds for k = 0..count-1, where
-    step = sgn dist = t - end in the signed frame: (a, dist) on the left,
-    (b, -dist) on the right.
-
-    x' is sampled once on the fixed nodes by ``_sample``, its array only
-    read.  One batched product of the shared power table s_j^k
-    (``_power_table``) with the columns K x' and G x' (Kronrod and Gauss
-    weights, K > 0) gives per panel and k the sums K21 (over panels, W_k)
-    and G10.  On a panel, max(50 eps resabs, 200 |K21 - G10|) bounds
-    QUADPACK's qk21 error estimate; W_k is kept exactly when this bound,
-    summed over panels, is at most max(tol, 1e-12 |W_k|), and recomputed by
-    adaptive quadrature otherwise, a nan bound included.  As s^k <= 1, the
-    sum is at most c_k = 50 eps R0 + 200 sum_p |K21 - G10|, R0 = sum_j
-    K_j |x'_j|: every row is kept when each c_k (1 + 1e-12) + 1e-300 meets
-    its limit, the largest tried first against tol.  Else resabs comes from
-    a second product, of K |x'| and G |x'| (one column would sum in another
-    order).  W and the rows are those of one product with K x', G x' and
-    K |x'| where the BLAS sums a column in the same order for two columns as
-    for three (OpenBLAS does).  Only an R0 above 1e300 (an inf, nan or huge
-    x') can overflow: it runs under ``np.errstate``; inf or nan rows fall back.
-
-    The result is checked against the exact identity
-    sgn dist W_0 = x(t) - x(end) (two calls of x): a gap above
-    100 (dist max(tol, 1e-12 |W_0|) + e (|x(t)| + |x(end)|)) raises
-    ``QuadratureError``, since the pass then missed where x' lives (x = t^gamma
-    with gamma ~ 1e-12 puts nearly all of W_0 below s = e^(-1/gamma)).  Here
-    e = eps for an analytic x', and e = eps + ``_DIFFERENCE_SLACK`` dist for
-    an x' that is a difference of the values, which is itself off by a
-    multiple of sqrt(eps) |x|.
-    """
+def _xprime(x: ScalarFunction, end: float, step: float):
+    """s -> x'(end + s step) on an array or float s: the pass's one x' source."""
     dx = x.deriv(1)
-    f = _sample(dx, end + _GK_NODES * step)
-    r0, table, rows = np.abs(f) @ _GK_KRONROD, _power_table(count), ()
-    with np.errstate(all="ignore") if not r0 <= 1e300 else contextlib.nullcontext():
-        v = _GK_WEIGHTS * f.reshape(_GK_WEIGHTS.shape[:2])[..., None]
-        sums = table @ v
-        w, diff = sums[..., 0].sum(axis=0), np.abs(sums[..., 0] - sums[..., 1])
-        spread = diff.sum(axis=0)
-        cap = lambda d: (50.0 * _EPS * r0 + 200.0 * d) * (1.0 + 1e-12) + 1e-300
-        if not cap(spread.max()) <= tol:
-            limit = np.maximum(tol, 1e-12 * np.abs(w))
-            if not (cap(spread) <= limit).all():
-                resabs = (table @ np.abs(v))[..., 0]
-                bound = np.maximum(50.0 * _EPS * resabs, 200.0 * diff).sum(axis=0)
-                rows = np.flatnonzero(~(bound <= limit))
-    for k in map(int, rows):
-        w[k] = _adaptive_quad(
-            lambda s: s**k * dx(end + s * step), 0.0, 1.0, tol, what=f"scaled moment k={k}"
-        )
-    w0, xt, xe = float(w[0]), float(x.value(t)), float(x.value(end))
+    return lambda s: float(dx(end + s * step)) if type(s) is float else _sample(dx, end + s * step)
+
+
+def _moment_pass(x: ScalarFunction, t: float, end: float, step: float, kernel, count: int,
+                 limit: np.ndarray, peak: float, tol: float, what) -> tuple:
+    """(I, R): I_i = int_0^1 K_i(s) x'(end + s step) ds, step = t - end in the
+    signed frame, and R_i = int A_i |x'| ds, for a rounding allowance.
+    ``kernel`` maps a power table s^k (k < count, a column per point) to rows
+    K_i with K_0 = 1 (I_0 = W_0) and to A_i >= |K_i| (None: |K_i|), <= peak.
+
+    A row is kept when max(50 eps resabs, 200 |K21 - G10|) (resabs from
+    A_i |x'|), never below QUADPACK's qk21 estimate, summed over the first
+    set's panels is at most max(limit_i, 1e-12 |I_i|).  A miss (nan too) goes
+    to the graded set on a new sample of x', a second one to one adaptive run
+    at tol, labelled what(i), for K_i(0) W_0 plus the integral of
+    (K_i - K_i(0)) x', which vanishes at s = 0, where x' is most often
+    singular.  Only an |x'| peak that could overflow runs under np.errstate
+    (np.vdot, unlike dot, does not warn when it overflows).  A gap in
+    sgn dist W_0 = x(t) - x(end) above 100 (dist max(tol, 1e-12 |W_0|) +
+    e (|x(t)| + |x(end)|)) raises ``QuadratureError``: the pass missed where x'
+    lives (x = t^gamma, gamma ~ 1e-12, has nearly all of W_0 below
+    s = e^(-1/gamma)).  e = eps for an analytic x', plus ``_DIFFERENCE_SLACK``
+    dist for a difference of values.
+    """
+    xprime, rows = _xprime(x, end, step), slice(None)
+    for nodes in _NODE_SETS:
+        f = xprime(nodes.nodes)
+        with np.errstate(all="ignore") if not float(np.vdot(f, f)) * peak * peak <= 1e300 else _QUIET:
+            k, a = kernel(nodes.table(count))
+            k = k[rows] * f
+            spread = k.dot(nodes.spread)
+            resabs = (np.abs(k) if a is None else a[rows] * np.abs(f)).dot(nodes.kronrod)
+            estimate = np.maximum(np.abs(spread), resabs).dot(nodes.panels)
+            if False in (keep := estimate <= limit[rows]).tolist():
+                keep |= estimate <= 1e-12 * np.abs(spread[:, -1])
+        if nodes is _NODE_SETS[0]:
+            sums, absolute = spread[:, -1], resabs[:, -1]
+        else:
+            sums[rows], absolute[rows] = spread[:, -1], resabs[:, -1]
+        if False not in keep.tolist():
+            break
+        rows = np.arange(limit.size)[rows][~keep]
+    else:  # row 0 (W_0) first
+        powers = lambda s, k=np.arange(float(count))[:, None]: s**k
+        zero = [0.0, *kernel(powers(0.0))[0][1:, 0].tolist()]
+        for i in map(int, rows):
+            row = lambda s, i=i: (float(kernel(powers(s))[0][i, 0]) - zero[i]) * xprime(s)
+            quad = _adaptive_quad(row, 0.0, 1.0, tol, what=what(i))
+            sums[i] = quad + zero[i] * float(sums[0]) if zero[i] else quad
+    w0, xt, xe = float(sums[0]), float(x.value(t)), float(x.value(end))
     gap = abs(step * w0 - (xt - xe))
     slack = _EPS + (0.0 if x.derivatives else _DIFFERENCE_SLACK * abs(step))
     if not gap <= 100.0 * (abs(step) * max(tol, 1e-12 * abs(w0)) + slack * (abs(xt) + abs(xe))):
         raise QuadratureError(f"scaled moment W_0 = {w0:.3e} misses x(t) - x(end) by {gap:.3e} "
                               f"over dist {abs(step):.3e}")
-    return w
+    return sums, absolute
 
 
 def moments(
@@ -317,11 +299,9 @@ def moments(
 
     V_p is the integral of (tau-a)^(p-n) x'(tau) over (a, t) on the left and
     of (b-tau)^(p-n) x'(tau) over (t, b) on the right, computed as
-    dist^(k+1) W_k with k = p - n; all vanish at the endpoint.  The scaled
-    moments W_k come from one shared Gauss-Kronrod pass, with adaptive
-    quadrature at tolerance ``tol`` for any W_k it cannot certify; a pass
-    that fails the W_0 identity of ``_scaled_moments`` raises ``QuadratureError``
-    and a p_max that is not an integer >= N ``ValueError``.
+    dist^(k+1) W_k with k = p - n; all vanish at the endpoint.  W_k is the row
+    s^k of ``_moment_pass`` with limit ``tol``; a pass that fails its W_0
+    identity raises ``QuadratureError``, a p_max not an integer >= N ``ValueError``.
     """
     if not (isinstance(p_max, numbers.Integral) and p_max >= params.N):
         raise ValueError(f"p_max must be an integer of at least N = {params.N}, got {p_max!r}")
@@ -331,7 +311,8 @@ def moments(
     count = p_max - params.n + 1
     if dist == 0.0:
         return np.zeros(count)
-    w = _scaled_moments(x, t, end, sgn * dist, count, tol)
+    w, _ = _moment_pass(x, t, end, sgn * dist, lambda table: (table, None), count,
+                        np.full(count, tol), 1.0, tol, "scaled moment k={}".format)
     return w * dist ** np.arange(1.0, count + 1.0)
 
 
@@ -439,18 +420,17 @@ def approximate(
 ) -> ApproxResult:
     """Integer-order expansion of the requested Caputo derivative at t.
 
-    The value is one exact sum of the m terms: weighted x^(p)(t) and scaled
-    moments W.  ``error_bound`` certifies its error: the truncation bound of
-    ``error_bound()`` plus (16 + m) eps times the sum of the terms' absolute
-    values, for the rounding in the terms themselves.  The alpha' weight is 0
-    for type III and alpha'(t) for types I and II; where it is 0 the alpha'
-    weights, their extra moments and the bound's x' maximum are skipped
-    outright, so with alpha' = 0 the three kinds produce bitwise-equal
-    values; otherwise one ``_log_bracket`` serves the weights and the bound.
+    The value is one exact sum of the weighted x^(p)(t) and the kernel
+    integral of ``_moment_pass``.  ``error_bound`` is the truncation bound of
+    ``error_bound()`` plus (16 + m) eps times the terms' absolute values, for
+    the m = N + 1 terms the kernel gathers (n + 2N + 1 with an alpha' term).
+    Where alpha' = 0 (type III) that term and the bound's x' maximum are
+    skipped, so the kinds give bitwise-equal values; else one
+    ``_log_bracket`` serves kernel and bound.
     t, tol, alpha(t) and alpha'(t) are admitted on [x.a, x.b] by
     ``reference._admit``, which raises its errors, so the bound skips the
     checks of ``error_bound`` and ``derivative_bound``.  A moment pass that
-    fails the W_0 identity of ``_scaled_moments`` raises ``QuadratureError``.
+    fails its W_0 identity raises ``QuadratureError``.
     """
     if (admitted := _admit(kind, order, t, side, x.a, x.b, tol)) is None:
         return ApproxResult(0.0, 0.0, "analytic")
@@ -458,33 +438,53 @@ def approximate(
     n, N = params.n, params.N
     bracket = _log_bracket(kind, alpha, dist) if ap != 0.0 else None
 
-    # Weights sgn^p A_p dist^(p-alpha) on x^(p)(t) and c on W_0..W_(c.size-1);
-    # the right side is the left one reflected, which changes only sgn.
+    # Weights sgn^p A_p dist^(p-alpha), sgn dist^(1-alpha) tail: the right side is the reflection.
     head, tail = coefficients_left(alpha, params)
-    c = sgn * dist ** (1.0 - alpha) * tail
-    if bracket is not None:
-        c_ap = _alpha_prime_weights(bracket, alpha, ap, dist, N)
-        c_ap[: c.size] += c
-        c = c_ap
-    w = _scaled_moments(x, t, end, sgn * dist, c.size, tol)
+    k = None if bracket is None else ap * dist ** (2.0 - alpha) / math.gamma(2.0 - alpha)
+    kernel, count, scale = _moment_kernel(tail, head[0], sgn * dist ** (1 - alpha), alpha, N, k, bracket)
+    sums, absolute = _moment_pass(x, t, end, sgn * dist, kernel, count,
+                                  np.array([tol, tol * scale]), max(1.0, scale), tol,
+                                  ("scaled moment k=0", "moment kernel").__getitem__)
     terms = [sgn**p * float(h) * dist ** (p - alpha) * x.deriv(p)(t) for p, h in enumerate(head, 1)]
-    terms += (c * w).tolist()
-    # The signed binomials alternate in sign: sum exactly to avoid cancellation.
-    value = math.fsum(terms)
-    rounding = (_ROUNDING_TERMS + len(terms)) * _EPS * math.fsum(map(abs, terms))
+    value = math.fsum(terms + [float(sums[1])])
+    m = N + 1 if k is None else n + 2 * N + 1
+    rounding = (_ROUNDING_TERMS + m) * _EPS * (math.fsum(map(abs, terms)) + float(absolute[1]))
     maxima, estimated = _maxima(x, (n + 1,) if bracket is None else (1, n + 1), *sorted((end, t)))
     return ApproxResult(value, _error_bound(params, alpha, ap, dist, maxima, bracket) + rounding,
                         "estimated" if estimated else "analytic")
 
 
-def _alpha_prime_weights(bracket: float, alpha: float, ap: float, dist: float, N: int) -> np.ndarray:
-    """Weights on W_0..W_2N of the alpha' term of types I and II:
-    K (bracket sum_p sb_p W_p + sum_{p,r} sb_p W_(p+r) / r), p = 0..N, r = 1..N,
-    with K = alpha' dist^(2-alpha) / Gamma(2-alpha), sb_p = (-1)^p C(1-alpha, p)
-    and the bracket ``_log_bracket(kind, alpha, dist)``.  Gathered by q = p + r,
-    the double sum weights W_q by entry q-1 of the convolution of sb with 1/r."""
-    sb = _signed_binomials(1.0 - alpha, N + 1)
-    c = np.zeros(2 * N + 1)
-    c[: N + 1] = bracket * sb
-    c[1:] += np.convolve(sb, 1.0 / np.arange(1, N + 1))
-    return np.multiply(c, ap * dist ** (2.0 - alpha) / math.gamma(2.0 - alpha), out=c)
+def _moment_kernel(tail: np.ndarray, a1: float, factor: float, alpha: float, N: int,
+                   k: float | None, bracket: float | None):
+    """(kernel, count, scale) for ``_moment_pass``: rows 1 (W_0) and K(s) =
+    sum_k c_k s^k on count table rows, and sum |c_k| (types I, II: a bound).
+    c = factor tail is one-signed, so |K| is its absolute kernel, and A_1 = a1
+    gives sum(tail) = a1 (1 - alpha) size / alpha, by sum_(k<=M) sb(-alpha, k) =
+    sb(-alpha, M + 1) (M + 1) / alpha.  The alpha'
+    term k (bracket sum_p sb_p W_p + sum_{p,r} sb_p W_(p+r) / r), p, r <= N,
+    sb_p = sb(1-alpha, p), adds k P(s) (bracket + L(s)), P = sum_p sb_p s^p,
+    L = sum_{r>=1} s^r / r.  As sb_p < 0 for p >= 1, sum_p |sb_p| s^p = 2 - P,
+    and A = |c| + |k| (2 - P) (|bracket| + L), with A(1) the scale."""
+    size = tail.size
+    if k is None:
+        rows = np.zeros((2, size))
+        rows[0, 0] = 1.0
+        np.multiply(tail, factor, out=rows[1])
+        kernel = lambda table: (_dot(rows, table), None)
+        return kernel, size, abs(factor) * float(a1) * (1.0 - alpha) * size / alpha
+    # Rows k sb, |k sb|, bracket+L, |bracket|+L, 1, c, |c|: product rows 4:6 are (1, K), 4::2 (1, A).
+    rows = np.zeros((7, N + 1))
+    np.multiply(_signed_binomials(1.0 - alpha, N + 1), k, out=rows[0])
+    np.multiply(tail, factor, out=rows[5, :size])
+    np.abs(rows[0:6:5], out=rows[1:7:5])
+    rows[2:4, 1:] = 1.0 / (_K[1:N + 1] if N < _K.size else np.arange(1.0, N + 1.0))
+    rows[2:5, 0] = bracket, abs(bracket), 1.0
+
+    def kernel(table):
+        r = _dot(rows, table)
+        np.multiply(r[0:2], r[2:4], out=r[0:2])
+        r[5:7] += r[0:2]
+        return r[4:6], r[4::2]
+
+    total = rows.dot(np.ones(N + 1)).tolist()
+    return kernel, N + 1, total[6] + total[1] * total[3]

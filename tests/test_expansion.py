@@ -336,90 +336,83 @@ MOMENT_SWEEP = [
     for t in (1e-9, 1e-6, 1e-3, 0.3, 0.7, 1.0 - 1e-3, 1.0 - 1e-6)
     for count in (1, 2, 3, 5, 9, 17, 33, 65, 129)
 ]
+FIRST, GRADED = expansion._NODE_SETS
 
 
-def _qk21_estimate(f):
+def _qk21_estimate(f, rule):
     """QUADPACK's qk21 error estimate of each panel of f (values of the
     integrand on the 21 nodes in the last axis, on the reference rule
     [-1, 1]): |K21 - G10| scaled by the panel's variation resasc, and never
     less than 50 eps of the absolute integral resabs."""
-    wk, wg = expansion._GK_RULE.T
-    kronrod = f @ wk
-    abserr = np.abs(kronrod - f @ wg)
-    resabs = np.abs(f) @ wk
-    resasc = np.abs(f - 0.5 * kronrod[..., None]) @ wk
-    est = np.where(resasc > 0.0, resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5), abserr)
-    return np.maximum(50.0 * np.finfo(float).eps * resabs, est)
+    wk, wg = rule.T
+    with np.errstate(all="ignore"):
+        kronrod = f @ wk
+        abserr = np.abs(kronrod - f @ wg)
+        resabs = np.abs(f) @ wk
+        resasc = np.abs(f - 0.5 * kronrod[..., None]) @ wk
+        est = np.where(resasc > 0.0, resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5), abserr)
+        return np.maximum(50.0 * np.finfo(float).eps * resabs, est)
+
+
+def _per_row(values, nodes, count):
+    """Each row s^k x' (k = 0..count-1) of a node set on its own, from x' on
+    its nodes, with s^k below 1e-200 taken as 0 as in the power table: W_k,
+    summed over panels of the half-length times the Kronrod sum K21; the
+    pass's estimate, max(50 eps resabs, 200 |K21 - G10|) from the node set's
+    weight matrices; and QUADPACK's qk21 estimate; both summed over panels."""
+    with np.errstate(all="ignore"):
+        powers = nodes.nodes ** np.arange(count)[:, None]
+        f = np.where(powers < 1e-200, 0.0, powers) * values
+        estimate = np.maximum(np.abs(f @ nodes.spread), np.abs(f) @ nodes.kronrod) @ nodes.panels
+        panels = f.reshape(count, -1, 21)
+        return (panels @ nodes.rule[:, 0]) @ nodes.half, estimate, _qk21_estimate(panels, nodes.rule) @ nodes.half
 
 
 def _reference_pass(dx, end, step, count, tol):
-    """The moment pass written out for each row k on its own: s^k x' on the
-    panels' nodes, its qk21 sums per panel, W_k summed over panels, the
-    indices whose cheap bound max(50 eps resabs, 200 |K21 - G10|), summed
-    over panels, misses max(tol, 1e-12 |W_k|), and the indices whose summed
-    qk21 estimate misses it."""
-    s = expansion._GK_NODES.reshape(-1, 21)
-    wk, wg = expansion._GK_RULE.T
-    half = expansion._GK_HALF
-    fx = dx(end + s * step)
-    w, fallback, missed = np.zeros(count), set(), set()
+    """The moment pass written out row by row: W_k, the rows whose summed
+    estimate on the first node set misses max(tol, 1e-12 |W_k|) (sent back),
+    those of them that miss on the graded set too (sent to QUADPACK), and the
+    rows whose summed qk21 estimate misses on the node set that kept them."""
+    w, sent, fell, missed = np.zeros(count), set(), set(), set()
     with np.errstate(all="ignore"):
-        for k in range(count):
-            f = s**k * fx
-            kronrod = f @ wk
-            bound = np.maximum(50.0 * np.finfo(float).eps * (np.abs(f) @ wk),
-                               200.0 * np.abs(kronrod - f @ wg))
-            w[k] = half @ kronrod
-            limit = max(tol, 1e-12 * abs(w[k]))
-            if not half @ bound <= limit:
-                fallback.add(k)
-            if not half @ _qk21_estimate(f) <= limit:
-                missed.add(k)
-    return w, fallback, missed
+        for nodes in (FIRST, GRADED):
+            rows = range(count) if nodes is FIRST else sorted(sent)
+            if not rows:
+                break
+            w_set, estimate, qk21 = _per_row(expansion._sample(dx, end + nodes.nodes * step), nodes, count)
+            for k in rows:
+                w[k] = w_set[k]
+                limit = max(tol, 1e-12 * abs(w[k]))
+                if not estimate[k] <= limit:
+                    (sent if nodes is FIRST else fell).add(k)
+                elif not qk21[k] <= limit:
+                    missed.add(k)
+    return w, sent, fell, missed
 
 
-#: The Kronrod, Gauss and Kronrod weights of each panel, scaled by its
-#: half-length, as the moment pass once took them in one product: shape
-#: (panel, node, 3), C-contiguous, as the product's order depends on the layout.
-_THREE_COLUMNS = np.ascontiguousarray(
-    expansion._GK_HALF[:, None, None] * expansion._GK_RULE[:, [0, 1, 0]])
+class _Rows(np.ndarray):
+    """A kernel's rows that record the index the pass takes them by."""
+
+    taken: list = []
+
+    def __getitem__(self, key):
+        _Rows.taken.append((self.shape[1], key))
+        return np.asarray(self)[key]
 
 
-def _three_column_sums(f, count):
-    """K21, G10 and resabs per panel and k, shape (panel, k, 3): the power
-    table times the columns K x', G x' and K |x'| of the node values f, in
-    one product, as the moment pass once took them."""
-    v = _THREE_COLUMNS * np.reshape(f, _THREE_COLUMNS.shape[:2])[..., None]
-    np.abs(v[..., 2], out=v[..., 2])
-    return expansion._power_table(count) @ v
-
-
-def _two_product_sums(f, count):
-    """K21, G10 and resabs per panel and k, shape (panel, k, 3), as the
-    moment pass takes them: K21 and G10 from the power table times the
-    columns K x' and G x', resabs from the table times their absolute values."""
-    v = expansion._GK_WEIGHTS * np.reshape(f, expansion._GK_WEIGHTS.shape[:2])[..., None]
-    table = expansion._power_table(count)
-    return np.concatenate([table @ v, (table @ np.abs(v))[..., :1]], axis=-1)
-
-
-def _per_panel_pass(x, end, step, count, tol, sums=_two_product_sums):
-    """The moment pass with the per-panel test on every call, without the W_0
-    check, as the oracle of the two-column test: W, with each row whose summed
-    per-panel bound misses max(tol, 1e-12 |W_k|) taken from
-    ``expansion._adaptive_quad``; K21, G10 and resabs come from ``sums``."""
-    dx = x.deriv(1)
-    with np.errstate(all="ignore"):
-        sums = sums(expansion._sample(dx, end + expansion._GK_NODES * step), count)
-        kronrod, gauss, resabs = np.moveaxis(sums, -1, 0)
-        w = kronrod.sum(axis=0)
-        bound = np.maximum(50.0 * np.finfo(float).eps * resabs, 200.0 * np.abs(kronrod - gauss))
-        rows = np.flatnonzero(~(bound.sum(axis=0) <= np.maximum(tol, 1e-12 * np.abs(w))))
-    for k in map(int, rows):
-        w[k] = expansion._adaptive_quad(
-            lambda s: s**k * dx(end + s * step), 0.0, 1.0, tol, what=f"scaled moment k={k}"
-        )
-    return w
+def _identity_pass(x, end, step, count, tol, record):
+    """``_moment_pass`` with the identity kernel of ``moments`` (W_k rows,
+    limit tol), recording into record the rows sent to the graded set and to
+    ``_adaptive_quad``; returns W or the QuadratureError's text."""
+    _Rows.taken = []
+    kernel = lambda table: (table.view(_Rows), None)
+    try:
+        result = expansion._moment_pass(x, end + step, end, step, kernel, count, np.full(count, tol),
+                                        1.0, tol, "scaled moment k={}".format)[0]
+    except QuadratureError as exc:
+        result = str(exc)
+    record["sent"] = {int(k) for n, key in _Rows.taken if n == GRADED.nodes.size for k in key}
+    return result
 
 
 class TestSample:
@@ -441,7 +434,7 @@ class TestSample:
 
     def test_moment_pass_reads_a_read_only_derivative(self):
         # _sample hands x''s own array to the moment pass, which must not
-        # write into it: a read-only array gives the same W bit for bit.
+        # write into it: a read-only array gives the same moments bit for bit.
         def read_only(ts):
             out = np.asarray(-3.5 * (1.0 - ts) ** 2.5)
             out.flags.writeable = False
@@ -449,250 +442,189 @@ class TestSample:
 
         x = power_function(3.5, 0.0, 1.0, Side.RIGHT)
         frozen = ScalarFunction(value=x.value, a=0.0, b=1.0, derivatives=(read_only,))
-        for count in (3, 65):
-            want = expansion._scaled_moments(x, 0.4, 1.0, -0.6, count, 1e-8)
-            got = expansion._scaled_moments(frozen, 0.4, 1.0, -0.6, count, 1e-8)
+        for p_max in (3, 65):
+            want = moments(x, Side.RIGHT, 0.4, ExpansionParams(1, 2), p_max)
+            got = moments(frozen, Side.RIGHT, 0.4, ExpansionParams(1, 2), p_max)
             assert got.tobytes() == want.tobytes()
 
 
 class TestMomentPass:
-    def test_weighted_columns_match_two_product_form(self):
-        # W from the pass must equal the Kronrod sums of the product with the
-        # columns K x' and G x' written out one by one, bit for bit (the
-        # batched product's sums depend on the columns' memory layout too).
-        for g, side, t in [(3.5, Side.RIGHT, 0.4), (2.0, Side.LEFT, 0.6), (7.0, Side.LEFT, 0.3)]:
-            x = power_function(g, 0.0, 1.0, side)
-            end, step = (0.0, t) if side is Side.LEFT else (1.0, t - 1.0)
-            scaled = expansion._GK_HALF[:, None, None] * expansion._GK_RULE
-            f = x.deriv(1)(end + expansion._GK_NODES * step).reshape(scaled.shape[:2])
-            v = np.empty(f.shape + (2,))
-            np.multiply(scaled[..., 0], f, out=v[..., 0])
-            np.multiply(scaled[..., 1], f, out=v[..., 1])
-            for count in (2, 17, 65):
-                want = (expansion._power_table(count) @ v)[..., 0].sum(axis=0)
-                got = expansion._scaled_moments(x, t, end, step, count, 1e-8)
-                assert got.tobytes() == want.tobytes(), (g, side, count)
-
-    def test_matches_per_row_reference(self, monkeypatch):
-        # One batched product against the shared power table gives each W_k
-        # of the per-row qk21 reference to 1e-14, and exactly the rows whose
-        # summed cheap bound misses the tolerance go to QUADPACK, singular
-        # x' (gamma < 1) and nan rows included.  Every row kept has its qk21
-        # estimate within the tolerance too.
-        adaptive_quad = expansion._adaptive_quad
-        fell_back = []
+    @staticmethod
+    def _spy(monkeypatch, fail=False):
+        """Record the rows ``_adaptive_quad`` gets (a failed run gives nan
+        when fail is set)."""
+        adaptive_quad, rows = expansion._adaptive_quad, []
 
         def spy(fn, lo, hi, tol, what):
-            fell_back.append(int(what.rsplit("=", 1)[1]))
+            rows.append(int(what.rsplit("=", 1)[1]) if "=" in what else what)
             try:
                 return adaptive_quad(fn, lo, hi, tol, what=what)
             except QuadratureError:
+                if not fail:
+                    raise
                 return math.nan
 
         monkeypatch.setattr(expansion, "_adaptive_quad", spy)
-        compared = 0
+        return rows
+
+    def test_moments_match_per_row_reference(self, monkeypatch):
+        # Every W_k the pass keeps is the per-row reference's to 1e-13 |W_k|,
+        # and exactly the rows whose estimate misses on the first node set go
+        # to the graded set, and exactly those that miss there too go to
+        # QUADPACK, singular x' (gamma < 1) and nan rows included.  Every row
+        # kept has its qk21 estimate within the tolerance too.
+        fell_back, record, compared = self._spy(monkeypatch, fail=True), {}, 0
         for g, side, t, count in MOMENT_SWEEP:
             x = power_function(g, 0.0, 1.0, side)
-            sgn, end, dist = (1.0, 0.0, t) if side is Side.LEFT else (-1.0, 1.0, 1.0 - t)
-            ref, ref_fallback, missed = _reference_pass(x.deriv(1), end, sgn * dist, count, 1e-8)
-            assert missed <= ref_fallback, (g, side, t, count)
+            end = 0.0 if side is Side.LEFT else 1.0
+            ref, sent, fell, missed = _reference_pass(x.deriv(1), end, t - end, count, 1e-8)
+            assert not missed, (g, side, t, count)
             fell_back.clear()
-            try:
-                w = expansion._scaled_moments(x, t, end, sgn * dist, count, 1e-8)
-            except QuadratureError:
-                w = None
-            assert set(fell_back) == ref_fallback, (g, side, t, count)
-            if w is not None:
-                kept = [k for k in range(count) if k not in ref_fallback]
-                np.testing.assert_allclose(w[kept], ref[kept], rtol=1e-14, atol=0.0)
+            w = _identity_pass(x, end, t - end, count, 1e-8, record)
+            assert (record["sent"], set(fell_back)) == (sent, fell), (g, side, t, count)
+            if not isinstance(w, str):
+                kept = [k for k in range(count) if k not in fell]
+                np.testing.assert_allclose(w[kept], ref[kept], rtol=1e-13, atol=0.0)
                 compared += len(kept)
         assert compared > 10_000
 
+    @pytest.mark.parametrize("kind", [Kind.TYPE_I, Kind.TYPE_III])
+    def test_kernel_sum_matches_per_row_reference(self, kind):
+        # The kernel's integral is sum_k c_k W_k of the per-row reference to
+        # 1e-13 sum |c_k W_k|, with c the weights gathered per W_q (the alpha'
+        # term's double sum by an explicit loop), on both node sets.
+        for g, side, t, N in [(2.0, Side.LEFT, 0.6, 8), (3.5, Side.RIGHT, 0.3, 32), (7.0, Side.LEFT, 0.9, 64)]:
+            x = power_function(g, 0.0, 1.0, side)
+            sgn, end, dist = (1.0, 0.0, t) if side is Side.LEFT else (-1.0, 1.0, 1.0 - t)
+            alpha, ap = ORDER_B.alpha(t), (ORDER_B.alpha_prime(t) if kind is Kind.TYPE_I else 0.0)
+            c, kernel, count, scale = _gathered_weights(kind, alpha, ap, sgn, dist, N)
+            got, _ = expansion._moment_pass(x, t, end, sgn * dist, kernel, count, np.array([1e-8, 1e-8 * scale]),
+                                            max(1.0, scale), 1e-8, str)
+            for nodes in (FIRST, GRADED):
+                w = _per_row(x.deriv(1)(end + nodes.nodes * sgn * dist), nodes, c.size)[0]
+                assert abs(got[1] - math.fsum(c * w)) <= 1e-13 * math.fsum(np.abs(c * w)), (g, side, N)
+
     def test_relative_limit_keeps_rows_above_tol(self, monkeypatch):
-        # At x = 1e9 t^2 the summed cheap bounds exceed tol = 1e-8, so the
-        # shortcut that keeps every row when all of them are at most tol
-        # does not apply, but they meet 1e-12 |W_k|: the per-row test keeps
-        # every row, with no QUADPACK call, and W is 1e9 times that of t^2.
+        # At x = 1e9 t^2 the summed estimates exceed tol = 1e-8, but meet
+        # 1e-12 |W_k|: the pass keeps every row on the first node set, with
+        # no retry and no QUADPACK call, and W is 1e9 times that of t^2.
         base = power_function(2.0, 0.0, 1.0, Side.LEFT)
         scaled = lambda fn: (lambda t: 1e9 * fn(t))
         x = ScalarFunction(scaled(base.value), 0.0, 1.0, tuple(map(scaled, base.derivatives)),
                            monotone_derivatives=True)
-        calls = []
-        monkeypatch.setattr(expansion, "_adaptive_quad", lambda *args, **kw: calls.append(args))
+        calls, record = self._spy(monkeypatch), {}
         for t, count in [(0.7, 3), (0.3, 17), (1.0, 65)]:
-            sums = _three_column_sums(x.deriv(1)(expansion._GK_NODES * t), count)
-            total = np.maximum(50.0 * np.finfo(float).eps * sums[..., 2],
-                               200.0 * np.abs(sums[..., 0] - sums[..., 1])).sum(axis=0)
-            w = expansion._scaled_moments(x, t, 0.0, t, count, 1e-8)
-            assert total.max() > 1e-8 and (total <= 1e-12 * np.abs(w)).all(), (t, count)
-            want = 1e9 * expansion._scaled_moments(base, t, 0.0, t, count, 1e-8)
+            w_ref, estimate, _ = _per_row(x.deriv(1)(FIRST.nodes * t), FIRST, count)
+            w = _identity_pass(x, 0.0, t, count, 1e-8, record)
+            assert estimate.max() > 1e-8 and (estimate <= 1e-12 * np.abs(w)).all(), (t, count)
+            assert record["sent"] == set()
+            want = 1e9 * _identity_pass(base, 0.0, t, count, 1e-8, record)
             np.testing.assert_allclose(w, want, rtol=1e-15, atol=0.0)
         assert calls == []
 
-    def test_table_growth_keeps_rows(self, monkeypatch):
+    @pytest.mark.parametrize("nodes", [FIRST, GRADED], ids=["first", "graded"])
+    def test_table_growth_keeps_rows(self, monkeypatch, nodes):
         # Growing the shared table to a larger count leaves the rows of a
-        # smaller one, and so its W, bit for bit; the table is read-only.
-        # Row k is the elementwise power s ** k of the nodes, with k passed as
-        # an array: NumPy's ``s ** 2`` with a scalar 2 squares instead, which
-        # may differ in the last bit where ``pow`` is vectorised.
-        monkeypatch.setattr(expansion, "_POWERS", expansion._POWERS[:, :0])
-        x = power_function(3.5, 0.0, 1.0, Side.RIGHT)
-        before = expansion._scaled_moments(x, 0.4, 1.0, -0.6, 3, 1e-8)
-        assert expansion._POWERS.shape[1] == 3
-        expansion._scaled_moments(x, 0.4, 1.0, -0.6, 129, 1e-8)
-        assert expansion._POWERS.shape[1] == 129
-        after = expansion._scaled_moments(x, 0.4, 1.0, -0.6, 3, 1e-8)
-        assert expansion._POWERS.shape[1] == 129
-        assert before.tobytes() == after.tobytes()
-        assert not expansion._POWERS.flags.writeable
-        nodes = expansion._GK_NODES
-        rows = expansion._POWERS.transpose(1, 0, 2).reshape(129, nodes.size)
-        for k, row in enumerate(rows):
-            assert row.tobytes() == (nodes ** np.full_like(nodes, k)).tobytes(), k
+        # smaller one bit for bit; the table is read-only.  Row k is the
+        # elementwise power s ** k of the nodes, with k passed as an array
+        # (NumPy's ``s ** 2`` with a scalar 2 squares instead, which may
+        # differ in the last bit where ``pow`` is vectorised), and entries
+        # below 1e-200, whose products the BLAS takes slowly, are 0.
+        monkeypatch.setattr(nodes, "powers", nodes.powers[:0])
+        before = nodes.table(3).copy()
+        assert nodes.powers.shape[0] == 3
+        nodes.table(129)
+        assert nodes.powers.shape[0] == 129
+        assert nodes.table(3).tobytes() == before.tobytes() and nodes.powers.shape[0] == 129
+        assert not nodes.powers.flags.writeable
+        with np.errstate(under="ignore"):
+            for k, row in enumerate(nodes.table(129)):
+                want = nodes.nodes ** np.full_like(nodes.nodes, k)
+                assert row.tobytes() == np.where(want < 1e-200, 0.0, want).tobytes(), k
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(st.lists(
-        st.one_of(
-            st.just(0.0),
-            st.floats(-1e300, 1e300, allow_subnormal=False),
-            st.floats(-1e-250, 1e-250, allow_subnormal=False),
-            st.floats(-1.0, 1.0, allow_subnormal=False).map(lambda v: v * 1e200),
-        ),
-        min_size=21, max_size=21,
-    ))
-    def test_bound_covers_qk21_estimate(self, values):
-        # max(50 eps resabs, 200 |K21 - G10|) bounds QUADPACK's estimate on a
-        # panel, so a row it clears would pass the full qk21 test as well.
-        panel = np.array(values)
-        wk, wg = expansion._GK_RULE.T
-        with np.errstate(all="ignore"):
-            bound = max(50.0 * np.finfo(float).eps * (np.abs(panel) @ wk), 200.0 * abs(panel @ wk - panel @ wg))
-            estimate = _qk21_estimate(panel)
-        assert estimate <= bound
+    def test_estimate_covers_qk21_estimate(self):
+        # The pass's per-panel estimate, max(50 eps resabs, 200 |K21 - G10|)
+        # from the node set's two weight matrices, is never below QUADPACK's
+        # qk21 estimate of the panel, so a row it keeps would pass the full
+        # qk21 test as well.
+        rng = np.random.default_rng(7)
+        for nodes in (FIRST, GRADED):
+            size, panels = nodes.nodes.size, nodes.half.size
+            for values in (rng.standard_normal(size), np.exp(rng.uniform(-690.0, 690.0, size)),
+                           rng.standard_normal(size) * 1e-250, np.sin(40.0 * nodes.nodes),
+                           nodes.nodes ** -0.5, np.where(nodes.nodes < 0.5, 1e7, -1e7)):
+                spread, resabs = values @ nodes.spread, np.abs(values) @ nodes.kronrod
+                estimate = np.maximum(np.abs(spread[:-1]), resabs[:-1])
+                qk21 = _qk21_estimate(values.reshape(panels, 21), nodes.rule) * nodes.half
+                assert (qk21 <= estimate * (1.0 + 1e-13)).all()
+                kronrod = values.reshape(panels, 21) @ nodes.rule[:, 0] @ nodes.half
+                assert abs(spread[-1] - kronrod) <= 1e-14 * (np.abs(values) @ nodes.kronrod[:, -1])
 
-    @staticmethod
-    def _outcome(run, fell_back):
-        """W's bytes, or the QuadratureError's text, and the rows that went
-        to ``_adaptive_quad`` (recorded into fell_back) while run ran."""
-        fell_back.clear()
-        try:
-            result = run().tobytes()
-        except QuadratureError as exc:
-            result = str(exc)
-        return result, list(fell_back)
-
-    @staticmethod
-    def _record(monkeypatch):
-        """Record each row sent to ``_adaptive_quad``, each product with the
-        power table and each entry into np.errstate(all=...); returns
-        (rows, products, entries)."""
-        adaptive_quad, power_table, errstate = expansion._adaptive_quad, expansion._power_table, np.errstate
-        rows, products, entries = [], [], []
-
-        def spy(fn, lo, hi, tol, what):
-            rows.append(int(what.rsplit("=", 1)[1]))
-            return adaptive_quad(fn, lo, hi, tol, what=what)
-
-        class Table:
-            def __init__(self, count):
-                self.table = power_table(count)
-
-            def __matmul__(self, other):
-                products.append(other.shape[-1])
-                return self.table @ other
-
-        def counting(*args, **kw):
-            entries.extend(["all"] if "all" in kw else [])
-            return errstate(*args, **kw)
-
-        monkeypatch.setattr(expansion, "_adaptive_quad", spy)
-        monkeypatch.setattr(expansion, "_power_table", Table)
-        monkeypatch.setattr(np, "errstate", counting)
-        return rows, products, entries
-
-    def _check_against_oracles(self, x, side, t, count, record):
-        """``_scaled_moments`` against the per-panel pass: the same W bits and
-        rows sent to QUADPACK (or the same QuadratureError).  Against the
-        three-column product: the same rows and W to rounding, as a BLAS
-        need not sum a column in the same order for two columns as for
-        three.  Returns the outcome and the products and np.errstate
-        entries of the ``_scaled_moments`` call."""
-        rows, products, entries = record
-        end = 0.0 if side is Side.LEFT else 1.0
-        want = self._outcome(lambda: _per_panel_pass(x, end, t - end, count, 1e-8), rows)
-        old = self._outcome(lambda: _per_panel_pass(x, end, t - end, count, 1e-8, _three_column_sums),
-                            rows)
-        products.clear()
-        entries.clear()
-        got = self._outcome(lambda: expansion._scaled_moments(x, t, end, t - end, count, 1e-8), rows)
-        assert got == want, (side, t, count)
-        assert old[1] == got[1], (side, t, count)
-        if isinstance(got[0], bytes):
-            a, b = np.frombuffer(got[0]), np.frombuffer(old[0])
-            np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13 * np.abs(b).max())
-        return got, list(products), list(entries)
-
-    def test_matches_per_panel_pass(self, monkeypatch):
-        # The two-column test keeps a row only where the per-panel test keeps
-        # it too, so every W bit and every row sent to QUADPACK (and every
-        # QUADPACK error) is the per-panel pass's.  The fast cases clear the
-        # two-column test with one product; the others (an endpoint-singular
-        # x', 1e9 t^2 at 100 rows, 801 rows at N = 400) take the second, and
-        # only x' = inf at 210 nodes enters np.errstate.
+    def test_cases_sent_back_where_the_estimate_misses(self, monkeypatch):
+        # Named cases, each against the per-row reference: the rows sent to
+        # the graded set and to QUADPACK (or the QuadratureError), and which
+        # enter np.errstate.  x' = +-1e7 on the halves cancels W_0 to about
+        # 1e-9, so 50 eps resabs alone sends row 0 to QUADPACK; so does the
+        # rounding in K21 - G10 for x = 1e12 sin 12.5t; at x' = -0.5
+        # (1-t)^(-0.5) rows fall back to QUADPACK; at N = 400 (801 rows) rows
+        # past k ~ 236 go to the graded set, which keeps them.
         power = lambda g, side: power_function(g, 0.0, 1.0, side)
-        scaled = lambda c, fn: (lambda t: c * fn(t))
         square, root = power(2.0, Side.LEFT), power(0.5, Side.RIGHT)
-        big_square = ScalarFunction(scaled(1e9, square.value), 0.0, 1.0,
-                                    tuple(scaled(1e9, d) for d in square.derivatives))
-        linear = ScalarFunction(lambda t: 3.0 * t, 0.0, 1.0, (lambda t: 3.0,))  # x' broadcast
-        fast = [(square, Side.LEFT, t, count) for t in (0.3, 0.7, 1.0, 1e-6) for count in (3, 17, 65)]
-        fast += [(power(3.5, Side.RIGHT), Side.RIGHT, 0.4, count) for count in (1, 3, 65)]
-        fast += [(big_square, Side.LEFT, t, count) for t, count in [(0.7, 3), (0.3, 17), (1.0, 65)]]
-        fast += [(linear, side, 0.5, 13) for side in Side]
-        fast += [(power(g, Side.RIGHT), Side.RIGHT, 1.0 - 2.0**-53, 13) for g in (2.0, 3.5)]
-        slow = [(power(0.5, Side.LEFT), Side.LEFT, 1e-6, count) for count in (13, 65)]
-        slow += [(square, Side.LEFT, 0.5, 801), (big_square, Side.LEFT, 0.5, 100)]
-        # x' = +-1e7 on the halves: W_0 cancels to about 1e-9, and 50 eps resabs alone
-        # sends row 0 to QUADPACK.
         step = ScalarFunction(lambda t: 1e7 * np.minimum(t, 1.0 - t), 0.0, 1.0,
                               (lambda t: np.where(t < 0.5, 1e7, -1e7),))
-        slow += [(step, Side.LEFT, 1.0, count) for count in (1, 17)]
-        # x = 1e12 sin 12.5t: the summed bounds of rows 0 and 1 are 1.1-2.1e-12 |W_k|.
         wave = ScalarFunction(lambda t: 1e12 * np.sin(12.5 * t), 0.0, 1.0,
                               (lambda t: 1.25e13 * np.cos(12.5 * t),))
-        slow += [(wave, Side.LEFT, 1.0, 2)]
-        slow += [(root, Side.RIGHT, t, 13) for t in (0.3, 0.9)]
-        inf = (root, Side.RIGHT, 1.0 - 2.0**-53, 13)
-        record = self._record(monkeypatch)
-        fell_back = {}
-        for cases, path in ((fast, ([2], [])), (slow, ([2, 2], [])), ([inf], ([2, 2], ["all"]))):
-            for x, side, t, count in cases:
-                got, products, entries = self._check_against_oracles(x, side, t, count, record)
-                assert (products, entries) == path, (side, t, count)
-                fell_back[side, t, count] = got
-        assert sum(len(fell_back[Side.RIGHT, t, 13][1]) for t in (0.3, 0.9)) == 4
-        assert len(fell_back[Side.LEFT, 0.5, 801][1]) > 0 and fell_back[Side.LEFT, 0.5, 100][1] == []
-        assert "value inf" in fell_back[inf[1:]][0]
-        assert fell_back[Side.LEFT, 1.0, 17][1] == [0] and fell_back[Side.LEFT, 1.0, 2][1] == [0, 1]
+        linear = ScalarFunction(lambda t: 3.0 * t, 0.0, 1.0, (lambda t: 3.0,))  # x' broadcast
+        cases = [(square, Side.LEFT, t, count) for t in (0.3, 1.0, 1e-6) for count in (3, 65)]
+        cases += [(linear, side, 0.5, 13) for side in Side]
+        cases += [(power(g, Side.RIGHT), Side.RIGHT, 1.0 - 2.0**-53, 13) for g in (2.0, 3.5)]
+        cases += [(power(0.5, Side.LEFT), Side.LEFT, 1e-6, 13), (square, Side.LEFT, 0.5, 801)]
+        cases += [(step, Side.LEFT, 1.0, 17), (wave, Side.LEFT, 1.0, 2)]
+        cases += [(root, Side.RIGHT, t, 13) for t in (0.3, 0.9, 1.0 - 2.0**-53)]
+        rows, record, entries, outcome = self._spy(monkeypatch, fail=True), {}, [], {}
+        errstate = np.errstate
+        monkeypatch.setattr(np, "errstate", lambda *a, **kw: entries.extend(kw) or errstate(*a, **kw))
+        for x, side, t, count in cases:
+            end = 0.0 if side is Side.LEFT else 1.0
+            ref, sent, fell, _ = _reference_pass(x.deriv(1), end, t - end, count, 1e-8)
+            rows.clear()
+            entries.clear()
+            try:
+                w = _identity_pass(x, end, t - end, count, 1e-8, record)
+            except QuadratureError as exc:
+                w = str(exc)
+            assert (record["sent"], set(rows)) == (sent, fell), (side, t, count)
+            assert ("all" in entries) == (t == 1.0 - 2.0**-53 and x is root), (side, t, count)
+            outcome[side, t, count] = (record["sent"], set(rows), w)
+        assert outcome[Side.LEFT, 1.0, 17][:2] == ({0}, {0})
+        assert outcome[Side.LEFT, 1.0, 2][:2] == ({0}, {0})
+        assert sum(len(outcome[Side.RIGHT, t, 13][1]) for t in (0.3, 0.9)) == 4
+        assert len(outcome[Side.LEFT, 0.5, 801][0]) > 500 and outcome[Side.LEFT, 0.5, 801][1] == set()
+        assert "W_0 = nan" in outcome[Side.RIGHT, 1.0 - 2.0**-53, 13][2]
 
-    def test_past_guard_warns_nothing(self, monkeypatch):
-        # A finite x' whose R0 is above 1e300, up to the largest float, and
-        # x' = inf at 210 nodes (right, t = 1 - 2^-53) run the pass under
-        # np.errstate: no RuntimeWarning, and the oracles' outcome.
-        record = self._record(monkeypatch)
+    def test_past_guard_warns_nothing(self):
+        # A finite x' whose square sum is past the guard, up to the largest
+        # float, and x' = inf at 210 nodes (right, t = 1 - 2^-53) run the
+        # products under np.errstate: no RuntimeWarning, and a value where
+        # every sum is finite.
         cases = [(ScalarFunction(lambda t, c=c: c * t, 0.0, 1.0, (lambda t, c=c: c,)), Side.LEFT, 0.5)
                  for c in (1e305, -1e305, np.finfo(float).max)]
         cases += [(power_function(0.5, 0.0, 1.0, Side.RIGHT), Side.RIGHT, 1.0 - 2.0**-53)]
         for x, side, t in cases:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                _, _, entries = self._check_against_oracles(x, side, t, 13, record)
-            assert entries == ["all"], (side, t)
+                try:
+                    got = moments(x, side, t, ExpansionParams(1, 6), 13)
+                except QuadratureError:
+                    got = None
+            if x.value(1.0) == 1e305:
+                np.testing.assert_allclose(got, 1e305 * 0.5 ** np.arange(1.0, 14.0) / np.arange(1.0, 14.0),
+                                           rtol=1e-14)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
         arrays(
-            float, 357,
+            float, FIRST.nodes.size + GRADED.nodes.size,
             elements=st.one_of(
                 st.floats(-1e300, 1e300, allow_subnormal=False),
                 st.floats(-1e-250, 1e-250, allow_subnormal=False),
@@ -702,36 +634,44 @@ class TestMomentPass:
         ),
         st.integers(1, 130),
     )
-    def test_two_column_bound_covers_panel_bound(self, f, count):
-        # c_k = (50 eps R0 + 200 sum_p |K21 - G10|) (1 + 1e-12) + 1e-300,
-        # R0 = sum_j K_j |x'_j|, is at least the per-panel bound
-        # max(50 eps resabs, 200 |K21 - G10|) summed over panels, for every
-        # k, with the sums of the pass's two products and of one product with
-        # three columns.  At the largest tol where the per-panel test on the
-        # pass's own sums (the loop's last) sends a row to QUADPACK, the
-        # moment pass sends exactly its rows.
-        eps = np.finfo(float).eps
-        r0 = np.abs(f) @ expansion._GK_KRONROD
-        for sums in (_three_column_sums, _two_product_sums):
-            kronrod, gauss, resabs = np.moveaxis(sums(f, count), -1, 0)
-            total = np.maximum(50.0 * eps * resabs, 200.0 * np.abs(kronrod - gauss)).sum(axis=0)
-            spread = np.abs(kronrod - gauss).sum(axis=0)
-            cap = (50.0 * eps * r0 + 200.0 * spread) * (1.0 + 1e-12) + 1e-300
-            assert (cap >= total).all(), sums
-        w = kronrod.sum(axis=0)
-        over = total > 1e-12 * np.abs(w)
-        tol = np.nextafter(total[over].max(), 0.0) if over.any() else 0.0
-        if tol > 0.0:
-            want = np.flatnonzero(~(total <= np.maximum(tol, 1e-12 * np.abs(w)))).tolist()
-            rows = []
-            record = lambda fn, lo, hi, tol, what: rows.append(int(what.rsplit("=", 1)[1])) or 0.0
-            x = ScalarFunction(lambda t: 0.0, 0.0, 1.0, (lambda t: f,))
-            with mock.patch.object(expansion, "_adaptive_quad", record):
-                try:
-                    expansion._scaled_moments(x, 0.5, 0.0, 0.5, count, tol)
-                except QuadratureError:
-                    pass  # the W_0 identity: x = 0 does not fit these values
-            assert want and rows == want
+    def test_rows_sent_back_exactly_where_the_estimate_misses(self, values, count):
+        # x' given by arbitrary values on both node sets: at the largest tol
+        # where the per-row estimate on the first set misses for some row,
+        # exactly those rows go to the graded set, and exactly those of them
+        # whose estimate misses there too go to QUADPACK.
+        first, graded = values[: FIRST.nodes.size], values[FIRST.nodes.size:]
+        dx = lambda t: first if np.size(t) == first.size else (graded if np.size(t) == graded.size else 0.0)
+        w, estimate, _ = _per_row(first, FIRST, count)
+        over = estimate > 1e-12 * np.abs(w)
+        if not over.any():
+            return
+        tol = np.nextafter(estimate[over].max(), 0.0)
+        ref, sent, fell, _ = _reference_pass(dx, 0.0, 1.0, count, tol)
+        rows, record = [], {}
+        x = ScalarFunction(lambda t: 0.0, 0.0, 1.0, (dx,))
+        with mock.patch.object(expansion, "_adaptive_quad",
+                               lambda fn, lo, hi, tol, what: rows.append(int(what.rsplit("=", 1)[1])) or 0.0):
+            _identity_pass(x, 0.0, 1.0, count, tol, record)  # the W_0 identity may fail: x = 0
+        assert sent and record["sent"] == sent and set(rows) == fell
+
+
+def _gathered_weights(kind, alpha, ap, sgn, dist, N):
+    """The weights c on W_0..W_(2N) of the expansion at n = 1, the alpha'
+    term's double sum gathered per W_q by an explicit loop, and the kernel,
+    count and scale of ``expansion._moment_kernel`` for them."""
+    head, tail = coefficients_left(alpha, ExpansionParams(1, N))
+    factor = sgn * dist ** (1.0 - alpha)
+    c = np.zeros(2 * N + 1)
+    c[: tail.size] = factor * tail
+    k = bracket = None
+    if ap != 0.0:
+        k = ap * dist ** (2.0 - alpha) / gamma(2.0 - alpha)
+        bracket = _log_bracket(kind, alpha, dist)
+        sb = [signed_binomial(1.0 - alpha, p) for p in range(N + 1)]
+        for q in range(2 * N + 1):
+            single = [bracket * sb[q]] if q <= N else []
+            c[q] += k * math.fsum(single + [sb[p] / (q - p) for p in range(max(0, q - N), min(q, N + 1))])
+    return (c if k is not None else c[: tail.size]), *expansion._moment_kernel(tail, head[0], factor, alpha, N, k, bracket)
 
 
 class TestErrorBound:
@@ -1010,41 +950,91 @@ class TestApproximation:
             assert got.bound_kind == want.bound_kind
 
     @pytest.mark.parametrize("kind", [Kind.TYPE_I, Kind.TYPE_II])
-    @pytest.mark.parametrize("N", [1, 2, 8, 32])
-    def test_correction_matches_double_sum(self, kind, N):
-        # The convolution must weight each W_q by sum_{p+r=q} sb_p / r; the
-        # certificate is too loose to notice a shifted W slice, this is not.
-        rng = np.random.default_rng(N)
+    @pytest.mark.parametrize("N", [1, 2, 7, 64])
+    def test_product_kernel_matches_gathered_weights(self, kind, N):
+        # The kernel c(s) + k P(s) (bracket + L(s)) on N + 1 table rows is the
+        # weights gathered per W_q (2N + 1 of them, the double sum by an
+        # explicit loop) times the powers s^q, on both node sets, to 1e-13 of
+        # the absolute kernel A, which bounds sum_q |c_q| s^q; the scale
+        # bounds sum_q |c_q|.  The certificate is too loose to notice a
+        # shifted W slice; this is not.
         for alpha in (0.05, 0.37, 0.93):
             for dist in (1e-6, 0.3, 1.0):
-                w = rng.uniform(-1.0, 1.0, 2 * N + 1)
-                sb = [signed_binomial(1.0 - alpha, p) for p in range(N + 1)]
-                single = math.fsum(sb[p] * w[p] for p in range(N + 1))
-                double = math.fsum(
-                    sb[p] * w[p + r] / r for p in range(N + 1) for r in range(1, N + 1)
-                )
-                bracket = _log_bracket(kind, alpha, dist)
-                want = (0.4 * dist ** (2.0 - alpha) / gamma(2.0 - alpha)
-                        * (bracket * single + double))
-                weights = expansion._alpha_prime_weights(bracket, alpha, 0.4, dist, N)
-                got = math.fsum((weights * w).tolist())
-                assert got == pytest.approx(want, rel=1e-13)
+                for sgn in (1.0, -1.0):
+                    c, kernel, count, scale = _gathered_weights(kind, alpha, 0.4, sgn, dist, N)
+                    assert count == N + 1 and math.fsum(np.abs(c)) <= scale * (1.0 + 1e-13)
+                    for nodes in (FIRST, GRADED):
+                        with np.errstate(under="ignore"):
+                            powers = nodes.nodes ** np.arange(2 * N + 1)[:, None]
+                        (one, k), (_, a) = kernel(nodes.table(count))
+                        assert (one == 1.0).all()
+                        assert (np.abs(k - c @ powers) <= 1e-13 * a).all(), (alpha, dist, sgn)
+                        assert (np.abs(c) @ powers <= a * (1.0 + 1e-13)).all(), (alpha, dist, sgn)
 
-    @pytest.mark.parametrize("kind", [Kind.TYPE_I, Kind.TYPE_II])
-    @pytest.mark.parametrize("N", [1, 2, 8, 32])
-    def test_weights_match_zeros_convolve_form(self, kind, N):
-        # The weights scaled in place, bit for bit against the bracket row
-        # and the convolution added into zeros, then scaled as a new array.
-        for alpha in (0.05, 0.37, 0.93):
-            for dist in (1e-6, 0.3, 1.0):
-                bracket = _log_bracket(kind, alpha, dist)
-                sb = _signed_binomials(1.0 - alpha, N + 1)
-                c = np.zeros(2 * N + 1)
-                c[: N + 1] = bracket * sb
-                c[1:] += np.convolve(sb, 1.0 / np.arange(1, N + 1))
-                want = 0.4 * dist ** (2.0 - alpha) / gamma(2.0 - alpha) * c
-                got = expansion._alpha_prime_weights(bracket, alpha, 0.4, dist, N)
-                assert got.tobytes() == want.tobytes(), (alpha, dist)
+    @pytest.mark.parametrize("N", [256, 1024])
+    @pytest.mark.parametrize("kind", [Kind.TYPE_I, Kind.TYPE_III])
+    def test_large_n_takes_no_quadpack(self, kind, N, monkeypatch):
+        # x = t^2, left, t = 0.6, alpha = 0.1 + 0.5t: moment rows past k ~ 236
+        # used to go to QUADPACK one by one (1,816 runs for type I at
+        # N = 1024); the kernel's estimate passes on the graded node set.
+        calls = []
+        monkeypatch.setattr(expansion, "_adaptive_quad", lambda *args, what: calls.append(what))
+        order = affine_order(0.5, 0.1, (0.0, 1.0))
+        res = approximate(kind, power_function(2.0, 0.0, 1.0, Side.LEFT), order, 0.6, Side.LEFT,
+                          ExpansionParams(1, N))
+        assert calls == []
+        assert abs(res.value - power_closed_form(kind, Side.LEFT, 2.0, order, 0.6)) <= res.error_bound
+
+    @pytest.mark.parametrize("kind", [Kind.TYPE_I, Kind.TYPE_III])
+    def test_singular_derivative_takes_one_run_per_kernel_row(self, kind, monkeypatch):
+        # x = t^0.5 at N = 256: x' is singular at s = 0, so W_0 and the kernel
+        # miss on both node sets, and each takes one adaptive run (one per
+        # failing moment row before: up to 513).
+        calls = []
+        adaptive_quad = expansion._adaptive_quad
+        monkeypatch.setattr(expansion, "_adaptive_quad",
+                            lambda *args, what: calls.append(what) or adaptive_quad(*args, what=what))
+        order = affine_order(0.5, 0.1, (0.0, 1.0))
+        res = approximate(kind, power_function(0.5, 0.0, 1.0, Side.LEFT), order, 0.6, Side.LEFT,
+                          ExpansionParams(1, 256))
+        assert sorted(calls) == ["moment kernel", "scaled moment k=0"]
+        assert abs(res.value - power_closed_form(kind, Side.LEFT, 0.5, order, 0.6)) <= 1e-4
+
+    def test_error_falls_past_the_last_first_set_node(self, monkeypatch):
+        # Type III, left, t = 0.5, alpha = t/2 + 0.49, x = t^2: s^k past the
+        # last node of the first node set went unseen, and the error grew with
+        # N (1.80e-6, 9.47e-5, 3.35e-3 at N = 8192, 12288, 15000).  The kernel
+        # misses there and the graded set takes it (1.80e-6, 1.08e-6, 8.41e-7).
+        # The power tables reach about 80 MB; they are dropped afterwards.
+        for nodes in expansion._NODE_SETS:
+            monkeypatch.setattr(nodes, "powers", nodes.powers)
+        x = power_function(2.0, 0.0, 1.0, Side.LEFT)
+        exact = power_closed_form(Kind.TYPE_III, Side.LEFT, 2.0, ORDER_A, 0.5)
+        err = [abs(approximate(Kind.TYPE_III, x, ORDER_A, 0.5, Side.LEFT, ExpansionParams(1, N)).value - exact)
+               for N in (8192, 12288)]
+        assert err[1] < err[0] < 2e-6
+
+    @pytest.mark.parametrize("side", list(Side))
+    def test_rounding_allowance_alone_covers_linear_x(self, side):
+        # x = t or 1 - t with n = 1 has x'' = 0: the truncation bound of type
+        # III is 0 and the certificate is the rounding allowance alone, which
+        # must cover the error against mpmath over six orders, N up to 256
+        # and t from 1e-3 to 1 - 1e-3.
+        x = power_function(1.0, 0.0, 1.0, side)
+        orders = [affine_order(c1, c0, (0.0, 1.0)) for c1, c0 in
+                  [(0.0, 0.01), (0.0, 0.5), (0.0, 0.99), (0.5, 0.49), (0.98, 0.01), (-0.5, 0.7)]]
+        for order in orders:
+            for t in (1e-3, 0.07, 0.5, 0.93, 1.0 - 1e-3):
+                dist = t if side is Side.LEFT else 1.0 - t
+                alpha = order.alpha(t)
+                with mpmath.workdps(30):
+                    exact = mpmath.mpf(dist) ** (1 - mpmath.mpf(alpha)) / mpmath.gamma(2 - mpmath.mpf(alpha))
+                maxima = derivative_bound(x, (2,), *((0.0, t) if side is Side.LEFT else (t, 1.0)))
+                for N in (1, 6, 40, 256):
+                    params = ExpansionParams(1, N)
+                    assert error_bound(Kind.TYPE_III, params, alpha, 0.0, dist, maxima) == 0.0
+                    res = approximate(Kind.TYPE_III, x, order, t, side, params)
+                    assert abs(res.value - exact) <= res.error_bound, (alpha, t, N)
 
     @pytest.mark.parametrize("ap", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("kind", [Kind.TYPE_I, Kind.TYPE_II])

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -143,6 +144,13 @@ def burgers_exact(x, t):
     return x**2 + t**2
 
 
+def _d_alpha_t2(order: OrderFunction) -> Callable[[float], float]:
+    """t -> the left type III derivative of t^2 from t = 0 (the time origin,
+    whatever order.a is), by ``power_closed_form`` with its kind and side
+    bound once: a source calls it at every stepper t."""
+    return partial(power_closed_form, Kind.TYPE_III, Side.LEFT, 2.0, replace(order, a=0.0))
+
+
 def manufactured_diffusion(order: OrderFunction, N: int = 6) -> DiffusionProblem:
     """Diffusion problem whose exact solution is t^2 sin(2 pi x).
 
@@ -150,11 +158,10 @@ def manufactured_diffusion(order: OrderFunction, N: int = 6) -> DiffusionProblem
     ``power_closed_form``'s 2 t^(2-alpha)/Gamma(3-alpha), with the spatial
     Laplacian 4 pi^2 t^2, times sin(2 pi x); the initial profile is zero.
     """
-    origin = replace(order, a=0.0)  # the time origin is t = 0, whatever order.a is
+    dt2 = _d_alpha_t2(order)
 
     def f(x: np.ndarray, t: float) -> np.ndarray:
-        dt2 = power_closed_form(Kind.TYPE_III, Side.LEFT, 2.0, origin, t)
-        return (dt2 + 4.0 * math.pi**2 * t**2) * np.sin(2.0 * np.pi * np.asarray(x))
+        return (dt2(t) + 4.0 * math.pi**2 * t**2) * np.sin(2.0 * np.pi * np.asarray(x))
 
     return DiffusionProblem(order=order, N=N, f=f, g=lambda x: 0.0)
 
@@ -165,10 +172,10 @@ def manufactured_burgers(order: OrderFunction, N: int, t0: float = DEFAULT_T0) -
     ``manufactured_diffusion``, the initial profile x^2 + t0^2 at the solve's
     start t0, and lateral values pinned to the exact solution, a choice:
     the problem statement fixes only u(x, 0) = x^2."""
-    origin = replace(order, a=0.0)  # as in ``manufactured_diffusion``
+    dt2 = _d_alpha_t2(order)
 
     def f(x: np.ndarray, t: float) -> np.ndarray:
-        return power_closed_form(Kind.TYPE_III, Side.LEFT, 2.0, origin, t) + 2.0 * x - 2.0
+        return dt2(t) + 2.0 * x - 2.0
 
     return DiffusionProblem(order, N, f, lambda x: x**2 + t0**2,
                             lambda t: (t**2, 1.0 + t**2), -1.0)

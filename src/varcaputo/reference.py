@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .order import OrderFunction, _difference
-from .special import DomainError, digamma, gamma, gamma_ratio
+from .special import DomainError, digamma, gamma
 
 __all__ = [
     "Kind",
@@ -68,6 +68,11 @@ class Kind(enum.Enum):
 class Side(enum.Enum):
     LEFT = "left"
     RIGHT = "right"
+
+
+#: Members bound once: on Python 3.11 each ``Kind.X``/``Side.X`` lookup costs
+#: about 0.1 us, and every point route tests its kind and side.
+_LEFT, _TYPE_I, _TYPE_III = Side.LEFT, Kind.TYPE_I, Kind.TYPE_III
 
 
 class QuadratureError(RuntimeError):
@@ -131,8 +136,11 @@ def power_function(gamma_exp: float, a: float, b: float, side: Side = Side.LEFT)
     times dist^(gamma-p), with the sign (-1)^p on the right, and the value is
     its p = 0 case.  The factor is exactly 0 once p exceeds an integer gamma,
     and the exponent is then 0, so the derivative is 0 everywhere, endpoints
-    included.  The callables take floats or arrays; the float path stays
-    free of NumPy because the quadrature routines call x' point by point.
+    included.  The callables take floats or arrays.  They test for a float
+    first, ahead of the ndarray test, and the float path stays free of NumPy,
+    because QUADPACK calls x' once per node; an np.float64 (a float subclass)
+    and a 0-d array (whose distance is an np.float64) take the same scalar
+    arithmetic, so every scalar input gives the float path's bits.
     |x^(p)| = |gamma (gamma-1) ... (gamma-p+1)| dist^(gamma-p) is increasing,
     constant or decreasing in dist with the sign of gamma - p, so it is
     monotone in t and the function declares ``monotone_derivatives``; at a
@@ -149,7 +157,7 @@ def power_function(gamma_exp: float, a: float, b: float, side: Side = Side.LEFT)
     if not isinstance(side, Side):
         raise ValueError(f"side must be a Side, got {side!r}")
     left = side is Side.LEFT
-    ndarray = np.ndarray  # bound once: quad calls the float path at every node
+    ndarray = np.ndarray
 
     def make_deriv(p: int) -> RealFn:
         factor = math.prod(gamma_exp - j for j in range(p))
@@ -159,7 +167,7 @@ def power_function(gamma_exp: float, a: float, b: float, side: Side = Side.LEFT)
 
         def dfn(t):
             dist = (t - a) if left else (b - t)
-            if isinstance(dist, ndarray):
+            if not isinstance(dist, float) and isinstance(dist, ndarray):  # float first: per node
                 if dist.all():  # no node on the end: nothing to replace
                     return scale * dist**exponent
                 with np.errstate(divide="ignore"):  # 0 ** negative, replaced by at_end
@@ -213,6 +221,11 @@ def caputo_quadrature(
     after an integration by parts.  The kinds differ only in alpha' and c.
     Each integral gets tol when it runs alone and tol/2 when both run.  t and
     tol are admitted on [x.a, x.b] by ``_admit``, which raises its errors.
+
+    QUADPACK calls each integrand 20-370 times per point, so everything that
+    does not depend on the node is bound once per call: 1/(1-alpha), c,
+    ``math.log`` and the clamp, tested with ``<`` rather than ``max``.  The
+    clamp stays because deep bisection can reach s = 0.
     """
     if (admitted := _admit(kind, order, t, side, x.a, x.b, tol)) is None:
         return 0.0
@@ -220,15 +233,16 @@ def caputo_quadrature(
     oma = 1.0 - alpha
     tol_each = tol if ap == 0.0 else tol / 2.0
     dx = x.deriv(1)
-    value = sgn * _adaptive_quad(
-        lambda u: dx(t - sgn * u ** (1.0 / oma)), 0.0, dist**oma, tol_each
-    )
+    inv_oma = 1.0 / oma
+    value = sgn * _adaptive_quad(lambda u: dx(t - sgn * u**inv_oma), 0.0, dist**oma, tol_each)
     if ap != 0.0:
         c = _log_bracket(kind, alpha, 1.0)
+        log, clamp = math.log, _LOG_CLAMP
 
         def log_kernel(s: float) -> float:
-            s = max(s, _LOG_CLAMP)
-            return s**oma * dx(t - sgn * s) * (c - math.log(s))
+            if s < clamp:  # deep bisection can reach s = 0
+                s = clamp
+            return s**oma * dx(t - sgn * s) * (c - log(s))
 
         value += ap * _adaptive_quad(log_kernel, 0.0, dist, tol_each)
     return value / gamma(2.0 - alpha)
@@ -248,22 +262,28 @@ def power_closed_form(
     alpha'-weighted term carrying ln(dist) - Psi(gamma-alpha+2), with
     Psi(1-alpha) appearing for type I only.  The correction enters with the
     sign -sgn of the signed frame: minus on the left, plus on the right.  t
-    is admitted on the order's [a, b] by ``_admit``, which raises its errors.
+    is admitted on the order's [a, b] by ``_admit``, which raises its errors;
+    a gamma that is not positive and finite raises ``DomainError`` first.
+
+    Both Gamma ratios have arguments gamma + 1 > gamma - alpha + 1 > 0, so
+    they are ``special.gamma_ratio``'s exp(lgamma(num) - lgamma(den)), bit
+    for bit, without its finiteness, pole and sign work.
     """
-    if gamma_exp <= 0:
-        raise DomainError(f"power exponent must be positive, got {gamma_exp}")
+    if not 0.0 < gamma_exp < math.inf:
+        raise DomainError(f"power exponent must be positive and finite, got {gamma_exp}")
     if (admitted := _admit(kind, order, t, side, order.a, order.b)) is None:
         return 0.0
     _, sgn, _, dist, alpha, ap = admitted
-    base = gamma_ratio(gamma_exp + 1.0, gamma_exp - alpha + 1.0) * dist ** (gamma_exp - alpha)
+    lgamma_num = math.lgamma(gamma_exp + 1.0)
+    base = math.exp(lgamma_num - math.lgamma(gamma_exp - alpha + 1.0)) * dist ** (gamma_exp - alpha)
     if ap == 0.0:
         return base
     bracket = math.log(dist) - digamma(gamma_exp - alpha + 2.0)
-    if kind is Kind.TYPE_I:
+    if kind is _TYPE_I:
         bracket += digamma(1.0 - alpha)
     corr = (
         ap
-        * gamma_ratio(gamma_exp + 1.0, gamma_exp - alpha + 2.0)
+        * math.exp(lgamma_num - math.lgamma(gamma_exp - alpha + 2.0))
         * dist ** (gamma_exp - alpha + 1.0)
         * bracket
     )
@@ -320,7 +340,7 @@ def _frame(a: float, b: float, t: float, side: Side) -> tuple[float, float, floa
     if not a <= t <= b:
         raise SingularityError(f"t = {t} outside [{a}, {b}]")
     t = float(t)
-    sgn, end = (1.0, a) if side is Side.LEFT else (-1.0, b)
+    sgn, end = (1.0, a) if side is _LEFT else (-1.0, b)
     return t, sgn, end, abs(t - end)
 
 
@@ -347,7 +367,7 @@ def _admit(kind: Kind, order: OrderFunction, t: float, side: Side, a: float, b: 
     alpha = order.alpha(t)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0,1), got alpha({t}) = {alpha}")
-    ap = 0.0 if kind is Kind.TYPE_III else order.alpha_prime(t)
+    ap = 0.0 if kind is _TYPE_III else order.alpha_prime(t)
     if not math.isfinite(ap):
         raise ValueError(f"alpha' must be finite, got alpha'({t}) = {ap}")
     return t, sgn, end, dist, alpha, ap
@@ -356,4 +376,4 @@ def _admit(kind: Kind, order: OrderFunction, t: float, side: Side, a: float, b: 
 def _log_bracket(kind: Kind, alpha: float, dist: float) -> float:
     """The bracket of every alpha' term of types I and II: 1/(1-alpha) for
     type I, Psi(2-alpha) for type II, minus ln dist."""
-    return (1.0 / (1.0 - alpha) if kind is Kind.TYPE_I else digamma(2.0 - alpha)) - math.log(dist)
+    return (1.0 / (1.0 - alpha) if kind is _TYPE_I else digamma(2.0 - alpha)) - math.log(dist)

@@ -19,7 +19,7 @@ from varcaputo.reference import (
     power_function,
     rl_from_caputo,
 )
-from varcaputo.special import gamma
+from varcaputo.special import digamma, gamma, gamma_ratio
 
 ORDER = affine_order(0.5, 0.1, (0.0, 1.0))  # alpha(t) = (5t + 1)/10
 
@@ -67,29 +67,70 @@ class TestPowerFunction:
         # Arrays with nodes on the operator's end take the end branch, and
         # arrays without take the plain power; every entry equals the float
         # path bit for bit, with at_end (0, the constant or inf) at the end
-        # and no RuntimeWarning from 0 ** negative.
+        # and no RuntimeWarning from 0 ** negative.  A float t takes the
+        # first branch; np.float64 scalars (a float subclass) and 0-d arrays
+        # (whose distance is an np.float64) must give the same bits, nan
+        # included.
         x = power_function(gamma_exp, 0.0, 1.0, side)
         end = 0.0 if side is Side.LEFT else 1.0
         with_end = np.array([end, 0.25, end, 0.5, 1.0 - end, end])
         inside = np.array([0.25, 0.5, 0.75, 1.0 - end])
+        with_nan = np.array([0.25, math.nan, end])
         for p in range(5):
             fn = x.value if p == 0 else x.deriv(p)
             factor = math.prod(gamma_exp - j for j in range(p))
             scale = factor if side is Side.LEFT else (-1.0) ** p * factor
             want_end = 0.0 if p < gamma_exp else (scale if p == gamma_exp or factor == 0.0 else math.inf)
-            for ts in (with_end, inside):
+            for ts in (with_end, inside, with_nan):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     got = fn(ts)
-                want = np.array([fn(float(t)) for t in ts])
+                    want = np.array([fn(float(t)) for t in ts])
+                    scalars = [np.float64(t) for t in ts]
+                    zero_d = [np.array(t) for t in ts]
+                    others = {"np.float64": [fn(t) for t in scalars],
+                              "0-d array": [fn(t) for t in zero_d]}
                 assert got.tobytes() == want.tobytes(), (p, ts)
+                assert all(type(fn(float(t))) is float for t in ts), (p, ts)
+                for name, vals in others.items():
+                    assert np.array(vals).tobytes() == want.tobytes(), (p, ts, name)
             assert all(v == want_end for v in fn(with_end)[with_end == end]), p
+            assert all(fn(t) == want_end for t in (end, np.float64(end), np.array(end))), p
 
     def test_zero_exponent_rejected(self):
         with pytest.raises(DomainError):
             power_function(0.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             power_closed_form(Kind.TYPE_I, Side.LEFT, 0.0, ORDER, 0.5)
+
+    @pytest.mark.parametrize("gamma_exp", [0.0, -1.0, -math.inf, math.inf, math.nan])
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_closed_form_rejects_exponent_outside_domain(self, gamma_exp, kind):
+        # The Gamma ratios skip special.gamma_ratio's checks, so the exponent
+        # check is the only guard; it runs before the end test at t = a too.
+        for t in (0.0, 0.5):
+            with pytest.raises(DomainError, match="positive and finite"):
+                power_closed_form(kind, Side.LEFT, gamma_exp, ORDER, t)
+
+    @pytest.mark.parametrize("gamma_exp", [1e-300, 0.5, 1.0, 2.0, 3.5, 170.5, 1e200])
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("side", list(Side))
+    def test_closed_form_ratios_are_gamma_ratio_bits(self, gamma_exp, kind, side):
+        # The inlined Gamma ratios equal special.gamma_ratio's bit for bit:
+        # the reference below is the formula written with it.
+        for t in (1e-9, 0.3, 0.5, 1.0 - 1e-9):
+            dist = t if side is Side.LEFT else 1.0 - t
+            sgn = 1.0 if side is Side.LEFT else -1.0
+            alpha = ORDER.alpha(t)
+            ap = 0.0 if kind is Kind.TYPE_III else ORDER.alpha_prime(t)
+            want = gamma_ratio(gamma_exp + 1.0, gamma_exp - alpha + 1.0) * dist ** (gamma_exp - alpha)
+            if ap != 0.0:
+                bracket = math.log(dist) - digamma(gamma_exp - alpha + 2.0)
+                if kind is Kind.TYPE_I:
+                    bracket += digamma(1.0 - alpha)
+                want -= sgn * (ap * gamma_ratio(gamma_exp + 1.0, gamma_exp - alpha + 2.0)
+                               * dist ** (gamma_exp - alpha + 1.0) * bracket)
+            assert power_closed_form(kind, side, gamma_exp, ORDER, t).hex() == want.hex(), t
 
 
     @pytest.mark.parametrize("gamma_exp", [math.nan, math.inf, -1.0, 1.2e77, 1e300])

@@ -52,6 +52,9 @@ DEFAULT_TOL = 1e-8
 _SUBDIVISION_BUDGET = 10_000
 
 _LOG_CLAMP = 1e-300
+#: The log kernel's singular part x'(t) J is kept when |x'(t) J| is at most
+#: this many times |x'(t) J + remainder| (``caputo_quadrature``).
+_MAX_CANCELLATION = 16.0
 
 #: A real function of one variable, applied to a float or elementwise to an array.
 RealFn = Callable[[float | np.ndarray], float | np.ndarray]
@@ -215,17 +218,32 @@ def caputo_quadrature(
     Only x' is sampled.  Type III: u = dist^(1-alpha) in the signed frame
     removes the weak singularity, and the kernel contributes a constant.
     Types I and II add, when alpha' != 0, alpha'/Gamma(2-alpha) times the
-    integral of s^(1-alpha) x'(t - sgn s) (c - ln s) over s in [0, dist],
-    with c = 1/(1-alpha) or Psi(2-alpha) from ``_log_bracket`` and ln s
-    clamped at s -> 0; type II's own term, an integral of x, takes this form
-    after an integration by parts.  The kinds differ only in alpha' and c.
-    Each integral gets tol when it runs alone and tol/2 when both run.  t and
-    tol are admitted on [x.a, x.b] by ``_admit``, which raises its errors.
+    log-kernel integral of s^(1-alpha) x'(t - sgn s) (c - ln s) over s in
+    [0, dist], with c = 1/(1-alpha) or Psi(2-alpha) from ``_log_bracket``;
+    type II's own term, an integral of x, takes this form after an
+    integration by parts.  The kinds differ only in alpha' and c.  Each
+    integral gets tol when it runs alone and tol/2 when both run.  t and tol
+    are admitted on [x.a, x.b] by ``_admit``, which raises its errors.
+
+    The log kernel's singular part is subtracted (Davis & Rabinowitz,
+    Methods of Numerical Integration, 2.12).  With p = 2 - alpha,
+
+        int_0^dist s^(p-1) (c - ln s) x'(t - sgn s) ds
+            = x'(t) J + int_0^dist s^(p-1) (c - ln s) (x'(t - sgn s) - x'(t)) ds,
+        J = int_0^dist s^(p-1) (c - ln s) ds = dist^p / p (c - ln dist + 1/p),
+
+    and QUADPACK takes only the remainder, which vanishes at s = 0 like
+    s^p ln s, one order smoother than the plain integrand.  The plain
+    integrand is used instead when x'(t) J is not finite (x'(t) inf or nan
+    included), when the remainder's run raises ``QuadratureError``, or when
+    the two parts cancel by more than ``_MAX_CANCELLATION`` = 16,
+    |x'(t) J| > 16 |x'(t) J + remainder| (a huge x'(t) next to a singular
+    end, such as t = 1e-300 for the right operator on t^0.5).
 
     QUADPACK calls each integrand 20-370 times per point, so everything that
     does not depend on the node is bound once per call: 1/(1-alpha), c,
-    ``math.log`` and the clamp, tested with ``<`` rather than ``max``.  The
-    clamp stays because deep bisection can reach s = 0.
+    x'(t), ``math.log`` and the clamp, tested with ``<`` rather than ``max``.
+    The clamp stays because deep bisection can reach s = 0.
     """
     if (admitted := _admit(kind, order, t, side, x.a, x.b, tol)) is None:
         return 0.0
@@ -236,16 +254,38 @@ def caputo_quadrature(
     inv_oma = 1.0 / oma
     value = sgn * _adaptive_quad(lambda u: dx(t - sgn * u**inv_oma), 0.0, dist**oma, tol_each)
     if ap != 0.0:
-        c = _log_bracket(kind, alpha, 1.0)
-        log, clamp = math.log, _LOG_CLAMP
+        value += ap * _log_kernel_integral(dx, t, sgn, dist, oma, _log_bracket(kind, alpha, 1.0),
+                                           tol_each)
+    return value / gamma(2.0 - alpha)
 
+
+def _log_kernel_integral(dx: RealFn, t: float, sgn: float, dist: float, oma: float, c: float,
+                         tol: float) -> float:
+    """int_0^dist s^oma (c - ln s) x'(t - sgn s) ds, as x'(t) J plus the
+    remainder's quadrature, or by the plain integrand where the rule of
+    ``caputo_quadrature`` says so; a plain run that fails raises its
+    ``QuadratureError``."""
+    log, clamp = math.log, _LOG_CLAMP
+
+    def integrand(d0: float) -> Callable[[float], float]:
         def log_kernel(s: float) -> float:
             if s < clamp:  # deep bisection can reach s = 0
                 s = clamp
-            return s**oma * dx(t - sgn * s) * (c - log(s))
+            return s**oma * (dx(t - sgn * s) - d0) * (c - log(s))
 
-        value += ap * _adaptive_quad(log_kernel, 0.0, dist, tol_each)
-    return value / gamma(2.0 - alpha)
+        return log_kernel
+
+    d0, p = float(dx(t)), 1.0 + oma
+    singular = d0 * (dist * dist**oma) / p * (c - log(dist) + 1.0 / p)  # dist^p: no OverflowError
+    if math.isfinite(singular):  # x'(t) inf or nan too
+        try:
+            rest = _adaptive_quad(integrand(d0), 0.0, dist, tol)
+        except QuadratureError:
+            pass
+        else:
+            if abs(singular) <= _MAX_CANCELLATION * abs(singular + rest):
+                return singular + rest
+    return _adaptive_quad(integrand(0.0), 0.0, dist, tol)  # x' - 0.0 is x', bit for bit
 
 
 def power_closed_form(

@@ -6,8 +6,10 @@ import pytest
 from scipy.integrate import quad
 
 from varcaputo.expansion import ExpansionParams, approximate
+from varcaputo import reference
 from varcaputo.order import affine_order, constant_order, order_from_callables
 from varcaputo.reference import (
+    DEFAULT_TOL,
     DomainError,
     Kind,
     QuadratureError,
@@ -329,6 +331,110 @@ class TestQuadpackDiagnostics:
         x = power_function(0.5, 0.0, 1.0, Side.RIGHT)
         with pytest.raises(QuadratureError):
             caputo_quadrature(Kind.TYPE_III, x, constant_order(0.3), 1.0 - 1e-9, Side.RIGHT)
+
+
+#: The orders of the subtraction tests: fig1-alpha, paper-alpha and a decreasing one.
+SUBTRACTION_ORDERS = (ORDER, affine_order(0.5, 0.49), affine_order(-0.5, 0.9))
+
+
+def _plain_quadrature(kind, x, order, t, side, tol=DEFAULT_TOL):
+    """caputo_quadrature with the log-kernel integrand s^(1-alpha) x'(t - sgn s)
+    (c - ln s) taken whole, as before its singular part was subtracted: the
+    same QUADPACK runs, tolerances and acceptance, so the same errors."""
+    sgn, end = (1.0, x.a) if side is Side.LEFT else (-1.0, x.b)
+    alpha, dx = order.alpha(t), x.deriv(1)
+    ap = 0.0 if kind is Kind.TYPE_III else order.alpha_prime(t)
+    oma, dist, tol_each = 1.0 - alpha, sgn * (t - end), tol if ap == 0.0 else tol / 2.0
+    value = sgn * reference._adaptive_quad(lambda u: dx(t - sgn * u ** (1.0 / oma)), 0.0, dist**oma,
+                                           tol_each)
+    if ap != 0.0:
+        c = reference._log_bracket(kind, alpha, 1.0)
+        log_kernel = lambda s: s**oma * dx(t - sgn * s) * (c - math.log(s))
+        value += ap * reference._adaptive_quad(lambda s: log_kernel(max(s, 1e-300)), 0.0, dist, tol_each)
+    return value / gamma(2.0 - alpha)
+
+
+class TestLogKernelSubtraction:
+    """caputo_quadrature takes its log-kernel integral as x'(t) J plus a
+    remainder; ``_plain_quadrature`` takes it whole."""
+
+    X = {
+        "t2": power_function(2.0, 0.0, 1.0, Side.LEFT),
+        "exp-values": ScalarFunction(value=np.exp, a=0.0, b=1.0),
+        "sin3t": ScalarFunction(value=lambda t: np.sin(3.0 * t), a=0.0, b=1.0,
+                                derivatives=(lambda t: 3.0 * np.cos(3.0 * t),)),
+        "sqrt(1-t)": power_function(0.5, 0.0, 1.0, Side.RIGHT),
+    }
+
+    @pytest.mark.parametrize("x_id", list(X))
+    @pytest.mark.parametrize("kind", [Kind.TYPE_I, Kind.TYPE_II])
+    @pytest.mark.parametrize("side", list(Side), ids=lambda side: side.value)
+    def test_subtracted_and_plain_forms_agree(self, monkeypatch, x_id, kind, side):
+        # A call that keeps the subtracted form takes two QUADPACK runs (type
+        # III and the remainder), and its value is the plain form's to tol.
+        # One call falls back, with a third run: sin 3t, type II, alpha =
+        # 0.9 - 0.5t, left, t = 0.9, where x'(t) J = -1.24 and the whole
+        # integral is -0.0090, a cancellation of 138.
+        x, ts = self.X[x_id], (0.1, 0.5, 0.9)
+        adaptive_quad, runs = reference._adaptive_quad, []
+
+        def spy(*args, **kwargs):
+            runs.append(args[1:3])
+            return adaptive_quad(*args, **kwargs)
+
+        monkeypatch.setattr(reference, "_adaptive_quad", spy)
+        got = [caputo_quadrature(kind, x, order, t, side) for order in SUBTRACTION_ORDERS for t in ts]
+        fell_back = (x_id, kind, side) == ("sin3t", Kind.TYPE_II, Side.LEFT)
+        assert len(runs) == 2 * len(got) + fell_back
+        monkeypatch.undo()
+        want = [_plain_quadrature(kind, x, order, t, side) for order in SUBTRACTION_ORDERS for t in ts]
+        assert got != want
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=DEFAULT_TOL)
+
+    @pytest.mark.parametrize("gamma_exp", [0.5, 0.8])
+    @pytest.mark.parametrize("kind", [Kind.TYPE_I, Kind.TYPE_II])
+    def test_cross_side_singular_ends_keep_plain_values(self, gamma_exp, kind):
+        # The right operator on a left power at t = 0 or 1e-300, and the left
+        # one on a right power at t = 1: x'(t) is inf or about 1e150, so x'(t) J
+        # is inf or cancels the remainder nearly exactly.  The guard falls back
+        # to the plain integrand: the same value to 1e-8 or the same error,
+        # never a finite wrong value (one was off by up to 1e134 without it).
+        cases = [(power_function(gamma_exp, 0.0, 1.0, x_side), side, t, order)
+                 for x_side, side, ts in [(Side.LEFT, Side.RIGHT, (0.0, 1e-300)),
+                                          (Side.RIGHT, Side.LEFT, (1.0,))]
+                 for t in ts
+                 for order in (constant_order(0.4), *SUBTRACTION_ORDERS)]
+
+        def run(route) -> list:
+            out = []
+            for x, side, t, order in cases:
+                try:
+                    out.append(route(kind, x, order, t, side))
+                except QuadratureError:
+                    out.append(QuadratureError)
+            return out
+
+        for case, g, w in zip(cases, run(caputo_quadrature), run(_plain_quadrature)):
+            if w is QuadratureError:
+                assert g is QuadratureError, case[1:]
+            else:
+                assert g is not QuadratureError and abs(g - w) <= 1e-8 * max(1.0, abs(w)), case[1:]
+
+    def test_type1_call_caps_xprime_evaluations(self):
+        # t^2 under fig1-alpha at t = 0.5: type III takes 147 evaluations of
+        # x', the subtracted log kernel 232 (x'(t) and 231 nodes), and the
+        # plain integrand 315, so a return to it passes the cap of 400.
+        base, calls = power_function(2.0, 0.0, 1.0, Side.LEFT), []
+
+        def dx(t):
+            calls.append(t)
+            return base.derivatives[0](t)
+
+        x = ScalarFunction(value=base.value, a=0.0, b=1.0, derivatives=(dx,))
+        value = caputo_quadrature(Kind.TYPE_I, x, ORDER, 0.5)
+        assert len(calls) <= 400
+        assert value == pytest.approx(power_closed_form(Kind.TYPE_I, Side.LEFT, 2.0, ORDER, 0.5),
+                                      abs=1e-10)
 
 
 #: Functions for the definition cross-check, by test id.

@@ -237,7 +237,8 @@ def _moment_pass(x: ScalarFunction, t: float, end: float, step: float, kernel, c
     """(I, R): I_i = int_0^1 K_i(s) x'(end + s step) ds, step = t - end in the
     signed frame, and R_i = int A_i |x'| ds, for a rounding allowance.
     ``kernel`` maps a power table s^k (k < count, a column per point) to rows
-    K_i with K_0 = 1 (I_0 = W_0) and to A_i >= |K_i| (None: |K_i|), <= peak.
+    K_i with K_0 = 1 (I_0 = W_0) and to A_i >= |K_i| (None: |K_i|), <= peak;
+    None stands for the rows s^k themselves, as ``moments`` takes them.
 
     A row is kept when max(50 eps resabs, 200 |K21 - G10|) (resabs from
     A_i |x'|), never below QUADPACK's qk21 estimate, summed over the first
@@ -245,8 +246,9 @@ def _moment_pass(x: ScalarFunction, t: float, end: float, step: float, kernel, c
     to the graded set on a new sample of x', a second one to one adaptive run
     at tol, labelled what(i), for K_i(0) W_0 plus the integral of
     (K_i - K_i(0)) x', which vanishes at s = 0, where x' is most often
-    singular.  Only an |x'| peak that could overflow runs under np.errstate
-    (np.vdot, unlike dot, does not warn when it overflows).  A gap in
+    singular; with no kernel, only s^i is evaluated at each of its nodes, not
+    the whole power column.  Only an |x'| peak that could overflow runs under
+    np.errstate (np.vdot, unlike dot, does not warn when it overflows).  A gap in
     sgn dist W_0 = x(t) - x(end) above 100 (dist max(tol, 1e-12 |W_0|) +
     e (|x(t)| + |x(end)|)) raises ``QuadratureError``: the pass missed where x'
     lives (x = t^gamma, gamma ~ 1e-12, has nearly all of W_0 below
@@ -257,7 +259,7 @@ def _moment_pass(x: ScalarFunction, t: float, end: float, step: float, kernel, c
     for nodes in _NODE_SETS:
         f = xprime(nodes.nodes)
         with np.errstate(all="ignore") if not float(np.vdot(f, f)) * peak * peak <= 1e300 else _QUIET:
-            k, a = kernel(nodes.table(count))
+            k, a = (nodes.table(count), None) if kernel is None else kernel(nodes.table(count))
             k = k[rows] * f
             spread = k.dot(nodes.spread)
             resabs = (np.abs(k) if a is None else a[rows] * np.abs(f)).dot(nodes.kronrod)
@@ -272,10 +274,15 @@ def _moment_pass(x: ScalarFunction, t: float, end: float, step: float, kernel, c
             break
         rows = np.arange(limit.size)[rows][~keep]
     else:  # row 0 (W_0) first
-        powers = lambda s, k=np.arange(float(count))[:, None]: s**k
-        zero = [0.0, *kernel(powers(0.0))[0][1:, 0].tolist()]
+        exponents = np.arange(float(count))[:, None]
+        if kernel is None:  # s^i by the column's own power ufunc; 0 at s = 0 past W_0
+            zero = [0.0] * count
+            at = lambda s, i: float((s ** exponents[i:i + 1])[0, 0])
+        else:
+            zero = [0.0, *kernel(0.0 ** exponents)[0][1:, 0].tolist()]
+            at = lambda s, i: float(kernel(s ** exponents)[0][i, 0])
         for i in map(int, rows):
-            row = lambda s, i=i: (float(kernel(powers(s))[0][i, 0]) - zero[i]) * xprime(s)
+            row = lambda s, i=i: (at(s, i) - zero[i]) * xprime(s)
             quad = _adaptive_quad(row, 0.0, 1.0, tol, what=what(i))
             sums[i] = quad + zero[i] * float(sums[0]) if zero[i] else quad
     w0, xt, xe = float(sums[0]), float(x.value(t)), float(x.value(end))
@@ -311,8 +318,8 @@ def moments(
     count = p_max - params.n + 1
     if dist == 0.0:
         return np.zeros(count)
-    w, _ = _moment_pass(x, t, end, sgn * dist, lambda table: (table, None), count,
-                        np.full(count, tol), 1.0, tol, "scaled moment k={}".format)
+    w, _ = _moment_pass(x, t, end, sgn * dist, None, count, np.full(count, tol), 1.0, tol,
+                        "scaled moment k={}".format)
     return w * dist ** np.arange(1.0, count + 1.0)
 
 

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .order import OrderFunction, _difference
-from .special import DomainError, digamma, gamma
+from .special import DomainError, _digamma, gamma
 
 __all__ = [
     "Kind",
@@ -307,7 +307,9 @@ def power_closed_form(
 
     Both Gamma ratios have arguments gamma + 1 > gamma - alpha + 1 > 0, so
     they are ``special.gamma_ratio``'s exp(lgamma(num) - lgamma(den)), bit
-    for bit, without its finiteness, pole and sign work.
+    for bit, without its finiteness, pole and sign work.  The digammas'
+    arguments gamma - alpha + 2 and 1 - alpha are positive too, so they are
+    ``special._digamma``, ``digamma`` without its checks.
     """
     if not 0.0 < gamma_exp < math.inf:
         raise DomainError(f"power exponent must be positive and finite, got {gamma_exp}")
@@ -318,9 +320,9 @@ def power_closed_form(
     base = math.exp(lgamma_num - math.lgamma(gamma_exp - alpha + 1.0)) * dist ** (gamma_exp - alpha)
     if ap == 0.0:
         return base
-    bracket = math.log(dist) - digamma(gamma_exp - alpha + 2.0)
+    bracket = math.log(dist) - _digamma(gamma_exp - alpha + 2.0)
     if kind is _TYPE_I:
-        bracket += digamma(1.0 - alpha)
+        bracket += _digamma(1.0 - alpha)
     corr = (
         ap
         * math.exp(lgamma_num - math.lgamma(gamma_exp - alpha + 2.0))
@@ -394,14 +396,18 @@ def _admit(kind: Kind, order: OrderFunction, t: float, side: Side, a: float, b: 
     A kind, side or t that is not a ``Kind``, ``Side`` or real, a tol that is
     not positive and finite, or a non-finite alpha'(t) raises ``ValueError``,
     a t outside the order's domain or [a, b] ``SingularityError``, and an
-    alpha(t) outside (0, 1) ``DomainError``.
+    alpha(t) outside (0, 1) ``DomainError``.  Where [a, b] is the order's,
+    as for the closed form and the RL conversion, one ``_frame`` call serves
+    both.
     """
     if not isinstance(kind, Kind):
         raise ValueError(f"kind must be a Kind, got {kind!r}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    _frame(order.a, order.b, t, side)
-    t, sgn, end, dist = _frame(a, b, t, side)
+    frame = _frame(order.a, order.b, t, side)
+    if a != order.a or b != order.b:  # x's range: admit t there too
+        frame = _frame(a, b, t, side)
+    t, sgn, end, dist = frame
     if dist == 0.0:
         return None
     alpha = order.alpha(t)
@@ -415,5 +421,6 @@ def _admit(kind: Kind, order: OrderFunction, t: float, side: Side, a: float, b: 
 
 def _log_bracket(kind: Kind, alpha: float, dist: float) -> float:
     """The bracket of every alpha' term of types I and II: 1/(1-alpha) for
-    type I, Psi(2-alpha) for type II, minus ln dist."""
-    return (1.0 / (1.0 - alpha) if kind is _TYPE_I else digamma(2.0 - alpha)) - math.log(dist)
+    type I, Psi(2-alpha) for type II (``special._digamma``: 2 - alpha > 1),
+    minus ln dist."""
+    return (1.0 / (1.0 - alpha) if kind is _TYPE_I else _digamma(2.0 - alpha)) - math.log(dist)

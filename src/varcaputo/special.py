@@ -99,8 +99,15 @@ def digamma(x: float) -> float:
     x = _check_finite(x)
     if _is_nonpositive_integer(x):
         raise PoleError(f"digamma pole at x = {x}")
+    return _digamma(x)
+
+
+def _digamma(x: float) -> float:
+    """``digamma`` of a float x that passes its checks, any positive one
+    included, without them: the same steps, so the same bits.  The closed
+    forms call it at arguments that are positive by construction."""
     if x < 0.5:
-        return digamma(1.0 - x) - math.pi / math.tan(math.pi * (x - round(x)))
+        return _digamma(1.0 - x) - math.pi / math.tan(math.pi * (x - round(x)))
     acc = 0.0
     while x < 10.0:
         acc -= 1.0 / x

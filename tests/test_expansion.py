@@ -401,14 +401,15 @@ class _Rows(np.ndarray):
 
 
 def _identity_pass(x, end, step, count, tol, record):
-    """``_moment_pass`` with the identity kernel of ``moments`` (W_k rows,
+    """``_moment_pass`` with the kernel of ``moments`` (None: the W_k rows,
     limit tol), recording into record the rows sent to the graded set and to
     ``_adaptive_quad``; returns W or the QuadratureError's text."""
     _Rows.taken = []
-    kernel = lambda table: (table.view(_Rows), None)
+    table = expansion._NodeSet.table
     try:
-        result = expansion._moment_pass(x, end + step, end, step, kernel, count, np.full(count, tol),
-                                        1.0, tol, "scaled moment k={}".format)[0]
+        with mock.patch.object(expansion._NodeSet, "table", lambda self, n: table(self, n).view(_Rows)):
+            result = expansion._moment_pass(x, end + step, end, step, None, count, np.full(count, tol),
+                                            1.0, tol, "scaled moment k={}".format)[0]
     except QuadratureError as exc:
         result = str(exc)
     record["sent"] = {int(k) for n, key in _Rows.taken if n == GRADED.nodes.size for k in key}

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from varcaputo.expansion import ExpansionParams, approximate
 from varcaputo import reference
+from varcaputo.expansion import ExpansionParams, approximate
 from varcaputo.order import affine_order, constant_order, order_from_callables
 from varcaputo.reference import (
     DEFAULT_TOL,
@@ -216,6 +216,27 @@ class TestClosedFormVsQuadrature:
             closed = power_closed_form(kind, side, gamma_exp, ORDER, t)
             numeric = caputo_quadrature(kind, x, ORDER, t, side, tol=1e-10)
             assert numeric == pytest.approx(closed, abs=5e-8, rel=5e-8)
+
+
+class TestAdmit:
+    def test_one_frame_where_x_range_is_the_orders(self, monkeypatch):
+        # _admit frames t on the order's [a, b] and then on x's; the second
+        # call is skipped where the two ranges are one.  The errors keep their
+        # order: the order's range first, then x's.
+        frame, calls = reference._frame, []
+        monkeypatch.setattr(reference, "_frame", lambda a, b, t, side: calls.append((a, b)) or
+                            frame(a, b, t, side))
+        x, short = power_function(2.0, 0.0, 1.0), power_function(2.0, 0.0, 0.8)
+        power_closed_form(Kind.TYPE_I, Side.LEFT, 2.0, ORDER, 0.5)
+        caputo_quadrature(Kind.TYPE_I, x, ORDER, 0.5)
+        assert calls == [(0.0, 1.0), (0.0, 1.0)]
+        calls.clear()
+        caputo_quadrature(Kind.TYPE_I, short, ORDER, 0.5)
+        assert calls == [(0.0, 1.0), (0.0, 0.8)]
+        with pytest.raises(SingularityError, match=r"t = 0.9 outside \[0.0, 0.8\]"):
+            caputo_quadrature(Kind.TYPE_I, short, ORDER, 0.9)
+        with pytest.raises(SingularityError, match=r"t = 1.5 outside \[0.0, 1.0\]"):
+            caputo_quadrature(Kind.TYPE_I, short, ORDER, 1.5)
 
 
 class TestStructuralProperties:

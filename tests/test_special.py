@@ -8,6 +8,7 @@ from scipy import special as scipy_special
 from varcaputo.special import (
     DomainError,
     PoleError,
+    _digamma,
     _signed_binomials,
     digamma,
     gamma,
@@ -69,6 +70,17 @@ class TestDigamma:
         for x in np.linspace(0.1, 50.0, 500):
             x = float(x)
             assert abs(digamma(x + 1.0) - digamma(x) - 1.0 / x) <= 1e-11
+
+    def test_unchecked_digamma_gives_the_same_bits(self):
+        # The closed forms call _digamma at positive arguments: 1 - alpha in
+        # (0, 1), 2 - alpha in (1, 2) and gamma - alpha + 2 > 1.  It skips only
+        # digamma's checks, so every value keeps its bits, on both sides of
+        # the reflection at 1/2 and of the series at 10, and at negative
+        # arguments off the poles too.
+        xs = [1e-300, 1e-12, 0.1, 0.49999999999999994, 0.5, 0.77, 1.0, 1.5, 9.999999999999998,
+              10.0, 170.5, 1e200, -0.5, -2.25, -1e-9]
+        for x in [*xs, *np.linspace(1e-3, 12.0, 997).tolist()]:
+            assert _digamma(x).hex() == digamma(x).hex(), x
 
     def test_matches_log_gamma_derivative(self):
         h = 1e-5

@@ -14,11 +14,11 @@ with k = p - n, and nothing underflows or overflows as dist -> 0.  The value
 needs only sum_k c_k W_k = int_0^1 K(s) x' ds, K = sum_k c_k s^k: one product
 of the coefficient rows with a read-only power table s_j^k on fixed
 Gauss-Kronrod (G10/K21) nodes, shared and grown on demand; the alpha' double
-sum of types I and II factors as P(s) (bracket + L(s)).  One pass integrates
-K x' and x' itself (W_0, checked against x(t) - x(end)), keeps K when its
-per-panel estimate is at most tol sum |c_k|, retries a miss once on panels
-graded towards s = 1, where s^k lives at large k, and only then runs
-QUADPACK once; ``moments`` runs it on the rows s^k.  Derivative maxima come
+sum of types I and II factors as P(s) (bracket + L(s)).  One pass samples x'
+once on panels graded towards both ends of s, integrates K x' and x' itself
+(W_0, checked against x(t) - x(end)), keeps K when its per-panel estimate is
+at most tol sum |c_k|, and else runs QUADPACK once; ``moments`` runs it on
+the rows s^k.  Derivative maxima come
 from the ends of the range where |x^(p)| is declared monotone, and from one
 array call per order otherwise.  The tables are all the state shared.
 """
@@ -106,12 +106,9 @@ class _NodeSet:
         return self.powers[:count]
 
 
-#: The moment pass's node sets: ten panels halving towards s = 0, where x' of a
-#: power law is singular, then seven equal ones on [1/2, 1] (357 nodes), or, for
-#: the retry, eleven halving towards s = 1, where s^k lives at large k (462).
-_TO_ZERO = np.concatenate([[0.0], 2.0 ** np.arange(-10, 0)])
-_NODE_SETS = (_NodeSet(np.concatenate([_TO_ZERO, np.linspace(0.5, 1.0, 8)[1:]])),
-              _NodeSet(np.concatenate([_TO_ZERO, 1.0 - 2.0 ** -np.arange(2.0, 13.0), [1.0]])))
+#: The moment pass's nodes: seven panels halving towards s = 0, where x' of a
+#: power law is singular, and ten towards s = 1, where s^k lives at large k (357).
+_NODES = _NodeSet(np.r_[0.0, 2.0 ** np.arange(-7, 0), 1.0 - 2.0 ** -np.arange(2.0, 11.0), 1.0])
 #: The W_0 identity's allowance per unit of dist, before its factor 100, on
 #: |x(t)| + |x(end)| for an x' that is a difference (``order._difference``, off
 #: by about sqrt(eps) |x| times x's curvature): on value-only e^t, e^10t, sin 3t,
@@ -241,12 +238,11 @@ def _moment_pass(x: ScalarFunction, t: float, end: float, step: float, kernel, c
     None stands for the rows s^k themselves, as ``moments`` takes them.
 
     A row is kept when max(50 eps resabs, 200 |K21 - G10|) (resabs from
-    A_i |x'|), never below QUADPACK's qk21 estimate, summed over the first
-    set's panels is at most max(limit_i, 1e-12 |I_i|).  A miss (nan too) goes
-    to the graded set on a new sample of x', a second one to one adaptive run
-    at tol, labelled what(i), for K_i(0) W_0 plus the integral of
-    (K_i - K_i(0)) x', which vanishes at s = 0, where x' is most often
-    singular; with no kernel, only s^i is evaluated at each of its nodes, not
+    A_i |x'|), never below QUADPACK's qk21 estimate, summed over the panels of
+    ``_NODES`` is at most max(limit_i, 1e-12 |I_i|).  A miss (nan too) goes to
+    one adaptive run at tol, labelled what(i), for K_i(0) W_0 plus the
+    integral of (K_i - K_i(0)) x', which vanishes at s = 0, where x' is most
+    often singular; with no kernel, only s^i is evaluated at each of its nodes, not
     the whole power column.  Only an |x'| peak that could overflow runs under
     np.errstate (np.vdot, unlike dot, does not warn when it overflows).  A gap in
     sgn dist W_0 = x(t) - x(end) above 100 (dist max(tol, 1e-12 |W_0|) +
@@ -255,25 +251,18 @@ def _moment_pass(x: ScalarFunction, t: float, end: float, step: float, kernel, c
     s = e^(-1/gamma)).  e = eps for an analytic x', plus ``_DIFFERENCE_SLACK``
     dist for a difference of values.
     """
-    xprime, rows = _xprime(x, end, step), slice(None)
-    for nodes in _NODE_SETS:
-        f = xprime(nodes.nodes)
-        with np.errstate(all="ignore") if not float(np.vdot(f, f)) * peak * peak <= 1e300 else _QUIET:
-            k, a = (nodes.table(count), None) if kernel is None else kernel(nodes.table(count))
-            k = k[rows] * f
-            spread = k.dot(nodes.spread)
-            resabs = (np.abs(k) if a is None else a[rows] * np.abs(f)).dot(nodes.kronrod)
-            estimate = np.maximum(np.abs(spread), resabs).dot(nodes.panels)
-            if False in (keep := estimate <= limit[rows]).tolist():
-                keep |= estimate <= 1e-12 * np.abs(spread[:, -1])
-        if nodes is _NODE_SETS[0]:
-            sums, absolute = spread[:, -1], resabs[:, -1]
-        else:
-            sums[rows], absolute[rows] = spread[:, -1], resabs[:, -1]
-        if False not in keep.tolist():
-            break
-        rows = np.arange(limit.size)[rows][~keep]
-    else:  # row 0 (W_0) first
+    xprime = _xprime(x, end, step)
+    f = xprime(_NODES.nodes)
+    with np.errstate(all="ignore") if not float(np.vdot(f, f)) * peak * peak <= 1e300 else _QUIET:
+        k, a = (_NODES.table(count), None) if kernel is None else kernel(_NODES.table(count))
+        k = k * f
+        spread = k.dot(_NODES.spread)
+        resabs = (np.abs(k) if a is None else a * np.abs(f)).dot(_NODES.kronrod)
+        estimate = np.maximum(np.abs(spread), resabs).dot(_NODES.panels)
+        if False in (keep := estimate <= limit).tolist():
+            keep |= estimate <= 1e-12 * np.abs(spread[:, -1])
+    sums, absolute = spread[:, -1], resabs[:, -1]
+    if False in keep.tolist():  # row 0 (W_0) first
         exponents = np.arange(float(count))[:, None]
         if kernel is None:  # s^i by the column's own power ufunc; 0 at s = 0 past W_0
             zero = [0.0] * count
@@ -281,7 +270,7 @@ def _moment_pass(x: ScalarFunction, t: float, end: float, step: float, kernel, c
         else:
             zero = [0.0, *kernel(0.0 ** exponents)[0][1:, 0].tolist()]
             at = lambda s, i: float(kernel(s ** exponents)[0][i, 0])
-        for i in map(int, rows):
+        for i in np.flatnonzero(~keep).tolist():
             row = lambda s, i=i: (at(s, i) - zero[i]) * xprime(s)
             quad = _adaptive_quad(row, 0.0, 1.0, tol, what=what(i))
             sums[i] = quad + zero[i] * float(sums[0]) if zero[i] else quad

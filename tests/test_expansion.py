@@ -266,8 +266,8 @@ class TestMoments:
     def test_missed_moment_raises(self, x, side, t):
         # t^1e-12 has nearly all of W_0 ~ 1 below s = e^(-1e12), under every
         # node, and the pass returns ~3e-11.  x = t^0.5 under the right
-        # operator at t = 1e-9 has its singular x' next to t, at s ~ 1, where
-        # the panels are not graded (-3875 against -5.70, bound 1.5e13).  Both
+        # operator at t = 1e-9 has its singular x' next to t, at s ~ 1, past
+        # the panels' ten halvings (-3875 against -5.70, bound 1.5e13).  Both
         # were silent; the identity sgn dist W_0 = x(t) - x(end) rejects them,
         # in ``moments`` (which returned V_1 = 1.46e-11 for t^1e-12) as well.
         with pytest.raises(QuadratureError, match="W_0"):
@@ -336,7 +336,7 @@ MOMENT_SWEEP = [
     for t in (1e-9, 1e-6, 1e-3, 0.3, 0.7, 1.0 - 1e-3, 1.0 - 1e-6)
     for count in (1, 2, 3, 5, 9, 17, 33, 65, 129)
 ]
-FIRST, GRADED = expansion._NODE_SETS
+NODES = expansion._NODES
 
 
 def _qk21_estimate(f, rule):
@@ -354,66 +354,44 @@ def _qk21_estimate(f, rule):
         return np.maximum(50.0 * np.finfo(float).eps * resabs, est)
 
 
-def _per_row(values, nodes, count):
-    """Each row s^k x' (k = 0..count-1) of a node set on its own, from x' on
-    its nodes, with s^k below 1e-200 taken as 0 as in the power table: W_k,
+def _per_row(values, count):
+    """Each row s^k x' (k = 0..count-1) on its own, from x' on the pass's
+    nodes, with s^k below 1e-200 taken as 0 as in the power table: W_k,
     summed over panels of the half-length times the Kronrod sum K21; the
     pass's estimate, max(50 eps resabs, 200 |K21 - G10|) from the node set's
     weight matrices; and QUADPACK's qk21 estimate; both summed over panels."""
     with np.errstate(all="ignore"):
-        powers = nodes.nodes ** np.arange(count)[:, None]
+        powers = NODES.nodes ** np.arange(count)[:, None]
         f = np.where(powers < 1e-200, 0.0, powers) * values
-        estimate = np.maximum(np.abs(f @ nodes.spread), np.abs(f) @ nodes.kronrod) @ nodes.panels
+        estimate = np.maximum(np.abs(f @ NODES.spread), np.abs(f) @ NODES.kronrod) @ NODES.panels
         panels = f.reshape(count, -1, 21)
-        return (panels @ nodes.rule[:, 0]) @ nodes.half, estimate, _qk21_estimate(panels, nodes.rule) @ nodes.half
+        return (panels @ NODES.rule[:, 0]) @ NODES.half, estimate, _qk21_estimate(panels, NODES.rule) @ NODES.half
 
 
 def _reference_pass(dx, end, step, count, tol):
     """The moment pass written out row by row: W_k, the rows whose summed
-    estimate on the first node set misses max(tol, 1e-12 |W_k|) (sent back),
-    those of them that miss on the graded set too (sent to QUADPACK), and the
-    rows whose summed qk21 estimate misses on the node set that kept them."""
-    w, sent, fell, missed = np.zeros(count), set(), set(), set()
+    estimate misses max(tol, 1e-12 |W_k|) (sent to QUADPACK), and the kept
+    rows whose summed qk21 estimate misses."""
+    w, fell, missed = np.zeros(count), set(), set()
     with np.errstate(all="ignore"):
-        for nodes in (FIRST, GRADED):
-            rows = range(count) if nodes is FIRST else sorted(sent)
-            if not rows:
-                break
-            w_set, estimate, qk21 = _per_row(expansion._sample(dx, end + nodes.nodes * step), nodes, count)
-            for k in rows:
-                w[k] = w_set[k]
-                limit = max(tol, 1e-12 * abs(w[k]))
-                if not estimate[k] <= limit:
-                    (sent if nodes is FIRST else fell).add(k)
-                elif not qk21[k] <= limit:
-                    missed.add(k)
-    return w, sent, fell, missed
+        w, estimate, qk21 = _per_row(expansion._sample(dx, end + NODES.nodes * step), count)
+        for k in range(count):
+            limit = max(tol, 1e-12 * abs(w[k]))
+            if not estimate[k] <= limit:
+                fell.add(k)
+            elif not qk21[k] <= limit:
+                missed.add(k)
+    return w, fell, missed
 
 
-class _Rows(np.ndarray):
-    """A kernel's rows that record the index the pass takes them by."""
-
-    taken: list = []
-
-    def __getitem__(self, key):
-        _Rows.taken.append((self.shape[1], key))
-        return np.asarray(self)[key]
-
-
-def _identity_pass(x, end, step, count, tol, record):
+def _identity_pass(x, end, step, count, tol):
     """``_moment_pass`` with the kernel of ``moments`` (None: the W_k rows,
-    limit tol), recording into record the rows sent to the graded set and to
-    ``_adaptive_quad``; returns W or the QuadratureError's text."""
-    _Rows.taken = []
-    table = expansion._NodeSet.table
+    limit tol); returns W or the QuadratureError's text."""
     try:
-        with mock.patch.object(expansion._NodeSet, "table", lambda self, n: table(self, n).view(_Rows)):
-            result = expansion._moment_pass(x, end + step, end, step, None, count, np.full(count, tol),
-                                            1.0, tol, "scaled moment k={}".format)[0]
+        return expansion._moment_pass(x, end + step, end, step, None, count, np.full(count, tol),
+                                      1.0, tol, "scaled moment k={}".format)[0]
     except QuadratureError as exc:
-        result = str(exc)
-    record["sent"] = {int(k) for n, key in _Rows.taken if n == GRADED.nodes.size for k in key}
-    return result
+        return str(exc)
 
 
 class TestSample:
@@ -470,19 +448,18 @@ class TestMomentPass:
 
     def test_moments_match_per_row_reference(self, monkeypatch):
         # Every W_k the pass keeps is the per-row reference's to 1e-13 |W_k|,
-        # and exactly the rows whose estimate misses on the first node set go
-        # to the graded set, and exactly those that miss there too go to
-        # QUADPACK, singular x' (gamma < 1) and nan rows included.  Every row
-        # kept has its qk21 estimate within the tolerance too.
-        fell_back, record, compared = self._spy(monkeypatch, fail=True), {}, 0
+        # and exactly the rows whose estimate misses go to QUADPACK, singular
+        # x' (gamma < 1) and nan rows included.  Every row kept has its qk21
+        # estimate within the tolerance too.
+        fell_back, compared = self._spy(monkeypatch, fail=True), 0
         for g, side, t, count in MOMENT_SWEEP:
             x = power_function(g, 0.0, 1.0, side)
             end = 0.0 if side is Side.LEFT else 1.0
-            ref, sent, fell, missed = _reference_pass(x.deriv(1), end, t - end, count, 1e-8)
+            ref, fell, missed = _reference_pass(x.deriv(1), end, t - end, count, 1e-8)
             assert not missed, (g, side, t, count)
             fell_back.clear()
-            w = _identity_pass(x, end, t - end, count, 1e-8, record)
-            assert (record["sent"], set(fell_back)) == (sent, fell), (g, side, t, count)
+            w = _identity_pass(x, end, t - end, count, 1e-8)
+            assert set(fell_back) == fell, (g, side, t, count)
             if not isinstance(w, str):
                 kept = [k for k in range(count) if k not in fell]
                 np.testing.assert_allclose(w[kept], ref[kept], rtol=1e-13, atol=0.0)
@@ -493,7 +470,7 @@ class TestMomentPass:
     def test_kernel_sum_matches_per_row_reference(self, kind):
         # The kernel's integral is sum_k c_k W_k of the per-row reference to
         # 1e-13 sum |c_k W_k|, with c the weights gathered per W_q (the alpha'
-        # term's double sum by an explicit loop), on both node sets.
+        # term's double sum by an explicit loop).
         for g, side, t, N in [(2.0, Side.LEFT, 0.6, 8), (3.5, Side.RIGHT, 0.3, 32), (7.0, Side.LEFT, 0.9, 64)]:
             x = power_function(g, 0.0, 1.0, side)
             sgn, end, dist = (1.0, 0.0, t) if side is Side.LEFT else (-1.0, 1.0, 1.0 - t)
@@ -501,46 +478,43 @@ class TestMomentPass:
             c, kernel, count, scale = _gathered_weights(kind, alpha, ap, sgn, dist, N)
             got, _ = expansion._moment_pass(x, t, end, sgn * dist, kernel, count, np.array([1e-8, 1e-8 * scale]),
                                             max(1.0, scale), 1e-8, str)
-            for nodes in (FIRST, GRADED):
-                w = _per_row(x.deriv(1)(end + nodes.nodes * sgn * dist), nodes, c.size)[0]
-                assert abs(got[1] - math.fsum(c * w)) <= 1e-13 * math.fsum(np.abs(c * w)), (g, side, N)
+            w = _per_row(x.deriv(1)(end + NODES.nodes * sgn * dist), c.size)[0]
+            assert abs(got[1] - math.fsum(c * w)) <= 1e-13 * math.fsum(np.abs(c * w)), (g, side, N)
 
     def test_relative_limit_keeps_rows_above_tol(self, monkeypatch):
         # At x = 1e9 t^2 the summed estimates exceed tol = 1e-8, but meet
-        # 1e-12 |W_k|: the pass keeps every row on the first node set, with
-        # no retry and no QUADPACK call, and W is 1e9 times that of t^2.
+        # 1e-12 |W_k|: the pass keeps every row, with no QUADPACK call, and W
+        # is 1e9 times that of t^2.
         base = power_function(2.0, 0.0, 1.0, Side.LEFT)
         scaled = lambda fn: (lambda t: 1e9 * fn(t))
         x = ScalarFunction(scaled(base.value), 0.0, 1.0, tuple(map(scaled, base.derivatives)),
                            monotone_derivatives=True)
-        calls, record = self._spy(monkeypatch), {}
+        calls = self._spy(monkeypatch)
         for t, count in [(0.7, 3), (0.3, 17), (1.0, 65)]:
-            w_ref, estimate, _ = _per_row(x.deriv(1)(FIRST.nodes * t), FIRST, count)
-            w = _identity_pass(x, 0.0, t, count, 1e-8, record)
+            w_ref, estimate, _ = _per_row(x.deriv(1)(NODES.nodes * t), count)
+            w = _identity_pass(x, 0.0, t, count, 1e-8)
             assert estimate.max() > 1e-8 and (estimate <= 1e-12 * np.abs(w)).all(), (t, count)
-            assert record["sent"] == set()
-            want = 1e9 * _identity_pass(base, 0.0, t, count, 1e-8, record)
+            want = 1e9 * _identity_pass(base, 0.0, t, count, 1e-8)
             np.testing.assert_allclose(w, want, rtol=1e-15, atol=0.0)
         assert calls == []
 
-    @pytest.mark.parametrize("nodes", [FIRST, GRADED], ids=["first", "graded"])
-    def test_table_growth_keeps_rows(self, monkeypatch, nodes):
+    def test_table_growth_keeps_rows(self, monkeypatch):
         # Growing the shared table to a larger count leaves the rows of a
         # smaller one bit for bit; the table is read-only.  Row k is the
         # elementwise power s ** k of the nodes, with k passed as an array
         # (NumPy's ``s ** 2`` with a scalar 2 squares instead, which may
         # differ in the last bit where ``pow`` is vectorised), and entries
         # below 1e-200, whose products the BLAS takes slowly, are 0.
-        monkeypatch.setattr(nodes, "powers", nodes.powers[:0])
-        before = nodes.table(3).copy()
-        assert nodes.powers.shape[0] == 3
-        nodes.table(129)
-        assert nodes.powers.shape[0] == 129
-        assert nodes.table(3).tobytes() == before.tobytes() and nodes.powers.shape[0] == 129
-        assert not nodes.powers.flags.writeable
+        monkeypatch.setattr(NODES, "powers", NODES.powers[:0])
+        before = NODES.table(3).copy()
+        assert NODES.powers.shape[0] == 3
+        NODES.table(129)
+        assert NODES.powers.shape[0] == 129
+        assert NODES.table(3).tobytes() == before.tobytes() and NODES.powers.shape[0] == 129
+        assert not NODES.powers.flags.writeable
         with np.errstate(under="ignore"):
-            for k, row in enumerate(nodes.table(129)):
-                want = nodes.nodes ** np.full_like(nodes.nodes, k)
+            for k, row in enumerate(NODES.table(129)):
+                want = NODES.nodes ** np.full_like(NODES.nodes, k)
                 assert row.tobytes() == np.where(want < 1e-200, 0.0, want).tobytes(), k
 
     def test_estimate_covers_qk21_estimate(self):
@@ -549,26 +523,26 @@ class TestMomentPass:
         # qk21 estimate of the panel, so a row it keeps would pass the full
         # qk21 test as well.
         rng = np.random.default_rng(7)
-        for nodes in (FIRST, GRADED):
-            size, panels = nodes.nodes.size, nodes.half.size
-            for values in (rng.standard_normal(size), np.exp(rng.uniform(-690.0, 690.0, size)),
-                           rng.standard_normal(size) * 1e-250, np.sin(40.0 * nodes.nodes),
-                           nodes.nodes ** -0.5, np.where(nodes.nodes < 0.5, 1e7, -1e7)):
-                spread, resabs = values @ nodes.spread, np.abs(values) @ nodes.kronrod
-                estimate = np.maximum(np.abs(spread[:-1]), resabs[:-1])
-                qk21 = _qk21_estimate(values.reshape(panels, 21), nodes.rule) * nodes.half
-                assert (qk21 <= estimate * (1.0 + 1e-13)).all()
-                kronrod = values.reshape(panels, 21) @ nodes.rule[:, 0] @ nodes.half
-                assert abs(spread[-1] - kronrod) <= 1e-14 * (np.abs(values) @ nodes.kronrod[:, -1])
+        size, panels = NODES.nodes.size, NODES.half.size
+        for values in (rng.standard_normal(size), np.exp(rng.uniform(-690.0, 690.0, size)),
+                       rng.standard_normal(size) * 1e-250, np.sin(40.0 * NODES.nodes),
+                       NODES.nodes ** -0.5, np.where(NODES.nodes < 0.5, 1e7, -1e7)):
+            spread, resabs = values @ NODES.spread, np.abs(values) @ NODES.kronrod
+            estimate = np.maximum(np.abs(spread[:-1]), resabs[:-1])
+            qk21 = _qk21_estimate(values.reshape(panels, 21), NODES.rule) * NODES.half
+            assert (qk21 <= estimate * (1.0 + 1e-13)).all()
+            kronrod = values.reshape(panels, 21) @ NODES.rule[:, 0] @ NODES.half
+            assert abs(spread[-1] - kronrod) <= 1e-14 * (np.abs(values) @ NODES.kronrod[:, -1])
 
     def test_cases_sent_back_where_the_estimate_misses(self, monkeypatch):
         # Named cases, each against the per-row reference: the rows sent to
-        # the graded set and to QUADPACK (or the QuadratureError), and which
-        # enter np.errstate.  x' = +-1e7 on the halves cancels W_0 to about
-        # 1e-9, so 50 eps resabs alone sends row 0 to QUADPACK; so does the
-        # rounding in K21 - G10 for x = 1e12 sin 12.5t; at x' = -0.5
-        # (1-t)^(-0.5) rows fall back to QUADPACK; at N = 400 (801 rows) rows
-        # past k ~ 236 go to the graded set, which keeps them.
+        # QUADPACK (or the QuadratureError), and which enter np.errstate.
+        # x' = +-1e7 on the halves cancels W_0 to about 1e-9, so 50 eps resabs
+        # alone sends row 0 to QUADPACK; the rounding in K21 - G10 sends rows
+        # 0 and 1 for x = 1e12 sin 12.5t; at x' = -0.5 (1-t)^(-0.5) rows 0
+        # and 1 fall back, and at x' = 0.5 t^(-0.5), t = 1e-6, rows 0 to 2; at
+        # N = 400 (801 rows) the rows past k ~ 236, which live near s = 1, are
+        # kept on the panels halving towards it.
         power = lambda g, side: power_function(g, 0.0, 1.0, side)
         square, root = power(2.0, Side.LEFT), power(0.5, Side.RIGHT)
         step = ScalarFunction(lambda t: 1e7 * np.minimum(t, 1.0 - t), 0.0, 1.0,
@@ -582,30 +556,28 @@ class TestMomentPass:
         cases += [(power(0.5, Side.LEFT), Side.LEFT, 1e-6, 13), (square, Side.LEFT, 0.5, 801)]
         cases += [(step, Side.LEFT, 1.0, 17), (wave, Side.LEFT, 1.0, 2)]
         cases += [(root, Side.RIGHT, t, 13) for t in (0.3, 0.9, 1.0 - 2.0**-53)]
-        rows, record, entries, outcome = self._spy(monkeypatch, fail=True), {}, [], {}
+        rows, entries, outcome = self._spy(monkeypatch, fail=True), [], {}
         errstate = np.errstate
         monkeypatch.setattr(np, "errstate", lambda *a, **kw: entries.extend(kw) or errstate(*a, **kw))
         for x, side, t, count in cases:
             end = 0.0 if side is Side.LEFT else 1.0
-            ref, sent, fell, _ = _reference_pass(x.deriv(1), end, t - end, count, 1e-8)
+            ref, fell, _ = _reference_pass(x.deriv(1), end, t - end, count, 1e-8)
             rows.clear()
             entries.clear()
-            try:
-                w = _identity_pass(x, end, t - end, count, 1e-8, record)
-            except QuadratureError as exc:
-                w = str(exc)
-            assert (record["sent"], set(rows)) == (sent, fell), (side, t, count)
+            w = _identity_pass(x, end, t - end, count, 1e-8)
+            assert set(rows) == fell, (side, t, count)
             assert ("all" in entries) == (t == 1.0 - 2.0**-53 and x is root), (side, t, count)
-            outcome[side, t, count] = (record["sent"], set(rows), w)
-        assert outcome[Side.LEFT, 1.0, 17][:2] == ({0}, {0})
-        assert outcome[Side.LEFT, 1.0, 2][:2] == ({0}, {0})
-        assert sum(len(outcome[Side.RIGHT, t, 13][1]) for t in (0.3, 0.9)) == 4
-        assert len(outcome[Side.LEFT, 0.5, 801][0]) > 500 and outcome[Side.LEFT, 0.5, 801][1] == set()
-        assert "W_0 = nan" in outcome[Side.RIGHT, 1.0 - 2.0**-53, 13][2]
+            outcome[side, t, count] = (set(rows), w)
+        assert outcome[Side.LEFT, 1.0, 17][0] == {0}
+        assert outcome[Side.LEFT, 1.0, 2][0] == {0, 1}
+        assert [outcome[Side.RIGHT, t, 13][0] for t in (0.3, 0.9)] == [{0, 1}, {0, 1}]
+        assert outcome[Side.LEFT, 1e-6, 13][0] == {0, 1, 2}
+        assert outcome[Side.LEFT, 0.5, 801][0] == set()
+        assert "W_0 = nan" in outcome[Side.RIGHT, 1.0 - 2.0**-53, 13][1]
 
     def test_past_guard_warns_nothing(self):
         # A finite x' whose square sum is past the guard, up to the largest
-        # float, and x' = inf at 210 nodes (right, t = 1 - 2^-53) run the
+        # float, and x' = inf at 147 nodes (right, t = 1 - 2^-53) run the
         # products under np.errstate: no RuntimeWarning, and a value where
         # every sum is finite.
         cases = [(ScalarFunction(lambda t, c=c: c * t, 0.0, 1.0, (lambda t, c=c: c,)), Side.LEFT, 0.5)
@@ -625,7 +597,7 @@ class TestMomentPass:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
         arrays(
-            float, FIRST.nodes.size + GRADED.nodes.size,
+            float, NODES.nodes.size,
             elements=st.one_of(
                 st.floats(-1e300, 1e300, allow_subnormal=False),
                 st.floats(-1e-250, 1e-250, allow_subnormal=False),
@@ -636,24 +608,22 @@ class TestMomentPass:
         st.integers(1, 130),
     )
     def test_rows_sent_back_exactly_where_the_estimate_misses(self, values, count):
-        # x' given by arbitrary values on both node sets: at the largest tol
-        # where the per-row estimate on the first set misses for some row,
-        # exactly those rows go to the graded set, and exactly those of them
-        # whose estimate misses there too go to QUADPACK.
-        first, graded = values[: FIRST.nodes.size], values[FIRST.nodes.size:]
-        dx = lambda t: first if np.size(t) == first.size else (graded if np.size(t) == graded.size else 0.0)
-        w, estimate, _ = _per_row(first, FIRST, count)
+        # x' given by arbitrary values on the nodes: at the largest tol where
+        # the per-row estimate misses for some row, exactly the rows whose
+        # estimate misses go to QUADPACK.
+        dx = lambda t: values if np.size(t) == values.size else 0.0
+        w, estimate, _ = _per_row(values, count)
         over = estimate > 1e-12 * np.abs(w)
         if not over.any():
             return
         tol = np.nextafter(estimate[over].max(), 0.0)
-        ref, sent, fell, _ = _reference_pass(dx, 0.0, 1.0, count, tol)
-        rows, record = [], {}
+        ref, fell, _ = _reference_pass(dx, 0.0, 1.0, count, tol)
+        rows = []
         x = ScalarFunction(lambda t: 0.0, 0.0, 1.0, (dx,))
         with mock.patch.object(expansion, "_adaptive_quad",
                                lambda fn, lo, hi, tol, what: rows.append(int(what.rsplit("=", 1)[1])) or 0.0):
-            _identity_pass(x, 0.0, 1.0, count, tol, record)  # the W_0 identity may fail: x = 0
-        assert sent and record["sent"] == sent and set(rows) == fell
+            _identity_pass(x, 0.0, 1.0, count, tol)  # the W_0 identity may fail: x = 0
+        assert fell and set(rows) == fell
 
 
 def _gathered_weights(kind, alpha, ap, sgn, dist, N):
@@ -955,7 +925,7 @@ class TestApproximation:
     def test_product_kernel_matches_gathered_weights(self, kind, N):
         # The kernel c(s) + k P(s) (bracket + L(s)) on N + 1 table rows is the
         # weights gathered per W_q (2N + 1 of them, the double sum by an
-        # explicit loop) times the powers s^q, on both node sets, to 1e-13 of
+        # explicit loop) times the powers s^q on the pass's nodes, to 1e-13 of
         # the absolute kernel A, which bounds sum_q |c_q| s^q; the scale
         # bounds sum_q |c_q|.  The certificate is too loose to notice a
         # shifted W slice; this is not.
@@ -964,32 +934,40 @@ class TestApproximation:
                 for sgn in (1.0, -1.0):
                     c, kernel, count, scale = _gathered_weights(kind, alpha, 0.4, sgn, dist, N)
                     assert count == N + 1 and math.fsum(np.abs(c)) <= scale * (1.0 + 1e-13)
-                    for nodes in (FIRST, GRADED):
-                        with np.errstate(under="ignore"):
-                            powers = nodes.nodes ** np.arange(2 * N + 1)[:, None]
-                        (one, k), (_, a) = kernel(nodes.table(count))
-                        assert (one == 1.0).all()
-                        assert (np.abs(k - c @ powers) <= 1e-13 * a).all(), (alpha, dist, sgn)
-                        assert (np.abs(c) @ powers <= a * (1.0 + 1e-13)).all(), (alpha, dist, sgn)
+                    with np.errstate(under="ignore"):
+                        powers = NODES.nodes ** np.arange(2 * N + 1)[:, None]
+                    (one, k), (_, a) = kernel(NODES.table(count))
+                    assert (one == 1.0).all()
+                    assert (np.abs(k - c @ powers) <= 1e-13 * a).all(), (alpha, dist, sgn)
+                    assert (np.abs(c) @ powers <= a * (1.0 + 1e-13)).all(), (alpha, dist, sgn)
 
-    @pytest.mark.parametrize("N", [256, 1024])
+    @pytest.mark.parametrize("N", [256, 1024, 4096])
     @pytest.mark.parametrize("kind", [Kind.TYPE_I, Kind.TYPE_III])
     def test_large_n_takes_no_quadpack(self, kind, N, monkeypatch):
         # x = t^2, left, t = 0.6, alpha = 0.1 + 0.5t: moment rows past k ~ 236
         # used to go to QUADPACK one by one (1,816 runs for type I at
-        # N = 1024); the kernel's estimate passes on the graded node set.
-        calls = []
+        # N = 1024); the kernel's estimate passes on the one node set, whose
+        # panels halve towards s = 1.  The pass samples x' once, on its
+        # nodes; every other x' call is at one point (t and the range's ends).
+        calls, sizes = [], []
         monkeypatch.setattr(expansion, "_adaptive_quad", lambda *args, what: calls.append(what))
+        base = power_function(2.0, 0.0, 1.0, Side.LEFT)
+
+        def dx(t):
+            if np.ndim(t):
+                sizes.append(np.size(t))
+            return base.derivatives[0](t)
+
+        x = ScalarFunction(base.value, 0.0, 1.0, (dx, *base.derivatives[1:]), monotone_derivatives=True)
         order = affine_order(0.5, 0.1, (0.0, 1.0))
-        res = approximate(kind, power_function(2.0, 0.0, 1.0, Side.LEFT), order, 0.6, Side.LEFT,
-                          ExpansionParams(1, N))
-        assert calls == []
+        res = approximate(kind, x, order, 0.6, Side.LEFT, ExpansionParams(1, N))
+        assert calls == [] and sizes == [NODES.nodes.size]
         assert abs(res.value - power_closed_form(kind, Side.LEFT, 2.0, order, 0.6)) <= res.error_bound
 
     @pytest.mark.parametrize("kind", [Kind.TYPE_I, Kind.TYPE_III])
     def test_singular_derivative_takes_one_run_per_kernel_row(self, kind, monkeypatch):
         # x = t^0.5 at N = 256: x' is singular at s = 0, so W_0 and the kernel
-        # miss on both node sets, and each takes one adaptive run (one per
+        # miss on the pass's nodes, and each takes one adaptive run (one per
         # failing moment row before: up to 513).
         calls = []
         adaptive_quad = expansion._adaptive_quad
@@ -1001,14 +979,14 @@ class TestApproximation:
         assert sorted(calls) == ["moment kernel", "scaled moment k=0"]
         assert abs(res.value - power_closed_form(kind, Side.LEFT, 0.5, order, 0.6)) <= 1e-4
 
-    def test_error_falls_past_the_last_first_set_node(self, monkeypatch):
-        # Type III, left, t = 0.5, alpha = t/2 + 0.49, x = t^2: s^k past the
-        # last node of the first node set went unseen, and the error grew with
-        # N (1.80e-6, 9.47e-5, 3.35e-3 at N = 8192, 12288, 15000).  The kernel
-        # misses there and the graded set takes it (1.80e-6, 1.08e-6, 8.41e-7).
-        # The power tables reach about 80 MB; they are dropped afterwards.
-        for nodes in expansion._NODE_SETS:
-            monkeypatch.setattr(nodes, "powers", nodes.powers)
+    def test_error_falls_with_n_where_s_k_lives_near_one(self, monkeypatch):
+        # Type III, left, t = 0.5, alpha = t/2 + 0.49, x = t^2: on seven equal
+        # panels over [1/2, 1], s^k past the last node went unseen, and the
+        # error grew with N (1.80e-6, 9.47e-5, 3.35e-3 at N = 8192, 12288,
+        # 15000).  The panels halving ten times towards s = 1 see it, and the
+        # error falls (1.80e-6, 1.08e-6, 8.41e-7).  The power table reaches
+        # about 35 MB; it is dropped afterwards.
+        monkeypatch.setattr(NODES, "powers", NODES.powers)
         x = power_function(2.0, 0.0, 1.0, Side.LEFT)
         exact = power_closed_form(Kind.TYPE_III, Side.LEFT, 2.0, ORDER_A, 0.5)
         err = [abs(approximate(Kind.TYPE_III, x, ORDER_A, 0.5, Side.LEFT, ExpansionParams(1, N)).value - exact)

@@ -441,6 +441,17 @@ class TestLogKernelSubtraction:
             else:
                 assert g is not QuadratureError and abs(g - w) <= 1e-8 * max(1.0, abs(w)), case[1:]
 
+    def test_small_one_minus_alpha_right_of_t_squared(self):
+        # t^2 under the right operator, alpha = 0.9 - 0.5t, t = 0.001: QUADPACK
+        # stops early on the plain log-kernel integrand (it reports 6e-11 and
+        # is off by 7.4e-8, past tol).  By linearity, t^2 = 1 - 2 (1-t) +
+        # (1-t)^2 gives the exact value from two right-power closed forms.
+        order, t = affine_order(-0.5, 0.9), 0.001
+        want = (-2.0 * power_closed_form(Kind.TYPE_I, Side.RIGHT, 1.0, order, t)
+                + power_closed_form(Kind.TYPE_I, Side.RIGHT, 2.0, order, t))
+        got = caputo_quadrature(Kind.TYPE_I, power_function(2.0, 0.0, 1.0, Side.LEFT), order, t, Side.RIGHT)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
     def test_type1_call_caps_xprime_evaluations(self):
         # t^2 under fig1-alpha at t = 0.5: type III takes 147 evaluations of
         # x', the subtracted log kernel 232 (x'(t) and 231 nodes), and the

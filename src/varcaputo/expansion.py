@@ -18,9 +18,9 @@ sum of types I and II factors as P(s) (bracket + L(s)).  One pass samples x'
 once on panels graded towards both ends of s, integrates K x' and x' itself
 (W_0, checked against x(t) - x(end)), keeps K when its per-panel estimate is
 at most tol sum |c_k|, and else runs QUADPACK once; ``moments`` runs it on
-the rows s^k.  Derivative maxima come
-from the ends of the range where |x^(p)| is declared monotone, and from one
-array call per order otherwise.  The tables are all the state shared.
+the rows s^k.  Derivative maxima come from the ends of the range where
+|x^(p)| is declared monotone, and from one array call per order otherwise.
+The power table is all the state shared.
 """
 
 from __future__ import annotations
@@ -242,8 +242,8 @@ def _moment_pass(x: ScalarFunction, t: float, end: float, step: float, kernel, c
     ``_NODES`` is at most max(limit_i, 1e-12 |I_i|).  A miss (nan too) goes to
     one adaptive run at tol, labelled what(i), for K_i(0) W_0 plus the
     integral of (K_i - K_i(0)) x', which vanishes at s = 0, where x' is most
-    often singular; with no kernel, only s^i is evaluated at each of its nodes, not
-    the whole power column.  Only an |x'| peak that could overflow runs under
+    often singular; with no kernel, only s^i is evaluated at each of its
+    nodes, not the whole power column.  Only an |x'| peak that could overflow runs under
     np.errstate (np.vdot, unlike dot, does not warn when it overflows).  A gap in
     sgn dist W_0 = x(t) - x(end) above 100 (dist max(tol, 1e-12 |W_0|) +
     e (|x(t)| + |x(end)|)) raises ``QuadratureError``: the pass missed where x'

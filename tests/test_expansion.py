@@ -372,7 +372,7 @@ def _reference_pass(dx, end, step, count, tol):
     """The moment pass written out row by row: W_k, the rows whose summed
     estimate misses max(tol, 1e-12 |W_k|) (sent to QUADPACK), and the kept
     rows whose summed qk21 estimate misses."""
-    w, fell, missed = np.zeros(count), set(), set()
+    fell, missed = set(), set()
     with np.errstate(all="ignore"):
         w, estimate, qk21 = _per_row(expansion._sample(dx, end + NODES.nodes * step), count)
         for k in range(count):
